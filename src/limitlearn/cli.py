@@ -25,6 +25,7 @@ from .criteria import (
     check_txtfext,
     run_learner,
 )
+from .encodings import _check_natural
 from .reports import ExperimentConfig, canonical_json, make_report
 from .suite import run_suite
 from .workspace import SAMPLE_LEARNERS, Workspace
@@ -131,6 +132,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     horizon = _pick(args, cfg, "horizon", 200)
     bound = _pick(args, cfg, "bound", 50)
     stage_bound = _pick(args, cfg, "stage_bound", None)
+    for name, value in (("base_e", e), ("horizon", horizon), ("bound", bound)):
+        _check_natural(value, name)
+    if stage_bound is not None:
+        _check_natural(stage_bound, "stage_bound")
     ws = Workspace()
     if args.method == "brute":
         from .construction import Construction
@@ -255,9 +260,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     bound = _pick(args, cfg, "bound", 50)
     ws = Workspace()
     code = ws.family_member_code(args.adversary, e, n, args.variant)
-    elements = sorted(
-        x for x in ws.registry.enumerate_to(code, horizon) if x < bound
-    )
+    elements = sorted(ws.registry.below(code, bound, horizon))
     report = make_report(
         ExperimentConfig(
             "family",

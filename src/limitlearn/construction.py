@@ -13,9 +13,12 @@ when no admissible string qualifies yet.
 Because each stabilization failure is witnessed by facts about fixed stages
 that never mutate afterwards, failures are permanent: a (depth, length) pair
 that failed once can be cached forever, and a surviving row only needs an
-incremental check per stage. That is what makes horizons in the thousands
-affordable while staying exactly faithful to the brute-force semantics (the
-equivalence is covered by tests that run both methods side by side).
+incremental check per stage: the row keeps the ``stabilizing.Survival``
+kernel state that admitted its string, the same kernel the standalone check
+runs, and resumes it one stage at a time. That is what makes horizons in the
+thousands affordable while staying exactly faithful to the brute-force
+semantics (the equivalence is covered by tests that run both methods side by
+side).
 
 On top of the table live the observations. A row that has sat unchanged long
 enough yields its even marker value (observed_a) and the odd successor
@@ -29,10 +32,11 @@ monotone facts, so the enumerators never retract an element.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import takewhile
 
 from .encodings import Sequence, is_prefix
 from .learners import Learner
-from .stabilizing import StabWitness, check_stabilizing
+from .stabilizing import StabWitness, Survival, check_stabilizing
 from .universe import Enumerator, Registry
 
 
@@ -45,7 +49,7 @@ class _Row:
         self.n = n
         self.events: list[tuple[int, Sequence | None]] = [(0, seed)]
         self.stages = [0]
-        self.qstate: _QState | None = None
+        self.qstate: Survival | None = None
 
     @property
     def value(self) -> Sequence | None:
@@ -60,35 +64,6 @@ class _Row:
 
     def last_change_at_or_before(self, s: int) -> int:
         return self.stages[bisect_right(self.stages, s) - 1]
-
-
-class _QState:
-    """Incremental survival check for one row's current string.
-
-    Tracks which learner codes have been proven to agree with the row's own
-    code below depth k at every stage from |sigma| on (checked), and which
-    still need per-stage comparisons (pending, mapping code to the next
-    offset t to examine). Settled means no future stage can break anything:
-    every code the learner will ever emit is checked and none exceeds the
-    string's length.
-    """
-
-    __slots__ = ("sigma_len", "k", "c0", "checked", "pending", "settled")
-
-    def __init__(
-        self,
-        sigma_len: int,
-        k: int,
-        c0: int,
-        checked: set[int],
-        pending: dict[int, int],
-    ):
-        self.sigma_len = sigma_len
-        self.k = k
-        self.c0 = c0
-        self.checked = checked
-        self.pending = pending
-        self.settled = False
 
 
 class Construction:
@@ -185,102 +160,17 @@ class Construction:
                 )
                 is None
             )
-        return row.qstate is not None and self._advance(row.qstate, s)
-
-    # ---------------- stabilization, collapsed over lengths ----------------
-
-    def _analyze_length(
-        self, k: int, m: int, s: int
-    ) -> tuple[int, set[int], dict[int, int]] | None:
-        """Full stabilization verdict for any admissible length-m string.
-
-        The learner is length-profiled, so all length-m candidates share one
-        verdict. Returns (own code, checked codes, pending code -> next t) on
-        success, None on failure. Failures are permanent in s: the max output
-        code over lengths m..s only grows, and a disagreement below k at a
-        fixed stage never un-happens.
-        """
-        self.counters["length_checks"] += 1
-        learner = self.learner
-        registry = self.registry
-        if learner.length_code_max(m, s) > m:
-            return None
-        c0 = learner.length_code(m)
-        checked = {c0}
-        pending: dict[int, int] = {}
-        codes = learner.length_codes(m, s)
-        if k == 0:
-            checked |= set(codes)
-            return c0, checked, pending
-        for c in sorted(codes):
-            if c in checked:
-                continue
-            for t in range(s + 1):
-                stage = m + t
-                if self._diff_below(c0, c, k, stage):
-                    return None
-                if registry.stable_below(c0, k, stage) and registry.stable_below(
-                    c, k, stage
-                ):
-                    checked.add(c)
-                    break
-            else:
-                pending[c] = s + 1
-        return c0, checked, pending
-
-    def _diff_below(self, c0: int, c1: int, k: int, stage: int) -> bool:
-        registry = self.registry
-        a = {x for x in registry.enumerate_to(c0, stage) if x < k}
-        b = {x for x in registry.enumerate_to(c1, stage) if x < k}
-        return a != b
-
-    def _maybe_settle(self, qs: _QState) -> None:
-        finite = self.learner.finite_codes()
-        if (
-            finite
-            and not qs.pending
-            and finite <= qs.checked
-            and max(finite) <= qs.sigma_len
-        ):
-            qs.settled = True
-
-    def _advance(self, qs: _QState, s_new: int) -> bool:
-        """One more stage of survival checking; False means the row dies."""
+        qs = row.qstate
+        if qs is None:
+            return False
         if qs.settled:
             return True
         self.counters["q_advances"] += 1
-        learner = self.learner
-        registry = self.registry
-        c_new = learner.length_code(s_new)
-        if c_new > qs.sigma_len:
-            return False
-        if qs.k == 0:
-            qs.checked.add(c_new)
-        elif c_new not in qs.checked and c_new not in qs.pending:
-            qs.pending[c_new] = 0
-        for c in sorted(qs.pending):
-            t = qs.pending[c]
-            resolved = False
-            while t <= s_new:
-                stage = qs.sigma_len + t
-                if self._diff_below(qs.c0, c, qs.k, stage):
-                    return False
-                if registry.stable_below(qs.c0, qs.k, stage) and registry.stable_below(
-                    c, qs.k, stage
-                ):
-                    qs.checked.add(c)
-                    del qs.pending[c]
-                    resolved = True
-                    break
-                t += 1
-            if not resolved:
-                qs.pending[c] = t
-        self._maybe_settle(qs)
-        return True
+        return qs.fold(self.learner, self.registry, s, s) is None
 
     def _search_least(
         self, k: int, base: Sequence | None, s: int
-    ) -> tuple[Sequence, _QState] | None:
+    ) -> tuple[Sequence, Survival] | None:
         """Least admissible extension of base that stabilizes at depth k."""
         self.counters["searches"] += 1
         if base is None or self.e + k > s:
@@ -294,15 +184,12 @@ class Construction:
                 continue
             if (k, m) in self._false_cache:
                 continue
-            analysis = self._analyze_length(k, m, s)
-            if analysis is None:
+            self.counters["length_checks"] += 1
+            qs = Survival(m, k)
+            if qs.fold(self.learner, self.registry, m, s) is not None:
                 self._false_cache.add((k, m))
                 continue
-            c0, checked, pending = analysis
-            tau = self._least_suffix(base, m, missing)
-            qs = _QState(m, k, c0, checked, pending)
-            self._maybe_settle(qs)
-            return tau, qs
+            return self._least_suffix(base, m, missing), qs
         return None
 
     def _search_brute(
@@ -338,6 +225,8 @@ class Construction:
     def value_at(self, n: int, s: int) -> Sequence | None:
         if s > self.stage:
             raise ValueError(f"stage {s} beyond current horizon {self.stage}")
+        if s < 0:
+            raise ValueError(f"stage {s} is negative")
         if n >= len(self.rows):
             return None
         return self.rows[n].value_at(s)
@@ -393,6 +282,14 @@ class Construction:
 
     # ---------------- marker observation ----------------
 
+    def _capped(self, s: int | None) -> int:
+        """Stage s capped at the current horizon; None means the horizon."""
+        if s is None:
+            return self.stage
+        if s < 0:
+            raise ValueError(f"stage {s} is negative")
+        return min(s, self.stage)
+
     def observed_a(self, ell: int, s: int | None = None) -> int | None:
         """Even marker for depth ell at horizon s, or None if not observable.
 
@@ -400,7 +297,7 @@ class Construction:
         value after both the settling point and the floor e + ell + 1, and
         must itself fall within the horizon.
         """
-        s = self.stage if s is None else min(s, self.stage)
+        s = self._capped(s)
         feasible = 0
         for h in range(ell + 1):
             if h >= len(self.rows) or self.rows[h].value_at(s) is None:
@@ -411,7 +308,7 @@ class Construction:
         return a if a <= s else None
 
     def observed_b(self, ell: int, s: int | None = None) -> int | None:
-        s = self.stage if s is None else min(s, self.stage)
+        s = self._capped(s)
         a = self.observed_a(ell, s)
         if a is None or a + 1 > s:
             return None
@@ -421,9 +318,9 @@ class Construction:
         """observed_a per depth, stopping at the first unobservable one."""
         out = []
         ell = 0
-        cap = self.stage if s is None else min(s, self.stage)
+        cap = self._capped(s)
         while ell <= cap:
-            a = self.observed_a(ell, s)
+            a = self.observed_a(ell, cap)
             if a is None:
                 break
             out.append(a)
@@ -431,16 +328,9 @@ class Construction:
         return out
 
     def b_values(self, s: int | None = None) -> list[int]:
-        out = []
-        ell = 0
-        cap = self.stage if s is None else min(s, self.stage)
-        while ell <= cap:
-            b = self.observed_b(ell, s)
-            if b is None:
-                break
-            out.append(b)
-            ell += 1
-        return out
+        """observed_b per depth: a + 1 for each even marker a below the horizon."""
+        cap = self._capped(s)
+        return [a + 1 for a in takewhile(lambda a: a < cap, self.a_values(cap))]
 
     def r_prefix(
         self, bound: int, variant: str = "plain", s: int | None = None
@@ -627,10 +517,7 @@ class Construction:
         )
         if len(codes) <= 1:
             return 0
-        sets = {
-            c: {x for x in self.registry.enumerate_to(c, stage_bound) if x < stage_bound}
-            for c in codes
-        }
+        sets = {c: self.registry.below(c, stage_bound, stage_bound) for c in codes}
         best = None
         for ci in codes:
             for cj in codes:

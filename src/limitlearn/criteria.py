@@ -136,10 +136,6 @@ def _window_codes(trace: Trace, settle: int) -> list[int]:
     return seen
 
 
-def _below(registry: Registry, code: int, bound: int, stage: int) -> frozenset[int]:
-    return frozenset(x for x in registry.enumerate_to(code, stage) if x < bound)
-
-
 def check_txtfex(
     trace: Trace,
     registry: Registry,
@@ -176,7 +172,7 @@ def check_txtfex(
     if i != "*":
         target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
         for code in tail:
-            diff = _below(registry, code, bound, horizon) ^ target
+            diff = registry.below(code, bound, horizon) ^ target
             if len(diff) > i:
                 return Verdict(
                     Status.FAIL_WITNESSED,
@@ -228,10 +224,10 @@ def check_txtfext(
     early = max(1, stage // 2)
     late_only = None
     for a, b in combinations(sorted(set(tail)), 2):
-        a_early = _below(registry, a, bound, early)
-        b_early = _below(registry, b, bound, early)
-        a_full = _below(registry, a, bound, stage)
-        b_full = _below(registry, b, bound, stage)
+        a_early = registry.below(a, bound, early)
+        b_early = registry.below(b, bound, early)
+        a_full = registry.below(a, bound, stage)
+        b_full = registry.below(b, bound, stage)
         persistent = (a_early - b_full) | (b_early - a_full)
         if persistent:
             return Verdict(
@@ -285,13 +281,13 @@ def verify_witness(
         if i == "*":
             return False
         target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
-        diff = _below(registry, w["code"], bound, horizon) ^ target
+        diff = registry.below(w["code"], bound, horizon) ^ target
         return len(diff) > i and sorted(diff) == w["difference"]
     if kind == "pairwise":
         a, b = w["codes"]
         early = w.get("early_stage", max(1, stage // 2))
-        persistent = (_below(registry, a, bound, early) - _below(registry, b, bound, stage)) | (
-            _below(registry, b, bound, early) - _below(registry, a, bound, stage)
+        persistent = (registry.below(a, bound, early) - registry.below(b, bound, stage)) | (
+            registry.below(b, bound, early) - registry.below(a, bound, stage)
         )
         return bool(persistent) and set(w["elements"]) == persistent
     return False

@@ -15,8 +15,10 @@ first failing condition. The brute method enumerates extensions outright and
 is exponential, so it is the reference oracle for small budgets only. The
 profile method exploits learners whose output depends only on input length:
 admissible extensions of a length-m string realize exactly the lengths m..s,
-so both quantifiers collapse to a scan over lengths. The two methods agree
-on the verdict everywhere; witnesses may differ but are always checkable via
+so both quantifiers collapse to a scan over lengths. That scan is the
+resumable Survival kernel, which the stage table also keeps per row and
+advances one stage at a time. The two methods agree on the verdict
+everywhere; witnesses may differ but are always checkable via
 stab_witness_valid.
 """
 
@@ -73,9 +75,74 @@ def _covers_required(e: int, k: int, sigma: Sequence) -> bool:
 
 
 def _diff_below(registry: Registry, c0: int, c1: int, k: int, stage: int) -> bool:
-    a = {x for x in registry.enumerate_to(c0, stage) if x < k}
-    b = {x for x in registry.enumerate_to(c1, stage) if x < k}
-    return a != b
+    return registry.below(c0, k, stage) != registry.below(c1, k, stage)
+
+
+class Survival:
+    """Conditions 2 and 3 for a length-sigma_len string, collapsed over lengths.
+
+    Valid for length-profiled learners, whose admissible extensions share one
+    verdict per length. Tracks which codes have been proven to agree with the
+    string's own code c0 below depth k at every stage from sigma_len on
+    (checked), and which still need per-stage comparisons (pending, mapping
+    code to the next offset t to examine). Settled means no future stage can
+    break anything: every code the learner will ever emit is checked, and
+    checked codes never exceed sigma_len. Failures are permanent: the max code
+    over lengths only grows, and a disagreement below k at a fixed stage never
+    un-happens.
+    """
+
+    __slots__ = ("sigma_len", "k", "c0", "checked", "pending", "settled")
+
+    def __init__(self, sigma_len: int, k: int):
+        self.sigma_len = sigma_len
+        self.k = k
+        self.c0: int | None = None
+        self.checked: set[int] = set()
+        self.pending: dict[int, int] = {}
+        self.settled = False
+
+    def fold(
+        self, learner: Learner, registry: Registry, lo: int, s: int
+    ) -> tuple[int, int, int] | None:
+        """Fold in lengths lo..s and stages up to sigma_len + s.
+
+        The first fold starts at lo = sigma_len. Returns None while both
+        conditions hold, else the first failure as (condition, code, t); for
+        condition 2 the code is the largest one emitted over lo..s.
+        """
+        if self.settled:
+            return None
+        # condition 2 first: it needs no per-code state
+        top = learner.length_code_max(lo, s)
+        if top > self.sigma_len:
+            return 2, top, 0
+        if self.c0 is None:
+            self.c0 = learner.length_code(self.sigma_len)
+            self.checked.add(self.c0)
+        codes = learner.length_codes(lo, s)
+        if self.k == 0:
+            # condition 3 is vacuous below depth 0
+            self.checked |= codes
+        for c in codes - self.checked:
+            self.pending.setdefault(c, 0)
+        c0, k = self.c0, self.k
+        for c in sorted(self.pending):
+            for t in range(self.pending[c], s + 1):
+                stage = self.sigma_len + t
+                if _diff_below(registry, c0, c, k, stage):
+                    return 3, c, t
+                if registry.stable_below(c0, k, stage) and registry.stable_below(
+                    c, k, stage
+                ):
+                    self.checked.add(c)
+                    del self.pending[c]
+                    break
+            else:
+                self.pending[c] = s + 1
+        finite = learner.finite_codes()
+        self.settled = bool(finite) and not self.pending and finite <= self.checked
+        return None
 
 
 def check_stabilizing(
@@ -126,31 +193,15 @@ def _check_profile(
     if not base_qualifies(sigma, s, e):
         return None
     m0 = len(sigma)
+    failure = Survival(m0, k).fold(learner, registry, m0, s)
+    if failure is None:
+        return None
+    condition, code, t = failure
     # condition 1 guarantees e occurs in sigma, hence e <= s here, hence a
     # length-m extension exists for every m in m0..s (pad with e)
-    first_at: dict[int, int] = {}
-    for m in range(m0, s + 1):
-        c = learner.length_code(m)
-        if c > m0:
-            return StabWitness(tau=sigma + (e,) * (m - m0), t=0, violated_condition=2)
-        if c not in first_at:
-            first_at[c] = m
-    c0 = learner.length_code(m0)
-    for c in sorted(first_at):
-        if c == c0:
-            continue
-        mc = first_at[c]
-        for t in range(s + 1):
-            stage = m0 + t
-            if _diff_below(registry, c0, c, k, stage):
-                return StabWitness(
-                    tau=sigma + (e,) * (mc - m0), t=t, violated_condition=3
-                )
-            if registry.stable_below(c0, k, stage) and registry.stable_below(
-                c, k, stage
-            ):
-                break
-    return None
+    realizes = (lambda c: c > m0) if condition == 2 else (lambda c: c == code)
+    m = next(m for m in range(m0, s + 1) if realizes(learner.length_code(m)))
+    return StabWitness(tau=sigma + (e,) * (m - m0), t=t, violated_condition=condition)
 
 
 def stab_witness_valid(

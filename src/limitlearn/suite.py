@@ -220,9 +220,7 @@ def criterion_7(ctx: SuiteContext) -> dict:
             c.run_to(500)
             for variant in ("plain", "hat"):
                 code = ws.diagonal_code(kind, e, variant)
-                enum_side = frozenset(
-                    x for x in ws.registry.enumerate_to(code, 500) if x < 50
-                )
+                enum_side = ws.registry.below(code, 50, 500)
                 prefix_side = c.r_prefix(50, variant, s=500)
                 same = enum_side == prefix_side
                 ok = ok and same

@@ -127,11 +127,13 @@ class Registry:
     def stable_below(self, code: int, k: int, s: int) -> bool:
         return self.get(code).stable_below(k, s)
 
+    def below(self, code: int, bound: int, s: int) -> frozenset[int]:
+        """Elements of the coded set below bound at stage s; one query."""
+        return frozenset(x for x in self.enumerate_to(code, s) if x < bound)
+
     def sym_diff_below(self, h1: int, h2: int, bound: int, s: int) -> frozenset[int]:
         """Symmetric difference of two coded sets, restricted below bound."""
-        a = {x for x in self.enumerate_to(h1, s) if x < bound}
-        b = {x for x in self.enumerate_to(h2, s) if x < bound}
-        return frozenset(a ^ b)
+        return self.below(h1, bound, s) ^ self.below(h2, bound, s)
 
 
 def check_monotone(

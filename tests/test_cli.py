@@ -288,6 +288,34 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--horizon", "-5"], None),
+        (["--bound", "-4"], None),
+        (["--stage-bound", "-3"], None),
+        (["--base-e", "-1"], None),
+        ([], {"horizon": "abc"}),
+        ([], {"horizon": True}),
+        ([], {"bound": 2.5}),
+        ([], {"stage_bound": -1}),
+    ],
+)
+def test_construct_rejects_bad_parameters(tmp_path, capsys, flags, config):
+    argv = ["construct", "--learner", "constant_zero", "--horizon", "5"] + flags
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["construct", "--learner", "constant_zero", "--config", str(cfg)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "natural number" in err[0]
+
+
 def test_family_report(tmp_path):
     out = tmp_path / "r.json"
     rc = main(

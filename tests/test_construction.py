@@ -16,8 +16,11 @@ from limitlearn import (
     LengthParityLearner,
     ProfiledFunctionLearner,
     Registry,
+    StepFunctionEnumerator,
     Workspace,
+    check_stabilizing,
 )
+from limitlearn.stabilizing import Survival
 
 
 def _constant(e=0):
@@ -110,6 +113,15 @@ def test_value_at_replays_history():
     assert c.value_at(3, 4) == (0, 1, 2, 3)
     with pytest.raises(ValueError, match="beyond current horizon"):
         c.value_at(0, 10)
+    for read in (
+        lambda: c.value_at(5, -1),
+        lambda: c.observed_a(0, -1),
+        lambda: c.observed_b(0, -1),
+        lambda: c.a_values(-1),
+        lambda: c.b_values(-1),
+    ):
+        with pytest.raises(ValueError, match="negative"):
+            read()
 
 
 def test_chain_property_holds_for_samples():
@@ -186,3 +198,52 @@ def test_sample_learners_profile_matches_brute():
         cp.run_to(6)
         cb.run_to(6)
         assert [r.events for r in cp.rows] == [r.events for r in cb.rows]
+
+
+def _never_stable_table(rng):
+    """Codes that never declare stability, so rows keep codes pending."""
+    reg = Registry()
+    pool = [0]
+    for _ in range(3):
+        late = rng.randint(0, 6)
+        extra = frozenset(rng.sample(range(2, 8), rng.randint(0, 2)))
+        pool.append(
+            reg.register(
+                StepFunctionEnumerator(lambda s, l=late, x=extra: x if s >= l else ())
+            )
+        )
+    table = {m: rng.choice(pool) for m in range(10)}
+    learner = ProfiledFunctionLearner(
+        lambda m, t=table: t.get(m, pool[1]), finite=frozenset(pool)
+    )
+    return Construction(learner, rng.randint(0, 1), reg)
+
+
+def _profiled_tables():
+    for kind in ("constant_zero", "length_parity", "fresh_each_step"):
+        for e in (0, 1, 2):
+            yield Workspace().construction(kind, e)
+    rng = random.Random(31)
+    for _ in range(12):
+        yield _paired_constructions(rng)[0]
+    for _ in range(6):
+        yield _never_stable_table(rng)
+
+
+def test_resumed_rows_match_from_scratch_checks():
+    for c in _profiled_tables():
+        for s in range(1, 81):
+            c.run_stage()
+            for n, v in c.defined_rows():
+                where = (c.learner.name, c.e, s, n)
+                assert check_stabilizing(
+                    c.e, n, v, s, c.learner, c.registry, method="profile"
+                ) is None, where
+                fresh = Survival(len(v), n)
+                assert fresh.fold(c.learner, c.registry, len(v), s) is None, where
+                qs = c.rows[n].qstate
+                assert (qs.checked, qs.pending, qs.settled) == (
+                    fresh.checked,
+                    fresh.pending,
+                    fresh.settled,
+                ), where

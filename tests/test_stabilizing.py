@@ -16,6 +16,7 @@ from limitlearn import (
     LengthParityLearner,
     ProfiledFunctionLearner,
     Registry,
+    StepFunctionEnumerator,
     base_qualifies,
     candidate_strings,
     check_stabilizing,
@@ -149,3 +150,44 @@ def test_invalid_witness_is_rejected():
     assert w is not None
     # the same witness transplanted onto a passing instance must not validate
     assert not stab_witness_valid(w, 0, 0, (0,), 3, m, reg)
+
+
+def _late_disagreement():
+    # code 2 gains 1 at stage 4, so it parts from code 1 below depth 2 there
+    reg = Registry()
+    a = reg.register(FiniteSetEnumerator({0}))
+    b = reg.register(StepFunctionEnumerator(lambda s: {0} if s < 4 else {0, 1}))
+    return reg, ProfiledFunctionLearner(lambda m: a if m < 4 else b)
+
+
+def _fresh_registry(make):
+    reg = Registry()
+    return reg, make(reg)
+
+
+@pytest.mark.parametrize(
+    "setup, e, k, sigma, s, witness, queries",
+    [
+        (LengthParityLearner, 0, 1, (0, 1), 5, ([0, 1, 0], 0, 3), 2),
+        (LengthParityLearner, 1, 1, (1, 2), 5, ([1, 2, 1], 0, 3), 2),
+        (LengthParityLearner, 0, 0, (0,), 3, ([0], 0, 2), 0),
+        (LengthParityLearner, 0, 2, (0, 1, 2), 6, ([0, 1, 2, 0], 0, 3), 2),
+        # depth 0 makes condition 3 vacuous, so no registry query is needed
+        (LengthParityLearner, 0, 0, (0, 0), 6, None, 0),
+        (FreshLengthLearner, 0, 0, (0,), 3, ([0], 0, 2), 0),
+        (FreshLengthLearner, 1, 1, (1, 2, 1), 7, ([1, 2, 1], 0, 2), 0),
+        (lambda reg: ConstantLearner(), 0, 1, (0, 1), 4, None, 0),
+        ("late", 0, 2, (0, 1, 2), 6, ([0, 1, 2, 0], 1, 3), 4),
+        ("late", 0, 2, (0, 1, 2), 3, None, 0),
+    ],
+)
+def test_profile_witnesses_are_pinned(setup, e, k, sigma, s, witness, queries):
+    reg, learner = _late_disagreement() if setup == "late" else _fresh_registry(setup)
+    w = check_stabilizing(e, k, sigma, s, learner, reg, method="profile")
+    assert reg.query_count == queries
+    if witness is None:
+        assert w is None
+    else:
+        tau, t, condition = witness
+        assert w.as_dict() == {"tau": tau, "t": t, "violated_condition": condition}
+        assert stab_witness_valid(w, e, k, sigma, s, learner, reg)
