@@ -6,8 +6,12 @@ family member's enumeration), suite (the nine-part self-check battery).
 Reports are canonical JSON on stdout or --out; anything timing-related goes
 to stderr so reports stay byte-reproducible.
 
-Exit codes: 0 success; 1 a verdict came back FAIL_WITNESSED (learn/check), a
-suite criterion failed, or a runtime error; 2 usage errors (argparse).
+PARAMS declares every parameter once. A value comes from its flag, else the
+--config JSON object, else its default, and is checked however it arrived.
+
+Exit codes: 0 success; 1 bad input (a parameter, a --config file or a --text
+file), a verdict came back FAIL_WITNESSED (learn/check), a suite criterion
+failed, or a runtime error; 2 usage errors (argparse).
 """
 
 from __future__ import annotations
@@ -16,10 +20,14 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
+from typing import Callable, NamedTuple
 
+from .construction import Construction
 from .criteria import (
     Status,
     Text,
+    _check_ij,
     canonical_text,
     check_txtfex,
     check_txtfext,
@@ -34,9 +42,69 @@ PROFILED = tuple(SAMPLE_LEARNERS)
 ALL_LEARNERS = PROFILED + ("gap_parity",)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default parameter values")
-    p.add_argument("--out", help="write the report here instead of stdout")
+def _check_path(value, name: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a file path, got {value!r}")
+
+
+class Param(NamedTuple):
+    """One parameter: a checker (or a tuple of allowed values) and a default."""
+
+    check: Callable[[object, str], None] | tuple
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+_BASE_E = Param(_check_natural, 0)
+_HORIZON = Param(_check_natural, 200)
+_OUT = Param(_check_path, help="write the report here instead of stdout")
+_MEMBER = {
+    "base_e": _BASE_E,
+    "member_n": Param(_check_natural, 0),
+    "variant": Param(("plain", "hat"), "plain"),
+}
+_LEARN = {
+    "learner": Param(ALL_LEARNERS, required=True),
+    "adversary": Param(PROFILED),
+    **_MEMBER,
+    "horizon": _HORIZON,
+    "settle": Param(_check_natural),
+    "bound": Param(_check_natural, 64),
+    "text": Param(_check_path, help="JSON file holding a list of naturals"),
+    "i": Param(_check_ij, help="natural number or *"),
+    "j": Param(_check_ij, help="natural number or *"),
+    "out": _OUT,
+}
+PARAMS: dict[str, dict[str, Param]] = {
+    "construct": {
+        "learner": Param(PROFILED, required=True),
+        "base_e": _BASE_E,
+        "horizon": _HORIZON,
+        "method": Param(("profile", "brute"), "profile"),
+        "bound": Param(_check_natural, 50),
+        "stage_bound": Param(_check_natural),
+        "out": _OUT,
+    },
+    "learn": _LEARN,
+    "check": _LEARN,
+    "family": {
+        "adversary": Param(PROFILED, required=True),
+        **_MEMBER,
+        "horizon": _HORIZON,
+        "bound": Param(_check_natural, 50),
+        "out": _OUT,
+    },
+    "suite": {"seed": Param(_check_natural, 0), "out": _OUT},
+}
+
+
+def _star_or_int(raw: str):
+    """Flag text of --i/--j: numbers become ints, the rest is left to _check_ij."""
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,272 +113,199 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-horizon experiments in vacillatory learning",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("construct", help="run one diagonal stage table")
-    p.add_argument("--learner", choices=PROFILED, required=True)
-    p.add_argument("--base-e", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--method", choices=("profile", "brute"), default="profile")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--stage-bound", type=int, default=None)
-    _add_common(p)
-
-    for name in ("learn", "check"):
-        p = sub.add_parser(name, help="trace a learner on a text")
-        p.add_argument("--learner", choices=ALL_LEARNERS, required=True)
-        p.add_argument("--adversary", choices=PROFILED, default=None)
-        p.add_argument("--base-e", type=int, default=None)
-        p.add_argument("--member-n", type=int, default=None)
-        p.add_argument("--variant", choices=("plain", "hat"), default="plain")
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--settle", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--text", help="JSON file holding a list of naturals")
-        p.add_argument("--i", default=None, help="natural number or *")
-        p.add_argument("--j", default=None, help="natural number or *")
-        _add_common(p)
-
-    p = sub.add_parser("family", help="inspect one constructed family member")
-    p.add_argument("--adversary", choices=PROFILED, required=True)
-    p.add_argument("--base-e", type=int, default=None)
-    p.add_argument("--member-n", type=int, default=None)
-    p.add_argument("--variant", choices=("plain", "hat"), default="plain")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("suite", help="run the nine-part self-check battery")
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-
+    types = {_check_natural: int, _check_ij: _star_or_int}
+    for cmd, params in PARAMS.items():
+        p = sub.add_parser(cmd, help=COMMANDS[cmd][0])
+        for name, param in params.items():
+            kwargs = {"required": param.required, "help": param.help}
+            if isinstance(param.check, tuple):
+                kwargs["choices"] = param.check
+            elif param.check in types:
+                kwargs["type"] = types[param.check]
+            p.add_argument("--" + name.replace("_", "-"), **kwargs)
+        p.add_argument("--config", help="JSON object of parameter values; flags win")
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
+def resolve(args: argparse.Namespace) -> dict:
+    """Each parameter of args.cmd from its flag, else --config, else its default.
+
+    Every value is checked; a config key must name a parameter that has no
+    required flag.
+    """
+    params = PARAMS[args.cmd]
+    cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        allowed = [name for name, param in params.items() if not param.required]
+        unknown = sorted(set(cfg) - set(allowed))
+        if unknown:
+            raise ValueError(
+                f"{args.cmd} takes no config key {unknown[0]!r}; "
+                f"allowed keys: {', '.join(allowed)}"
+            )
+    values = {}
+    for name, param in params.items():
+        value = getattr(args, name)
+        if value is None:
+            value = cfg.get(name, param.default)
+        values[name] = value
+        if value is None and param.default is None:
+            continue
+        if not isinstance(param.check, tuple):
+            param.check(value, name)
+        elif value not in param.check:
+            raise ValueError(
+                f"{name} must be one of {', '.join(param.check)}, got {value!r}"
+            )
+    return values
 
 
-def _pick(args: argparse.Namespace, cfg: dict, name: str, fallback):
-    explicit = getattr(args, name, None)
-    if explicit is not None:
-        return explicit
-    if name in cfg:
-        return cfg[name]
-    return fallback
+def _experiment(command: str, p: dict, names: tuple[str, ...]) -> ExperimentConfig:
+    return ExperimentConfig(command, {name: p[name] for name in names})
 
 
-def _parse_ij(raw, name: str):
-    if raw == "*":
-        return "*"
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"--{name} must be a natural number or '*', got {raw!r}")
-    if value < 0:
-        raise ValueError(f"--{name} must be a natural number or '*', got {raw!r}")
-    return value
-
-
-def _emit(report: dict, out: str | None) -> None:
-    payload = canonical_json(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    e = _pick(args, cfg, "base_e", 0)
-    horizon = _pick(args, cfg, "horizon", 200)
-    bound = _pick(args, cfg, "bound", 50)
-    stage_bound = _pick(args, cfg, "stage_bound", None)
-    for name, value in (("base_e", e), ("horizon", horizon), ("bound", bound)):
-        _check_natural(value, name)
-    if stage_bound is not None:
-        _check_natural(stage_bound, "stage_bound")
+def _cmd_construct(p: dict) -> tuple[dict, int]:
     ws = Workspace()
-    if args.method == "brute":
-        from .construction import Construction
-
-        c = Construction(ws.sample_learner(args.learner), e, ws.registry, method="brute")
+    if p["method"] == "brute":
+        learner = ws.sample_learner(p["learner"])
+        c = Construction(learner, p["base_e"], ws.registry, method="brute")
     else:
-        c = ws.construction(args.learner, e)
-    c.run_to(horizon)
+        c = ws.construction(p["learner"], p["base_e"])
+    c.run_to(p["horizon"])
     results = {
         "stage": c.stage,
         "rows": c.rows_snapshot(limit=12),
         "markers_even": c.a_values(),
         "markers_odd": c.b_values(),
-        "prefix_plain": c.r_prefix(bound, "plain"),
-        "prefix_hat": c.r_prefix(bound, "hat"),
+        "prefix_plain": c.r_prefix(p["bound"], "plain"),
+        "prefix_hat": c.r_prefix(p["bound"], "hat"),
         "chain_ok": c.chain_ok(),
     }
-    if stage_bound is not None:
-        results["separation_level"] = c.separation_level(stage_bound)
+    if p["stage_bound"] is not None:
+        results["separation_level"] = c.separation_level(p["stage_bound"])
+    recorded = ("learner", "base_e", "horizon", "method", "bound")
     report = make_report(
-        ExperimentConfig(
-            "construct",
-            {
-                "learner": args.learner,
-                "base_e": e,
-                "horizon": horizon,
-                "method": args.method,
-                "bound": bound,
-            },
-        ),
+        _experiment("construct", p, recorded),
         results,
         work=dict(c.counters, registry_queries=ws.registry.query_count),
     )
-    _emit(report, _pick(args, cfg, "out", None))
-    return 0
+    return report, 0
 
 
-def _build_text(args: argparse.Namespace, cfg: dict, ws: Workspace, horizon: int):
-    path = _pick(args, cfg, "text", None)
+def _build_text(p: dict, ws: Workspace) -> Text:
+    path, horizon = p["text"], p["horizon"]
     if path:
         with open(path, encoding="utf-8") as fh:
             items = json.load(fh)
-        if not isinstance(items, list) or not all(
-            isinstance(x, int) and x >= 0 for x in items
-        ):
+        if not isinstance(items, list):
             raise ValueError("--text file must hold a JSON list of naturals")
+        for x in items:
+            _check_natural(x, "--text item")
         if len(items) < horizon:
             raise ValueError(
                 f"text file has {len(items)} items, horizon {horizon} needs that many"
             )
         return Text(items=tuple(items), label=f"file:{path}")
-    adversary = _pick(args, cfg, "adversary", None)
-    if adversary is None:
+    if p["adversary"] is None:
         raise ValueError("provide --text or --adversary to define the input text")
-    e = _pick(args, cfg, "base_e", 0)
-    n = _pick(args, cfg, "member_n", 0)
-    code = ws.family_member_code(adversary, e, n, args.variant)
+    code = ws.family_member_code(
+        p["adversary"], p["base_e"], p["member_n"], p["variant"]
+    )
     return canonical_text(ws.registry, code, horizon)
 
 
-def _cmd_learn(args: argparse.Namespace, verdicts_required: bool) -> int:
-    cfg = _load_config(args)
-    horizon = _pick(args, cfg, "horizon", 200)
-    bound = _pick(args, cfg, "bound", 64)
-    settle = _pick(args, cfg, "settle", None)
-    raw_i = _pick(args, cfg, "i", None)
-    raw_j = _pick(args, cfg, "j", None)
-    if verdicts_required and (raw_i is None or raw_j is None):
+def _cmd_learn(command: str, p: dict) -> tuple[dict, int]:
+    i, j = p["i"], p["j"]
+    if command == "check" and (i is None or j is None):
         raise ValueError("check requires both --i and --j")
-    if (raw_i is None) != (raw_j is None):
+    if (i is None) != (j is None):
         raise ValueError("--i and --j must be given together")
     ws = Workspace()
-    if args.learner == "gap_parity":
-        adversary = _pick(args, cfg, "adversary", None)
-        if adversary is None:
+    if p["learner"] == "gap_parity":
+        if p["adversary"] is None:
             raise ValueError("gap_parity needs --adversary to aim at")
-        learner = ws.gap_parity_learner(adversary)
+        learner = ws.gap_parity_learner(p["adversary"])
     else:
-        learner = ws.sample_learner(args.learner)
-    text = _build_text(args, cfg, ws, horizon)
-    trace = run_learner(learner, text, horizon)
-    distinct = sorted(set(trace.outputs))
+        learner = ws.sample_learner(p["learner"])
+    text = _build_text(p, ws)
+    trace = run_learner(learner, text, p["horizon"])
     results: dict = {
         "text_label": text.label,
         "text_head": list(text.items[:20]),
         "outputs_head": list(trace.outputs[:20]),
         "outputs_tail": list(trace.outputs[-10:]),
-        "distinct_outputs": distinct,
+        "distinct_outputs": sorted(set(trace.outputs)),
     }
     failed = False
-    if raw_i is not None:
-        i = _parse_ij(raw_i, "i")
-        j = _parse_ij(raw_j, "j")
-        fex = check_txtfex(trace, ws.registry, i, j, settle=settle, bound=bound)
-        fext = check_txtfext(trace, ws.registry, i, j, settle=settle, bound=bound)
+    if i is not None:
+        window = {"settle": p["settle"], "bound": p["bound"]}
+        fex = check_txtfex(trace, ws.registry, i, j, **window)
+        fext = check_txtfext(trace, ws.registry, i, j, **window)
         results["vacillation"] = fex
         results["strict"] = fext
         failed = Status.FAIL_WITNESSED in (fex.status, fext.status)
     report = make_report(
-        ExperimentConfig(
-            "check" if verdicts_required else "learn",
-            {
-                "learner": args.learner,
-                "horizon": horizon,
-                "bound": bound,
-                "i": raw_i,
-                "j": raw_j,
-            },
-        ),
+        _experiment(command, p, ("learner", "horizon", "bound", "i", "j")),
         results,
         work={"registry_queries": ws.registry.query_count},
     )
-    _emit(report, _pick(args, cfg, "out", None))
-    return 1 if failed else 0
+    return report, 1 if failed else 0
 
 
-def _cmd_family(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    e = _pick(args, cfg, "base_e", 0)
-    n = _pick(args, cfg, "member_n", 0)
-    horizon = _pick(args, cfg, "horizon", 200)
-    bound = _pick(args, cfg, "bound", 50)
+def _cmd_family(p: dict) -> tuple[dict, int]:
     ws = Workspace()
-    code = ws.family_member_code(args.adversary, e, n, args.variant)
-    elements = sorted(ws.registry.below(code, bound, horizon))
+    adversary, e, variant = p["adversary"], p["base_e"], p["variant"]
+    code = ws.family_member_code(adversary, e, p["member_n"], variant)
+    recorded = ("adversary", "base_e", "member_n", "variant", "horizon", "bound")
     report = make_report(
-        ExperimentConfig(
-            "family",
-            {
-                "adversary": args.adversary,
-                "base_e": e,
-                "member_n": n,
-                "variant": args.variant,
-                "horizon": horizon,
-                "bound": bound,
-            },
-        ),
+        _experiment("family", p, recorded),
         {
             "member_code": code,
-            "diagonal_code": ws.diagonal_code(args.adversary, e, args.variant),
-            "elements_below_bound": elements,
+            "diagonal_code": ws.diagonal_code(adversary, e, variant),
+            "elements_below_bound": sorted(
+                ws.registry.below(code, p["bound"], p["horizon"])
+            ),
         },
         work={"registry_queries": ws.registry.query_count},
     )
-    _emit(report, _pick(args, cfg, "out", None))
-    return 0
+    return report, 0
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    seed = _pick(args, cfg, "seed", 0)
-    report, all_pass = run_suite(seed)
+def _cmd_suite(p: dict) -> tuple[dict, int]:
+    report, all_pass = run_suite(p["seed"])
     for entry in report["results"]["criteria"]:
         print(
             f"criterion {entry['criterion']} {entry['name']}: {entry['status']}",
             file=sys.stderr,
         )
-    _emit(report, _pick(args, cfg, "out", None))
-    return 0 if all_pass else 1
+    return report, 0 if all_pass else 1
+
+
+COMMANDS = {
+    "construct": ("run one diagonal stage table", _cmd_construct),
+    "learn": ("trace a learner on a text", partial(_cmd_learn, "learn")),
+    "check": ("trace a learner on a text", partial(_cmd_learn, "check")),
+    "family": ("inspect one constructed family member", _cmd_family),
+    "suite": ("run the nine-part self-check battery", _cmd_suite),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        if args.cmd == "construct":
-            code = _cmd_construct(args)
-        elif args.cmd == "learn":
-            code = _cmd_learn(args, verdicts_required=False)
-        elif args.cmd == "check":
-            code = _cmd_learn(args, verdicts_required=True)
-        elif args.cmd == "family":
-            code = _cmd_family(args)
+        p = resolve(args)
+        report, code = COMMANDS[args.cmd][1](p)
+        payload = canonical_json(report)
+        if p["out"]:
+            with open(p["out"], "w", encoding="utf-8") as fh:
+                fh.write(payload)
         else:
-            code = _cmd_suite(args)
+            sys.stdout.write(payload)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

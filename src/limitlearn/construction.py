@@ -227,6 +227,8 @@ class Construction:
             raise ValueError(f"stage {s} beyond current horizon {self.stage}")
         if s < 0:
             raise ValueError(f"stage {s} is negative")
+        if n < 0:
+            raise ValueError(f"row {n} is negative")
         if n >= len(self.rows):
             return None
         return self.rows[n].value_at(s)
@@ -298,6 +300,8 @@ class Construction:
         must itself fall within the horizon.
         """
         s = self._capped(s)
+        if ell < 0:
+            raise ValueError(f"depth {ell} is negative")
         feasible = 0
         for h in range(ell + 1):
             if h >= len(self.rows) or self.rows[h].value_at(s) is None:

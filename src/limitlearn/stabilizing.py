@@ -31,6 +31,9 @@ from .encodings import Sequence, content, is_prefix
 from .learners import Learner
 from .universe import Registry
 
+# Work budget of the brute oracle: the longest candidate list it may build.
+MAX_CANDIDATES = 1_000_000
+
 
 @dataclass(frozen=True)
 class StabWitness:
@@ -57,11 +60,18 @@ def candidate_strings(base: Sequence, s: int, e: int) -> list[Sequence]:
     """All admissible extensions of base, in length-lex order.
 
     Empty when base is not itself admissible. Size grows like (s-e+1)^s, so
-    callers must keep s tiny; the construction never calls this on the fast
-    path.
+    the size is computed first and a list past MAX_CANDIDATES raises
+    ValueError; the construction never calls this on the fast path.
     """
     if not base_qualifies(base, s, e):
         return []
+    width = max(0, s - e + 1)
+    size = sum(width ** (m - len(base)) for m in range(len(base), s + 1))
+    if size > MAX_CANDIDATES:
+        raise ValueError(
+            f"brute force needs {size} candidate strings at stage {s}, "
+            f"over the budget of {MAX_CANDIDATES}"
+        )
     out: list[Sequence] = []
     for m in range(len(base), s + 1):
         for suffix in product(range(e, s + 1), repeat=m - len(base)):

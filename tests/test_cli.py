@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, exit codes, canonical output."""
 
 import json
+import time
 
 import pytest
 
@@ -288,6 +289,24 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+# Flags that make each subcommand's run valid apart from the input under test.
+_REQUIRED = {
+    "construct": ["--learner", "constant_zero"],
+    "learn": ["--learner", "constant_zero", "--adversary", "constant_zero"],
+    "check": ["--learner", "constant_zero", "--adversary", "constant_zero"],
+    "family": ["--adversary", "constant_zero"],
+    "suite": [],
+}
+# What the error names when the config key under test is not a natural number.
+_FAULTS = {
+    "horizen": "takes no config key",
+    "learner": "takes no config key",
+    "variant": "must be one of",
+    "text": "file path",
+    "out": "file path",
+}
+
+
 @pytest.mark.parametrize(
     "flags, config",
     [
@@ -299,21 +318,83 @@ def test_config_must_be_an_object(tmp_path, capsys):
         ([], {"horizon": True}),
         ([], {"bound": 2.5}),
         ([], {"stage_bound": -1}),
+        (["check", "--i", "*", "--j", "2", "--bound", "-4"], None),
+        (["check", "--i", "*", "--j", "2", "--settle", "-4"], None),
+        (["learn", "--horizon", "-3"], None),
+        (["suite", "--seed", "-1"], None),
+        (["learn", "--text", "bools.json", "--horizon", "6"], None),
+        (["check"], {"settle": "x", "i": "*", "j": 2}),
+        (["check"], {"i": -1, "j": 2}),
+        (["suite"], {"seed": "x"}),
+        (["family"], {"member_n": None}),
+        (["learn"], {"horizen": 15}),
+        (["construct"], {"learner": "constant_zero"}),
+        (["family"], {"variant": "wide"}),
+        (["learn"], {"text": 5}),
+        (["family"], {"out": 1}),
     ],
 )
-def test_construct_rejects_bad_parameters(tmp_path, capsys, flags, config):
-    argv = ["construct", "--learner", "constant_zero", "--horizon", "5"] + flags
+def test_construct_rejects_bad_parameters(
+    tmp_path, capsys, monkeypatch, flags, config
+):
+    cmd = "construct"
+    if flags and flags[0] in _REQUIRED:
+        cmd, flags = flags[0], flags[1:]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bools.json").write_text("[true, false, true, 1, 2, 3]")
+    argv = [cmd] + _REQUIRED[cmd] + flags
     if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = ["construct", "--learner", "constant_zero", "--config", str(cfg)]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "natural number" in err[0]
+    named = [_FAULTS[key] for key in config or {} if key in _FAULTS]
+    assert (named or ["natural number"])[0] in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, flags, config",
+    [
+        (
+            ["family", "--adversary", "constant_zero"],
+            ["--variant", "hat"],
+            {"variant": "hat"},
+        ),
+        (
+            ["construct", "--learner", "constant_zero", "--horizon", "5"],
+            ["--method", "brute"],
+            {"method": "brute"},
+        ),
+        (
+            ["check", "--learner", "gap_parity", "--adversary", "constant_zero"],
+            ["--horizon", "40", "--i", "1", "--j", "2"],
+            {"horizon": 40, "i": 1, "j": 2},
+        ),
+    ],
+)
+def test_config_and_flags_give_the_same_bytes(tmp_path, argv, flags, config):
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(argv + flags + ["--out", str(by_flags)])
+    assert main(argv + ["--config", str(cfg), "--out", str(by_config)]) == rc
+    assert by_flags.read_bytes() == by_config.read_bytes()
+    params = _load(by_flags)["config"]["params"]
+    assert all(params[key] == value for key, value in config.items() if key in params)
+
+
+def test_brute_force_past_its_budget_fails_fast(capsys):
+    started = time.monotonic()
+    argv = ["construct", "--learner", "length_parity", "--method", "brute"]
+    rc = main(argv + ["--horizon", "12"])
+    assert rc == 1
+    assert time.monotonic() - started < 60
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over the budget of 1000000" in err
 
 
 def test_family_report(tmp_path):

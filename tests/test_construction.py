@@ -119,6 +119,9 @@ def test_value_at_replays_history():
         lambda: c.observed_b(0, -1),
         lambda: c.a_values(-1),
         lambda: c.b_values(-1),
+        lambda: c.value_at(-2, 9),
+        lambda: c.observed_a(-1),
+        lambda: c.observed_b(-1),
     ):
         with pytest.raises(ValueError, match="negative"):
             read()

@@ -39,6 +39,8 @@ def test_candidate_strings_enumeration_order():
     assert candidate_strings((), 1, 0) == [(), (0,), (1,)]
     assert candidate_strings((), 2, 1) == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
     assert candidate_strings((0, 5), 3, 0) == []    # base itself not admissible
+    with pytest.raises(ValueError, match="2396745 candidate strings"):
+        candidate_strings((), 7, 0)                 # 8^0 + ... + 8^7, past the budget
 
 
 def test_condition_one_rejections():
