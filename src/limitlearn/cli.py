@@ -127,6 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    """The JSON value held in a file; nesting too deep to decode is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def resolve(args: argparse.Namespace) -> dict:
     """Each parameter of args.cmd from its flag, else --config, else its default.
 
@@ -136,8 +145,7 @@ def resolve(args: argparse.Namespace) -> dict:
     params = PARAMS[args.cmd]
     cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(args.config)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
         allowed = [name for name, param in params.items() if not param.required]
@@ -199,8 +207,7 @@ def _cmd_construct(p: dict) -> tuple[dict, int]:
 def _build_text(p: dict, ws: Workspace) -> Text:
     path, horizon = p["text"], p["horizon"]
     if path:
-        with open(path, encoding="utf-8") as fh:
-            items = json.load(fh)
+        items = _read_json(path)
         if not isinstance(items, list):
             raise ValueError("--text file must hold a JSON list of naturals")
         for x in items:

@@ -12,27 +12,42 @@ when no admissible string qualifies yet.
 
 Because each stabilization failure is witnessed by facts about fixed stages
 that never mutate afterwards, failures are permanent: a (depth, length) pair
-that failed once can be cached forever, and a surviving row only needs an
-incremental check per stage: the row keeps the ``stabilizing.Survival``
-kernel state that admitted its string, the same kernel the standalone check
-runs, and resumes it one stage at a time. That is what makes horizons in the
-thousands affordable while staying exactly faithful to the brute-force
-semantics (the equivalence is covered by tests that run both methods side by
-side).
+that failed once is skipped forever, through a per-depth map from failed
+lengths to the next length worth trying, path-compressed so the skips cost
+amortized O(1). A surviving row only needs an incremental check per stage:
+the row keeps the ``stabilizing.Survival`` kernel state that admitted its
+string, the same kernel the standalone check runs, and resumes it one stage
+at a time. Once that state is settled the row can only move if a lower row
+does, so the leading run of defined, settled rows (the frontier) is never
+visited again: a stage starts at the frontier, and above the first undefined
+row it stops at the first row that was undefined already. A search for row k
+needs no scan of its base either: row k-1's string covers e..e+k-1 by
+construction (rows only ever add e and the one value their depth requires),
+so e+k is the only value row k may have to add, and the least suffix has a
+closed form. A stage thus costs the rows that can still change plus the
+strings it writes. That is what makes
+horizons in the thousands affordable while staying exactly faithful to the
+brute-force semantics (the equivalence is covered by tests that run both
+methods side by side, and the fast table is checked against a full sweep of
+every row at every stage).
 
 On top of the table live the observations. A row that has sat unchanged long
 enough yields its even marker value (observed_a) and the odd successor
-(observed_b). Dropping the markers from the tail set [e, infinity) gives two
-diagonal sets, "plain" and "hat"; they are exposed as stage-indexed
-enumerators whose stage-s slice admits x only when a positive confirmation
-exists by stage s that x can never become a marker. Confirmations are
-monotone facts, so the enumerators never retract an element.
+(observed_b). Both come from one scan over the rows with a running maximum of
+their settling points; a depth that is not observable makes every deeper one
+unobservable too, so the scan stops there. Dropping the markers from the tail
+set [e, infinity) gives two diagonal sets, "plain" and "hat"; they are exposed
+as stage-indexed enumerators whose stage-s slice admits x only when a positive
+confirmation exists by stage s that x can never become a marker.
+Confirmations are monotone facts, so the enumerators never retract an
+element.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import takewhile
+from itertools import islice, repeat, takewhile
+from typing import Iterator
 
 from .encodings import Sequence, is_prefix
 from .learners import Learner
@@ -90,7 +105,10 @@ class Construction:
         self.rows: list[_Row] = [_Row(0, ())]
         # max last-event stage over rows 0..n, for cheap "anything moved?" checks
         self._prefix_last: list[int] = [0]
-        self._false_cache: set[tuple[int, int]] = set()
+        # leading rows that are defined and settled: they never move again
+        self._frontier = 0
+        # per depth k, failed lengths m -> a larger length to try next
+        self._skip: dict[int, dict[int, int]] = {}
         self._conf_memo: dict[tuple[str, int], tuple] = {}
         self.counters = {
             "stages": 0,
@@ -98,6 +116,7 @@ class Construction:
             "length_checks": 0,
             "q_advances": 0,
             "conf_cells": 0,
+            "rows_visited": 0,
         }
 
     # ---------------- table evolution ----------------
@@ -111,45 +130,46 @@ class Construction:
         self.counters["stages"] += 1
         lower_defined = True
         lower_changed = False
-        n = 0
+        n = self._frontier
         while n < len(self.rows):
+            self.counters["rows_visited"] += 1
             row = self.rows[n]
             old = row.value
             if not lower_defined:
-                new = None
-                if old is not None:
-                    self._log(row, s, None)
+                if old is None:
+                    break  # every row above an undefined row is undefined
+                self._log(row, s, None)
                 row.qstate = None
+                n += 1
+                continue
+            if old is not None and not lower_changed and self._survives(row, s):
+                new, changed = old, False
             else:
-                keep = old is not None and not lower_changed and self._survives(row, s)
-                if keep:
-                    new = old
-                else:
-                    base = () if n == 0 else self.rows[n - 1].value
-                    found = self._search_least(n, base, s)
-                    if found is None:
-                        new = None
-                        row.qstate = None
-                        if old is not None:
-                            self._log(row, s, None)
-                    else:
-                        new, row.qstate = found
-                        if new != old:
-                            self._log(row, s, new)
+                base = () if n == 0 else self.rows[n - 1].value
+                found = self._search_least(n, base, s)
+                new, row.qstate = (None, None) if found is None else found
+                changed = new != old
+                if changed:
+                    self._log(row, s, new)
             if new is None:
                 lower_defined = False
-            elif new != old:
+            elif changed:
                 lower_changed = True
             if new is not None and n == len(self.rows) - 1:
                 self.rows.append(_Row(n + 1, None))
                 self._prefix_last.append(self._prefix_last[-1])
             n += 1
         self.stage = s
+        while (qs := self.rows[self._frontier].qstate) is not None and qs.settled:
+            self._frontier += 1
 
     def _log(self, row: _Row, stage: int, value: Sequence | None) -> None:
         row.log(stage, value)
-        for m in range(row.n, len(self._prefix_last)):
-            self._prefix_last[m] = stage
+        prefix_last = self._prefix_last
+        for m in range(row.n, len(prefix_last)):
+            if prefix_last[m] == stage:
+                break  # a lower row's log this stage already set the rest
+            prefix_last[m] = stage
 
     def _survives(self, row: _Row, s: int) -> bool:
         if self.method == "brute":
@@ -177,20 +197,29 @@ class Construction:
             return None
         if self.method == "brute":
             return self._search_brute(k, base, s)
-        missing = sorted(set(range(self.e, self.e + k + 1)) - set(base))
-        m_lo = len(base)
-        for m in range(m_lo, s + 1):
-            if m - m_lo < len(missing):
-                continue
-            if (k, m) in self._false_cache:
-                continue
+        # row k-1's string covers e..e+k-1 (it was built that way), so the
+        # only value row k may still have to add is e+k
+        missing = [] if self.e + k in base else [self.e + k]
+        skip = self._skip.setdefault(k, {})
+        m = self._next_length(skip, len(base) + len(missing))
+        while m <= s:
             self.counters["length_checks"] += 1
             qs = Survival(m, k)
-            if qs.fold(self.learner, self.registry, m, s) is not None:
-                self._false_cache.add((k, m))
-                continue
-            return self._least_suffix(base, m, missing), qs
+            if qs.fold(self.learner, self.registry, m, s) is None:
+                return self._least_suffix(base, m, missing), qs
+            skip[m] = m + 1
+            m = self._next_length(skip, m + 1)
         return None
+
+    @staticmethod
+    def _next_length(skip: dict[int, int], m: int) -> int:
+        """Least length >= m not known to fail; compresses the path it walks."""
+        top = m
+        while top in skip:
+            top = skip[top]
+        while m != top:
+            skip[m], m = top, skip[m]
+        return top
 
     def _search_brute(
         self, k: int, base: Sequence, s: int
@@ -210,14 +239,11 @@ class Construction:
 
         Emitting e is always the smallest legal move while slack remains; once
         slack runs out the missing values must be placed in ascending order.
+        (A missing e then directly follows the padding, as if padded once more.)
         """
         out = list(base)
-        left = list(missing)
-        while m - len(out) > len(left):
-            out.append(self.e)
-            if left and left[0] == self.e:
-                left.pop(0)
-        out.extend(left)
+        out.extend(repeat(self.e, m - len(base) - len(missing)))
+        out.extend(missing)
         return tuple(out)
 
     # ---------------- row access ----------------
@@ -302,14 +328,25 @@ class Construction:
         s = self._capped(s)
         if ell < 0:
             raise ValueError(f"depth {ell} is negative")
+        return next(islice(self._markers(s), ell, None), None)
+
+    def _markers(self, s: int) -> Iterator[int]:
+        """observed_a at depths 0, 1, ... up to the first unobservable one.
+
+        One pass with a running maximum of the rows' settling points. Once a
+        depth is unobservable every deeper one is too: a deeper depth needs
+        one more defined row, and its marker is never smaller.
+        """
         feasible = 0
-        for h in range(ell + 1):
-            if h >= len(self.rows) or self.rows[h].value_at(s) is None:
-                return None
-            feasible = max(feasible, self.rows[h].last_change_at_or_before(s))
-        start = max(feasible, self.e + ell + 2)
-        a = start if start % 2 == 0 else start + 1
-        return a if a <= s else None
+        for ell, row in enumerate(self.rows):
+            if row.value_at(s) is None:
+                return
+            feasible = max(feasible, row.last_change_at_or_before(s))
+            start = max(feasible, self.e + ell + 2)
+            a = start + start % 2
+            if a > s:
+                return
+            yield a
 
     def observed_b(self, ell: int, s: int | None = None) -> int | None:
         s = self._capped(s)
@@ -320,16 +357,7 @@ class Construction:
 
     def a_values(self, s: int | None = None) -> list[int]:
         """observed_a per depth, stopping at the first unobservable one."""
-        out = []
-        ell = 0
-        cap = self._capped(s)
-        while ell <= cap:
-            a = self.observed_a(ell, cap)
-            if a is None:
-                break
-            out.append(a)
-            ell += 1
-        return out
+        return list(self._markers(self._capped(s)))
 
     def b_values(self, s: int | None = None) -> list[int]:
         """observed_b per depth: a + 1 for each even marker a below the horizon."""

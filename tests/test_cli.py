@@ -289,6 +289,19 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--text"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    rc = main(
+        ["learn", "--learner", "constant_zero", "--horizon", "5", flag, str(deep)]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {deep}: JSON nested too deeply to decode\n"
+
+
 # Flags that make each subcommand's run valid apart from the input under test.
 _REQUIRED = {
     "construct": ["--learner", "constant_zero"],

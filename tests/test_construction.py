@@ -20,6 +20,7 @@ from limitlearn import (
     Workspace,
     check_stabilizing,
 )
+from limitlearn.construction import _Row
 from limitlearn.stabilizing import Survival
 
 
@@ -250,3 +251,207 @@ def test_resumed_rows_match_from_scratch_checks():
                     fresh.pending,
                     fresh.settled,
                 ), where
+
+
+class _SweepOracle(Construction):
+    """The from-scratch table: every row visited at every stage.
+
+    Kept rows are compared with themselves, the missing values are a set
+    difference over the whole base, failed lengths are a set looked up once
+    per length, the suffix is built one element at a time, and each marker
+    re-scans all rows below it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._false_cache = set()
+
+    def run_stage(self):
+        s = self.stage + 1
+        self.counters["stages"] += 1
+        lower_defined = True
+        lower_changed = False
+        n = 0
+        while n < len(self.rows):
+            row = self.rows[n]
+            old = row.value
+            if not lower_defined:
+                new = None
+                if old is not None:
+                    self._log(row, s, None)
+                row.qstate = None
+            else:
+                keep = old is not None and not lower_changed and self._survives(row, s)
+                if keep:
+                    new = old
+                else:
+                    base = () if n == 0 else self.rows[n - 1].value
+                    found = self._search_least(n, base, s)
+                    if found is None:
+                        new = None
+                        row.qstate = None
+                        if old is not None:
+                            self._log(row, s, None)
+                    else:
+                        new, row.qstate = found
+                        if new != old:
+                            self._log(row, s, new)
+            if new is None:
+                lower_defined = False
+            elif new != old:
+                lower_changed = True
+            if new is not None and n == len(self.rows) - 1:
+                self.rows.append(_Row(n + 1, None))
+                self._prefix_last.append(self._prefix_last[-1])
+            n += 1
+        self.stage = s
+
+    def _log(self, row, stage, value):
+        row.log(stage, value)
+        for m in range(row.n, len(self._prefix_last)):
+            self._prefix_last[m] = stage
+
+    def _search_least(self, k, base, s):
+        self.counters["searches"] += 1
+        if base is None or self.e + k > s:
+            return None
+        if self.method == "brute":
+            return self._search_brute(k, base, s)
+        missing = sorted(set(range(self.e, self.e + k + 1)) - set(base))
+        m_lo = len(base)
+        for m in range(m_lo, s + 1):
+            if m - m_lo < len(missing):
+                continue
+            if (k, m) in self._false_cache:
+                continue
+            self.counters["length_checks"] += 1
+            qs = Survival(m, k)
+            if qs.fold(self.learner, self.registry, m, s) is not None:
+                self._false_cache.add((k, m))
+                continue
+            return self._least_suffix(base, m, missing), qs
+        return None
+
+    def _least_suffix(self, base, m, missing):
+        out = list(base)
+        left = list(missing)
+        while m - len(out) > len(left):
+            out.append(self.e)
+            if left and left[0] == self.e:
+                left.pop(0)
+        out.extend(left)
+        return tuple(out)
+
+    def observed_a(self, ell, s=None):
+        s = self._capped(s)
+        if ell < 0:
+            raise ValueError(f"depth {ell} is negative")
+        feasible = 0
+        for h in range(ell + 1):
+            if h >= len(self.rows) or self.rows[h].value_at(s) is None:
+                return None
+            feasible = max(feasible, self.rows[h].last_change_at_or_before(s))
+        start = max(feasible, self.e + ell + 2)
+        a = start if start % 2 == 0 else start + 1
+        return a if a <= s else None
+
+    def a_values(self, s=None):
+        out = []
+        ell = 0
+        cap = self._capped(s)
+        while ell <= cap:
+            a = self.observed_a(ell, cap)
+            if a is None:
+                break
+            out.append(a)
+            ell += 1
+        return out
+
+
+def _sample_pair(kind, e):
+    ws_a, ws_b = Workspace(), Workspace()
+    return ws_a.construction(kind, e), _SweepOracle(
+        ws_b.sample_learner(kind), e, ws_b.registry
+    )
+
+
+def _random_pair(make, seed):
+    fast, slow = make(random.Random(seed)), make(random.Random(seed))
+    return fast, _SweepOracle(slow.learner, slow.e, slow.registry)
+
+
+_ORACLE_PAIRS = {
+    **{
+        f"{kind}-e{e}": lambda kind=kind, e=e: _sample_pair(kind, e)
+        for kind in ("constant_zero", "length_parity", "fresh_each_step")
+        for e in (0, 1, 2)
+    },
+    **{
+        f"paired-{seed}": lambda seed=seed: _random_pair(
+            lambda rng: _paired_constructions(rng)[0], seed
+        )
+        # seed 44: a row keeps its string while a lower row moves, so the
+        # markers need the running maximum over lower rows' settling points
+        for seed in (41, 44)
+    },
+    **{
+        f"never_stable-{seed}": lambda seed=seed: _random_pair(
+            _never_stable_table, seed
+        )
+        for seed in (43, 44)
+    },
+}
+
+
+def _qstate_fields(qs):
+    if qs is None:
+        return None
+    return (qs.sigma_len, qs.k, qs.c0, qs.checked, qs.pending, qs.settled)
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
+def test_fast_table_matches_the_full_sweep_at_every_stage(case):
+    fast, slow = _ORACLE_PAIRS[case]()
+    for s in range(1, 301):
+        fast.run_stage()
+        slow.run_stage()
+        assert [r.events for r in fast.rows] == [r.events for r in slow.rows], s
+        assert [_qstate_fields(r.qstate) for r in fast.rows] == [
+            _qstate_fields(r.qstate) for r in slow.rows
+        ], s
+        assert fast._prefix_last == slow._prefix_last, s
+        # the oracle leaves rows_visited at 0; every other counter must agree
+        assert dict(fast.counters, rows_visited=0) == slow.counters, s
+        # one oracle marker scan per stage; b_values and r_prefix follow from it
+        a_values = slow.a_values()
+        b_values = [a + 1 for a in a_values if a < s]
+        tail = frozenset(range(fast.e, 60))
+        assert fast.a_values() == a_values, s
+        assert fast.b_values() == b_values, s
+        assert fast.r_prefix(60, "plain") == tail - set(a_values), s
+        assert fast.r_prefix(60, "hat") == tail - set(b_values), s
+
+
+def test_least_suffix_matches_the_appending_oracle():
+    rng = random.Random(7)
+    for _ in range(2000):
+        e = rng.randint(0, 3)
+        fast = Construction(ConstantLearner(), e, Registry())
+        slow = _SweepOracle(ConstantLearner(), e, Registry())
+        base = tuple(rng.randint(e, e + 5) for _ in range(rng.randint(0, 6)))
+        missing = sorted(rng.sample(range(e, e + 6), rng.randint(0, 4)))
+        m = len(base) + len(missing) + rng.randint(0, 5)
+        assert fast._least_suffix(base, m, missing) == slow._least_suffix(
+            base, m, missing
+        ), (e, base, m, missing)
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+def test_table_work_is_linear_in_the_horizon(kind):
+    for e in (0, 1, 2):
+        c = Workspace().construction(kind, e)
+        c.run_to(2000)
+        work = c.counters
+        assert work["stages"] == 2000
+        assert work["rows_visited"] <= 4 * work["stages"], (e, work)
+        assert work["length_checks"] <= work["searches"], (e, work)
