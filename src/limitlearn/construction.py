@@ -40,16 +40,21 @@ set [e, infinity) gives two diagonal sets, "plain" and "hat"; they are exposed
 as stage-indexed enumerators whose stage-s slice admits x only when a positive
 confirmation exists by stage s that x can never become a marker.
 Confirmations are monotone facts, so the enumerators never retract an
-element.
+element. Because the proofs that x is no marker hold on prefixes of depths,
+the confirmation stage has a closed form over two records the table keeps
+per stage, how many leading rows are defined and the lowest row that moved
+(see confirmation_stage); only an x still waiting scans later stages, and it
+resumes where it stopped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import islice, repeat, takewhile
+from math import inf
 from typing import Iterator
 
-from .encodings import Sequence, is_prefix
+from .encodings import Sequence, _check_natural, is_prefix
 from .learners import Learner
 from .stabilizing import StabWitness, Survival, check_stabilizing
 from .universe import Enumerator, Registry
@@ -103,13 +108,16 @@ class Construction:
         self.method = method
         self.stage = 0
         self.rows: list[_Row] = [_Row(0, ())]
-        # max last-event stage over rows 0..n, for cheap "anything moved?" checks
-        self._prefix_last: list[int] = [0]
+        # per stage: how many leading rows are defined, and the lowest row
+        # that logged an event (inf if none did)
+        self._defined: list[int] = [1]
+        self._moved: list[float] = [0]
         # leading rows that are defined and settled: they never move again
         self._frontier = 0
         # per depth k, failed lengths m -> a larger length to try next
         self._skip: dict[int, dict[int, int]] = {}
-        self._conf_memo: dict[tuple[str, int], tuple] = {}
+        # x -> its plain confirmation stage, or (depth, next stage to scan)
+        self._conf_memo: dict[int, int | tuple[int, int]] = {}
         self.counters = {
             "stages": 0,
             "searches": 0,
@@ -128,6 +136,7 @@ class Construction:
     def run_stage(self) -> None:
         s = self.stage + 1
         self.counters["stages"] += 1
+        self._moved.append(inf)
         lower_defined = True
         lower_changed = False
         n = self._frontier
@@ -153,11 +162,11 @@ class Construction:
                     self._log(row, s, new)
             if new is None:
                 lower_defined = False
+                self._defined.append(n)
             elif changed:
                 lower_changed = True
             if new is not None and n == len(self.rows) - 1:
                 self.rows.append(_Row(n + 1, None))
-                self._prefix_last.append(self._prefix_last[-1])
             n += 1
         self.stage = s
         while (qs := self.rows[self._frontier].qstate) is not None and qs.settled:
@@ -165,11 +174,7 @@ class Construction:
 
     def _log(self, row: _Row, stage: int, value: Sequence | None) -> None:
         row.log(stage, value)
-        prefix_last = self._prefix_last
-        for m in range(row.n, len(prefix_last)):
-            if prefix_last[m] == stage:
-                break  # a lower row's log this stage already set the rest
-            prefix_last[m] = stage
+        self._moved[stage] = min(self._moved[stage], row.n)
 
     def _survives(self, row: _Row, s: int) -> bool:
         if self.method == "brute":
@@ -248,11 +253,16 @@ class Construction:
 
     # ---------------- row access ----------------
 
-    def value_at(self, n: int, s: int) -> Sequence | None:
+    def _checked_stage(self, s: int) -> int:
+        """Stage s, which must lie within 0..horizon."""
         if s > self.stage:
             raise ValueError(f"stage {s} beyond current horizon {self.stage}")
         if s < 0:
             raise ValueError(f"stage {s} is negative")
+        return s
+
+    def value_at(self, n: int, s: int) -> Sequence | None:
+        self._checked_stage(s)
         if n < 0:
             raise ValueError(f"row {n} is negative")
         if n >= len(self.rows):
@@ -260,14 +270,8 @@ class Construction:
         return self.rows[n].value_at(s)
 
     def defined_rows(self, s: int | None = None) -> list[tuple[int, Sequence]]:
-        s = self.stage if s is None else s
-        out = []
-        for n in range(len(self.rows)):
-            v = self.value_at(n, s)
-            if v is None:
-                break
-            out.append((n, v))
-        return out
+        s = self.stage if s is None else self._checked_stage(s)
+        return [(n, self.rows[n].value_at(s)) for n in range(self._defined[s])]
 
     def chain_ok(self, s: int | None = None) -> bool:
         """Each defined row's string must extend the one below it."""
@@ -338,10 +342,8 @@ class Construction:
         one more defined row, and its marker is never smaller.
         """
         feasible = 0
-        for ell, row in enumerate(self.rows):
-            if row.value_at(s) is None:
-                return
-            feasible = max(feasible, row.last_change_at_or_before(s))
+        for ell in range(self._defined[s]):
+            feasible = max(feasible, self.rows[ell].last_change_at_or_before(s))
             start = max(feasible, self.e + ell + 2)
             a = start + start % 2
             if a > s:
@@ -379,17 +381,26 @@ class Construction:
     # ---------------- confirmed diagonal enumeration ----------------
     #
     # confirmation_stage(x) is the first stage with positive proof that x can
-    # never be a marker. Four proof shapes, all anchored to fixed stages:
-    #   parity/floor: x is odd, or too small to clear the floor for depth ell;
-    #   churn ahead:  row ell is undefined somewhere at or after x;
-    #   churn behind: some row at or below ell changes strictly after x;
-    #   frozen window: the table at or below ell is defined and event-free
-    #                  across (x-2, x], so any marker near x landed at or
-    #                  before x-2 already.
-    # A marked x (and only a marked x, in the limit) admits none of these at
-    # any depth, so it stays out forever.
+    # never be a marker. Odd x and x <= e + 1 are confirmed at x. Otherwise
+    # each depth ell < x - e - 1 needs a proof anchored to fixed stages, and
+    # x is confirmed at the latest of the earliest ones:
+    #   undefined:     row ell is undefined at x (proved at x);
+    #   frozen window: ell <= x - e - 4 and rows 0..ell are defined at x - 2
+    #                  and log nothing at x - 1 or x, so any marker for ell
+    #                  landed by x - 2 already (proved at x);
+    #   churn behind:  some row at or below ell logs an event at t > x.
+    # (A row undefined at some u > x is so at x already or moved in (x, u].)
+    # Both proofs at x hold on prefixes of depths: frozen for ell < F with
+    # F = max(0, min(x - e - 3, _defined[x - 2], _moved[x - 1], _moved[x])),
+    # defined for ell < _defined[x]. The first event after x at or below ell
+    # comes no later for a deeper ell, so the depths left all wait on depth
+    # F: x is confirmed at x if none is left, else at the first t > x with
+    # _moved[t] <= F. A marked x (and only a marked x, in the limit) never
+    # gets that t, so it stays out forever.
 
     def confirmation_stage(self, x: int, variant: str = "plain") -> int | None:
+        if x < 0:
+            raise ValueError(f"value {x} is negative")
         if x > self.stage:
             raise ValueError(
                 f"confirmation for {x} needs the table run to stage {x} first"
@@ -404,92 +415,31 @@ class Construction:
         raise ValueError(f"unknown variant {variant!r}")
 
     def _conf_plain(self, x: int) -> int | None:
-        memo = self._conf_memo.get(("p", x))
-        if memo is not None:
-            if memo[0] == "done":
-                return memo[1]
-            ell, horizon = memo[1], memo[2]
-            if horizon == self.stage or self._still_blocked(x, ell):
-                self._conf_memo[("p", x)] = ("blocked", ell, self.stage)
-                return None
-        result = self._conf_scan(x)
-        self._conf_memo[("p", x)] = result
-        return result[1] if result[0] == "done" else None
-
-    def _conf_scan(self, x: int) -> tuple:
         e = self.e
         if x % 2 == 1 or x <= e + 1:
-            return ("done", x)
-        best = x
-        run_after_x: int | None = None
-        run_after_w: int | None = None
-        for ell in range(0, max(0, x - e - 1)):
-            self.counters["conf_cells"] += 1
-            u = self._first_event_after(ell, x)
-            if u is not None and (run_after_x is None or u < run_after_x):
-                run_after_x = u
-            u = self._first_event_after(ell, x - 2)
-            if u is not None and (run_after_w is None or u < run_after_w):
-                run_after_w = u
-            cell = self._conf_cell(x, ell, run_after_x, run_after_w)
-            if cell is None:
-                return ("blocked", ell, self.stage)
-            if cell > best:
-                best = cell
-        return ("done", best)
-
-    def _conf_cell(
-        self, x: int, ell: int, ev_after_x: int | None, ev_after_w: int | None
-    ) -> int | None:
-        best = self._first_undefined_from(ell, x)
-        if ev_after_x is not None and (best is None or ev_after_x < best):
-            best = ev_after_x
-        if (
-            x >= self.e + ell + 4
-            and self.value_at(ell, x - 2) is not None
-            and (ev_after_w is None or ev_after_w > x)
-        ):
-            best = x
-        return best
-
-    def _first_event_after(self, ell: int, y: int) -> int | None:
-        """Least event stage > y of row ell, if any (rows off-table have none)."""
-        if ell >= len(self.rows):
-            return None
-        stages = self.rows[ell].stages
-        if stages[-1] <= y:
-            return None
-        return stages[bisect_right(stages, y)]
-
-    def _first_undefined_from(self, ell: int, x: int) -> int | None:
-        """Least stage u >= x (within horizon) where row ell has no value."""
-        if x > self.stage:
-            return None
-        if ell >= len(self.rows):
             return x
-        row = self.rows[ell]
-        i = bisect_right(row.stages, x) - 1
-        for j in range(i, len(row.events)):
-            if row.stages[j] > self.stage:
-                break
-            if row.events[j][1] is None:
-                return max(x, row.stages[j])
+        known = self._conf_memo.get(x)
+        if isinstance(known, int):
+            return known
+        defined, moved = self._defined, self._moved
+        if known is None:
+            frozen = max(0, min(x - e - 3, defined[x - 2], moved[x - 1], moved[x]))
+            if frozen >= min(defined[x], x - e - 1):
+                self._conf_memo[x] = x
+                return x
+            known = (frozen, x + 1)
+        frozen, t = known
+        while t <= self.stage:
+            self.counters["conf_cells"] += 1
+            if moved[t] <= frozen:
+                self._conf_memo[x] = t
+                return t
+            t += 1
+        self._conf_memo[x] = (frozen, t)
         return None
 
-    def _still_blocked(self, x: int, ell: int) -> bool:
-        """Cheap recheck of a blocking cell after the horizon has grown.
-
-        The frozen-window proof for (x, ell) was already evaluated at a
-        horizon >= x and can never change. What can change: the row may go
-        undefined later, or some row at or below ell may log a new event
-        after x. The prefix-last array answers the latter in O(1).
-        """
-        if self._first_undefined_from(ell, x) is not None:
-            return False
-        top = min(ell, len(self.rows) - 1)
-        return self._prefix_last[top] <= x
-
     def diagonal_at_stage(self, s: int, variant: str = "plain") -> frozenset[int]:
+        _check_natural(s, "stage")
         self.run_to(s)
         out = []
         for x in range(self.e, s + 1):

@@ -5,6 +5,8 @@ order (least string, length first, then lexicographic) and then pinned.
 """
 
 import random
+from bisect import bisect_right
+from math import inf
 
 import pytest
 
@@ -123,9 +125,15 @@ def test_value_at_replays_history():
         lambda: c.value_at(-2, 9),
         lambda: c.observed_a(-1),
         lambda: c.observed_b(-1),
+        lambda: c.confirmation_stage(-1),
+        lambda: c.confirmation_stage(-2),
+        lambda: c.defined_rows(-1),
+        lambda: c.chain_ok(-1),
     ):
         with pytest.raises(ValueError, match="negative"):
             read()
+    with pytest.raises(ValueError, match="beyond current horizon"):
+        c.defined_rows(10)
 
 
 def test_chain_property_holds_for_samples():
@@ -258,8 +266,9 @@ class _SweepOracle(Construction):
 
     Kept rows are compared with themselves, the missing values are a set
     difference over the whole base, failed lengths are a set looked up once
-    per length, the suffix is built one element at a time, and each marker
-    re-scans all rows below it.
+    per length, the suffix is built one element at a time, each marker
+    re-scans all rows below it, and the per-stage records (leading defined
+    rows, lowest row that moved) are recounted from every row.
     """
 
     def __init__(self, *args, **kwargs):
@@ -302,14 +311,17 @@ class _SweepOracle(Construction):
                 lower_changed = True
             if new is not None and n == len(self.rows) - 1:
                 self.rows.append(_Row(n + 1, None))
-                self._prefix_last.append(self._prefix_last[-1])
             n += 1
         self.stage = s
+        self._defined.append(
+            next(n for n, row in enumerate(self.rows) if row.value is None)
+        )
+        self._moved.append(
+            min((row.n for row in self.rows if row.stages[-1] == s), default=inf)
+        )
 
     def _log(self, row, stage, value):
-        row.log(stage, value)
-        for m in range(row.n, len(self._prefix_last)):
-            self._prefix_last[m] = stage
+        row.log(stage, value)  # the per-stage records are recounted instead
 
     def _search_least(self, k, base, s):
         self.counters["searches"] += 1
@@ -391,8 +403,10 @@ _ORACLE_PAIRS = {
             lambda rng: _paired_constructions(rng)[0], seed
         )
         # seed 44: a row keeps its string while a lower row moves, so the
-        # markers need the running maximum over lower rows' settling points
-        for seed in (41, 44)
+        # markers need the running maximum over lower rows' settling points;
+        # seed 12: row 0 moves at stage 5 and then holds, so 6 is its marker
+        # although row 0 logs nothing at stage 6
+        for seed in (12, 41, 44)
     },
     **{
         f"never_stable-{seed}": lambda seed=seed: _random_pair(
@@ -419,7 +433,8 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
         assert [_qstate_fields(r.qstate) for r in fast.rows] == [
             _qstate_fields(r.qstate) for r in slow.rows
         ], s
-        assert fast._prefix_last == slow._prefix_last, s
+        assert fast._defined == slow._defined, s
+        assert fast._moved == slow._moved, s
         # the oracle leaves rows_visited at 0; every other counter must agree
         assert dict(fast.counters, rows_visited=0) == slow.counters, s
         # one oracle marker scan per stage; b_values and r_prefix follow from it
@@ -455,3 +470,117 @@ def test_table_work_is_linear_in_the_horizon(kind):
         assert work["stages"] == 2000
         assert work["rows_visited"] <= 4 * work["stages"], (e, work)
         assert work["length_checks"] <= work["searches"], (e, work)
+
+
+# The confirmation scan the closed form replaced: per depth, the earliest
+# proof that x is no marker, from the rows' event lists alone.
+
+
+def _first_event_after(c, ell, y):
+    """Least event stage > y of row ell, if any (rows off-table have none)."""
+    if ell >= len(c.rows):
+        return None
+    stages = c.rows[ell].stages
+    if stages[-1] <= y:
+        return None
+    return stages[bisect_right(stages, y)]
+
+
+def _first_undefined_from(c, ell, x):
+    """Least stage u >= x (within horizon) where row ell has no value."""
+    if x > c.stage:
+        return None
+    if ell >= len(c.rows):
+        return x
+    row = c.rows[ell]
+    i = bisect_right(row.stages, x) - 1
+    for j in range(i, len(row.events)):
+        if row.stages[j] > c.stage:
+            break
+        if row.events[j][1] is None:
+            return max(x, row.stages[j])
+    return None
+
+
+def _conf_cell(c, x, ell, ev_after_x, ev_after_w):
+    """Earliest proof for depth ell: churn ahead, churn behind, frozen window."""
+    best = _first_undefined_from(c, ell, x)
+    if ev_after_x is not None and (best is None or ev_after_x < best):
+        best = ev_after_x
+    if (
+        x >= c.e + ell + 4
+        and c.value_at(ell, x - 2) is not None
+        and (ev_after_w is None or ev_after_w > x)
+    ):
+        best = x
+    return best
+
+
+def _conf_scan(c, x):
+    """Plain confirmation stage of x from scratch: the latest per-depth proof."""
+    e = c.e
+    if x % 2 == 1 or x <= e + 1:
+        return x
+    best = x
+    run_after_x = None
+    run_after_w = None
+    for ell in range(0, max(0, x - e - 1)):
+        u = _first_event_after(c, ell, x)
+        if u is not None and (run_after_x is None or u < run_after_x):
+            run_after_x = u
+        u = _first_event_after(c, ell, x - 2)
+        if u is not None and (run_after_w is None or u < run_after_w):
+            run_after_w = u
+        cell = _conf_cell(c, x, ell, run_after_x, run_after_w)
+        if cell is None:
+            return None
+        best = max(best, cell)
+    return best
+
+
+def _scan_confirmation(c, x, variant):
+    if variant == "plain":
+        return _conf_scan(c, x)
+    if x == 0:
+        return 0
+    p = _conf_scan(c, x - 1)
+    return None if p is None else max(p, x)
+
+
+def _outcome(c, x, variant, stage):
+    y = x if variant == "plain" else x - 1
+    if y < 0 or y % 2 == 1 or y <= c.e + 1:
+        return "trivial"
+    if stage is None:
+        return "none"
+    return "at x" if stage == x else "later"
+
+
+# what the answers of each table family come to over stages 1..120: the
+# trivial parity/floor case, confirmed at x itself, confirmed later, or None
+_CONFIRMATION_OUTCOMES = {
+    "constant_zero": {"trivial", "none"},
+    "fresh_each_step": {"trivial", "at x"},
+    "length_parity": {"trivial", "at x", "later", "none"},
+    "never_stable-43": {"trivial", "at x", "none"},
+    "never_stable-44": {"trivial", "at x", "later", "none"},
+    "paired-12": {"trivial", "at x", "later", "none"},
+    "paired-41": {"trivial", "later", "none"},
+    "paired-44": {"trivial", "later", "none"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
+def test_confirmation_matches_the_seed_scan_at_every_stage(case):
+    c = _ORACLE_PAIRS[case]()[0]
+    outcomes = set()
+    for s in range(1, 121):
+        c.run_stage()
+        # alternate the query order so fresh, memoized and resumed x all occur
+        xs = range(s + 1) if s % 2 else range(s, -1, -1)
+        for variant in ("plain", "hat") if s % 2 else ("hat", "plain"):
+            for x in xs:
+                got = c.confirmation_stage(x, variant)
+                assert got == _scan_confirmation(c, x, variant), (s, x, variant)
+                outcomes.add(_outcome(c, x, variant, got))
+    assert outcomes == _CONFIRMATION_OUTCOMES[case.split("-e")[0]], outcomes

@@ -149,6 +149,19 @@ def test_diagonal_view_delegates_and_extends():
     assert c.stage >= 25
 
 
+def test_diagonal_enumerator_rejects_a_negative_stage():
+    ws = Workspace()
+    code = ws.diagonal_code("constant_zero", 0, "plain")
+    c = ws.construction("constant_zero", 0)
+    for read in (
+        lambda: ws.registry.enumerate_to(code, -1),
+        lambda: c.diagonal_at_stage(-3, "hat"),
+        lambda: ws.registry.enumerate_to(0, -1),
+    ):
+        with pytest.raises(ValueError, match="stage must be a natural number"):
+            read()
+
+
 def test_r_prefix_history():
     c = _table("constant_zero", 0, 30)
     assert c.r_prefix(8, "plain", s=6) == frozenset({0, 1, 3, 5, 7})
