@@ -316,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     print(f"# elapsed {time.monotonic() - started:.2f}s", file=sys.stderr)
     return code
 

@@ -25,11 +25,10 @@ needs no scan of its base either: row k-1's string covers e..e+k-1 by
 construction (rows only ever add e and the one value their depth requires),
 so e+k is the only value row k may have to add, and the least suffix has a
 closed form. A stage thus costs the rows that can still change plus the
-strings it writes. That is what makes
-horizons in the thousands affordable while staying exactly faithful to the
-brute-force semantics (the equivalence is covered by tests that run both
-methods side by side, and the fast table is checked against a full sweep of
-every row at every stage).
+strings it writes. That is what makes horizons in the thousands affordable
+while staying exactly faithful to the brute-force semantics (the equivalence
+is covered by tests that run both methods side by side, and the fast table is
+checked against a full sweep of every row at every stage).
 
 On top of the table live the observations. A row that has sat unchanged long
 enough yields its even marker value (observed_a) and the odd successor
@@ -40,16 +39,15 @@ set [e, infinity) gives two diagonal sets, "plain" and "hat"; they are exposed
 as stage-indexed enumerators whose stage-s slice admits x only when a positive
 confirmation exists by stage s that x can never become a marker.
 Confirmations are monotone facts, so the enumerators never retract an
-element. Because the proofs that x is no marker hold on prefixes of depths,
-the confirmation stage has a closed form over two records the table keeps
-per stage, how many leading rows are defined and the lowest row that moved
-(see confirmation_stage); only an x still waiting scans later stages, and it
-resumes where it stopped.
+element. Confirmations go into one log in stage order; an x that must wait
+sits in a heap keyed by the one depth F it waits on, so each x costs O(log n)
+once and a view at stage s reads the log's prefix (see confirmation_stage).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from heapq import heappop, heappush
 from itertools import islice, repeat, takewhile
 from math import inf
 from typing import Iterator
@@ -58,6 +56,11 @@ from .encodings import Sequence, _check_natural, is_prefix
 from .learners import Learner
 from .stabilizing import StabWitness, Survival, check_stabilizing
 from .universe import Enumerator, Registry
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("plain", "hat"):
+        raise ValueError(f"unknown variant {variant!r}")
 
 
 class _Row:
@@ -116,8 +119,10 @@ class Construction:
         self._frontier = 0
         # per depth k, failed lengths m -> a larger length to try next
         self._skip: dict[int, dict[int, int]] = {}
-        # x -> its plain confirmation stage, or (depth, next stage to scan)
-        self._conf_memo: dict[int, int | tuple[int, int]] = {}
+        # log x -> plain confirmation stage through _confirmed; waiting (-F, x)
+        self._conf_at: dict[int, int] = {}
+        self._confirmed = -1
+        self._waiting: list[tuple[float, int]] = []
         self.counters = {
             "stages": 0,
             "searches": 0,
@@ -370,12 +375,8 @@ class Construction:
         self, bound: int, variant: str = "plain", s: int | None = None
     ) -> frozenset[int]:
         """Tail set [e, bound) minus the markers observable at horizon s."""
-        if variant == "plain":
-            excluded = set(self.a_values(s))
-        elif variant == "hat":
-            excluded = set(self.b_values(s))
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        _check_variant(variant)
+        excluded = set(self.a_values(s) if variant == "plain" else self.b_values(s))
         return frozenset(x for x in range(self.e, bound) if x not in excluded)
 
     # ---------------- confirmed diagonal enumeration ----------------
@@ -397,56 +398,56 @@ class Construction:
     # F: x is confirmed at x if none is left, else at the first t > x with
     # _moved[t] <= F. A marked x (and only a marked x, in the limit) never
     # gets that t, so it stays out forever.
+    # Confirmations are final, so one log keeps them in stage order, extended
+    # lazily. Stage t logs each waiting x with F >= _moved[t] (a heap keyed by
+    # F), then logs x = t (F = inf if trivial) or pushes it to wait. Each x is
+    # pushed and popped at most once, O(log n) once; views read log prefixes.
+
+    def _confirm_to(self, s: int) -> None:
+        self.run_to(s)
+        e, defined, moved, waiting = self.e, self._defined, self._moved, self._waiting
+        for t in range(self._confirmed + 1, s + 1):
+            while waiting and -waiting[0][0] >= moved[t]:
+                self._conf_at[heappop(waiting)[1]] = t
+                self.counters["conf_cells"] += 1
+            if t % 2 == 1 or t <= e + 1:
+                frozen = inf
+            else:
+                frozen = max(0, min(t - e - 3, defined[t - 2], moved[t - 1], moved[t]))
+            if frozen >= min(defined[t], t - e - 1):
+                self._conf_at[t] = t
+            else:
+                heappush(waiting, (-frozen, t))
+            self.counters["conf_cells"] += 1
+            self._confirmed = t
 
     def confirmation_stage(self, x: int, variant: str = "plain") -> int | None:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"value must be a natural number, got {x!r}")
         if x < 0:
             raise ValueError(f"value {x} is negative")
         if x > self.stage:
             raise ValueError(
                 f"confirmation for {x} needs the table run to stage {x} first"
             )
+        _check_variant(variant)
+        self._confirm_to(self.stage)
         if variant == "plain":
-            return self._conf_plain(x)
-        if variant == "hat":
-            if x == 0:
-                return 0
-            c = self._conf_plain(x - 1)
-            return None if c is None else max(c, x)
-        raise ValueError(f"unknown variant {variant!r}")
-
-    def _conf_plain(self, x: int) -> int | None:
-        e = self.e
-        if x % 2 == 1 or x <= e + 1:
-            return x
-        known = self._conf_memo.get(x)
-        if isinstance(known, int):
-            return known
-        defined, moved = self._defined, self._moved
-        if known is None:
-            frozen = max(0, min(x - e - 3, defined[x - 2], moved[x - 1], moved[x]))
-            if frozen >= min(defined[x], x - e - 1):
-                self._conf_memo[x] = x
-                return x
-            known = (frozen, x + 1)
-        frozen, t = known
-        while t <= self.stage:
-            self.counters["conf_cells"] += 1
-            if moved[t] <= frozen:
-                self._conf_memo[x] = t
-                return t
-            t += 1
-        self._conf_memo[x] = (frozen, t)
-        return None
+            return self._conf_at.get(x)
+        c = 0 if x == 0 else self._conf_at.get(x - 1)
+        return None if c is None else max(c, x)
 
     def diagonal_at_stage(self, s: int, variant: str = "plain") -> frozenset[int]:
         _check_natural(s, "stage")
-        self.run_to(s)
-        out = []
-        for x in range(self.e, s + 1):
-            c = self.confirmation_stage(x, variant)
-            if c is not None and c <= s:
-                out.append(x)
-        return frozenset(out)
+        _check_variant(variant)
+        self._confirm_to(s)
+        e = self.e
+        logged = takewhile(lambda xt: xt[1] <= s, self._conf_at.items())
+        if variant == "plain":
+            return frozenset(x for x, _ in logged if x >= e)
+        # hat x + 1 enters once plain x is logged, but not before stage x + 1
+        hat = frozenset(x + 1 for x, _ in logged if e <= x + 1 <= s)
+        return hat | {0} if e == 0 else hat
 
     # ---------------- derived experiments ----------------
 
@@ -522,8 +523,7 @@ class DiagonalView(Enumerator):
     """
 
     def __init__(self, construction: Construction, variant: str):
-        if variant not in ("plain", "hat"):
-            raise ValueError(f"unknown variant {variant!r}")
+        _check_variant(variant)
         self.construction = construction
         self.variant = variant
 

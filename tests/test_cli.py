@@ -464,3 +464,17 @@ def test_stdout_emission(capsys):
     rep = json.loads(captured.out)
     assert rep["results"]["stage"] == 6
     assert captured.out.endswith("\n")
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    import limitlearn.cli as cli
+
+    def exhaust(p):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "construct", ("run", exhaust))
+    rc = main(["construct", "--learner", "constant_zero", "--horizon", "6"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory"]

@@ -584,3 +584,55 @@ def test_confirmation_matches_the_seed_scan_at_every_stage(case):
                 assert got == _scan_confirmation(c, x, variant), (s, x, variant)
                 outcomes.add(_outcome(c, x, variant, got))
     assert outcomes == _CONFIRMATION_OUTCOMES[case.split("-e")[0]], outcomes
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
+def test_diagonal_views_match_the_seed_scan_at_every_stage(case):
+    horizon = 120 if case.startswith(("paired", "never_stable")) else 500
+    ref = _ORACLE_PAIRS[case]()[0]
+    ref.run_to(horizon)
+    scan = {
+        variant: [_scan_confirmation(ref, x, variant) for x in range(horizon + 1)]
+        for variant in ("plain", "hat")
+    }
+    stages = list(range(horizon + 1))
+    shuffled = random.Random(case).sample(stages, len(stages))
+    for order in (stages, stages[::-1], shuffled):
+        c = _ORACLE_PAIRS[case]()[0]
+        for s in order:
+            for variant in ("plain", "hat"):
+                want = frozenset(
+                    x
+                    for x in range(c.e, s + 1)
+                    if (t := scan[variant][x]) is not None and t <= s
+                )
+                assert c.diagonal_at_stage(s, variant) == want, (s, variant)
+
+
+# The closed form the confirmation log replaced: frozen depth F, then a scan
+# of the later stages for a move at or below F.
+
+
+def _conf_closed_form(c, x):
+    e, defined, moved = c.e, c._defined, c._moved
+    if x % 2 == 1 or x <= e + 1:
+        return x
+    frozen = max(0, min(x - e - 3, defined[x - 2], moved[x - 1], moved[x]))
+    if frozen >= min(defined[x], x - e - 1):
+        return x
+    return next((t for t in range(x + 1, c.stage + 1) if moved[t] <= frozen), None)
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+def test_confirmation_work_is_linear_in_the_horizon(kind):
+    horizon = 2000
+    for e in (0, 1):
+        c = Workspace().construction(kind, e)
+        for s in [*range(horizon + 1), *range(horizon, -1, -1)]:
+            variant = ("plain", "hat")[s % 2]
+            c.diagonal_at_stage(s, variant)
+            c.confirmation_stage(s, variant)
+            # one cell per x logged plus one per x that waited
+            assert c.counters["conf_cells"] <= 2 * (c.stage + 1), (e, s)
+        for x in range(horizon + 1):
+            assert c.confirmation_stage(x) == _conf_closed_form(c, x), (e, x)

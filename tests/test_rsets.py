@@ -171,3 +171,18 @@ def test_r_prefix_history():
     assert c.r_prefix(30, "plain", s=6) - c.r_prefix(30, "plain") == frozenset(
         range(8, 30, 2)
     )
+
+
+def test_diagonal_rejects_an_unknown_variant():
+    # below e the set is empty whatever the variant, so only a check finds these
+    for e, s, variant in ((1, 0, "bogus"), (3, 2, "hatt")):
+        c = Workspace().construction("constant_zero", e)
+        with pytest.raises(ValueError, match="unknown variant"):
+            c.diagonal_at_stage(s, variant)
+
+
+def test_confirmation_rejects_a_bool_or_a_float():
+    c = _table("constant_zero", 0, 10)
+    for x in (True, 2.5):
+        with pytest.raises(ValueError, match="natural number"):
+            c.confirmation_stage(x)
