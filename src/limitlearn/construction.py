@@ -57,6 +57,11 @@ from .learners import Learner
 from .stabilizing import StabWitness, Survival, check_stabilizing
 from .universe import Enumerator, Registry
 
+# Report-size budget of r_prefix: the widest [e, bound) it may list.
+MAX_PREFIX = 1_000_000
+# adversarial_text looks this many lengths ahead for a switch to adopt.
+ADVERSARY_WINDOW = 8
+
 
 def _check_variant(variant: str) -> None:
     if variant not in ("plain", "hat"):
@@ -285,9 +290,7 @@ class Construction:
             is_prefix(rows[i][1], rows[i + 1][1]) for i in range(len(rows) - 1)
         )
 
-    def reverify_final(
-        self, method: str | None = None
-    ) -> list[tuple[int, StabWitness | None]]:
+    def reverify_final(self) -> list[tuple[int, StabWitness | None]]:
         """Re-run the standalone stabilization check on every surviving row."""
         out = []
         for n, v in self.defined_rows():
@@ -298,7 +301,7 @@ class Construction:
                 self.stage,
                 self.learner,
                 self.registry,
-                method=method or self.method,
+                method=self.method,
             )
             out.append((n, w))
         return out
@@ -376,6 +379,8 @@ class Construction:
     ) -> frozenset[int]:
         """Tail set [e, bound) minus the markers observable at horizon s."""
         _check_variant(variant)
+        if bound - self.e > MAX_PREFIX:
+            raise ValueError(f"bound {bound} is over the budget of {MAX_PREFIX} values")
         excluded = set(self.a_values(s) if variant == "plain" else self.b_values(s))
         return frozenset(x for x in range(self.e, bound) if x not in excluded)
 
@@ -451,7 +456,7 @@ class Construction:
 
     # ---------------- derived experiments ----------------
 
-    def adversarial_text(self, length: int, window: int = 8) -> Sequence:
+    def adversarial_text(self, length: int) -> Sequence:
         """A text over [e, infinity) engineered to keep the learner moving.
 
         Greedy per step: if some nearby length would switch the learner to a
@@ -465,9 +470,9 @@ class Construction:
         while len(t) < length:
             m0 = len(t)
             prev = self.learner.decide(tuple(t))
-            bound = m0 + window
+            bound = m0 + ADVERSARY_WINDOW
             adopt = None
-            for m in range(m0 + 1, m0 + window + 1):
+            for m in range(m0 + 1, bound + 1):
                 c = self.learner.length_code(m)
                 if c != prev and self.registry.sym_diff_below(prev, c, bound, bound):
                     adopt = m

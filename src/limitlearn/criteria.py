@@ -45,6 +45,8 @@ class Text:
         return len(self.items)
 
     def prefix(self, n: int) -> Sequence:
+        if n < 0:
+            raise ValueError(f"prefix length {n} is negative")
         if n > len(self.items):
             raise ValueError(f"text has only {len(self.items)} items, wanted {n}")
         return self.items[:n]
@@ -62,9 +64,7 @@ class Trace:
     horizon: int
 
 
-def canonical_text(
-    registry: Registry, code: int, length: int, probe_cap: int | None = None
-) -> Text:
+def canonical_text(registry: Registry, code: int, length: int) -> Text:
     """Discovery-order listing of a coded set, padded deterministically.
 
     Stage 0 onward, new elements enter in sorted order. Position n first
@@ -72,18 +72,16 @@ def canonical_text(
     emits the next undelivered element, or repeats the least known element
     when delivery has caught up; late discoveries still surface later.
     """
-    cap = length if probe_cap is None else probe_cap
-    s0 = None
-    for s in range(cap + 1):
-        if registry.enumerate_to(code, s):
-            s0 = s
-            break
-    if s0 is None:
-        raise ValueError(
-            f"code {code} enumerated nothing by stage {cap}; cannot build a text"
-        )
+    if length < 0:
+        raise ValueError(f"text length {length} is negative")
     cursor = DiscoveryCursor()
-    cursor.advance(registry.enumerate_to(code, s0))
+    s0 = 0
+    while not cursor.advance(registry.enumerate_to(code, s0)):
+        if s0 == length:
+            raise ValueError(
+                f"code {code} enumerated nothing by stage {length}; cannot build a text"
+            )
+        s0 += 1
     items: list[int] = []
     p = 0
     for n in range(length):
@@ -99,6 +97,8 @@ def canonical_text(
 
 def run_learner(learner: Learner, text: Text, horizon: int) -> Trace:
     """Feed prefixes of lengths 0..horizon; horizon+1 outputs total."""
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
     if horizon > len(text):
         raise ValueError(f"horizon {horizon} exceeds text length {len(text)}")
     outputs = tuple(learner.decide(text.prefix(n)) for n in range(horizon + 1))
@@ -129,11 +129,7 @@ def _check_ij(value, name: str) -> None:
 
 def _window_codes(trace: Trace, settle: int) -> list[int]:
     """Distinct codes in outputs[settle..horizon], in first-seen order."""
-    seen: list[int] = []
-    for c in trace.outputs[settle:]:
-        if c not in seen:
-            seen.append(c)
-    return seen
+    return list(dict.fromkeys(trace.outputs[settle:]))
 
 
 def check_txtfex(
@@ -202,32 +198,31 @@ def check_txtfext(
     j,
     settle: int | None = None,
     bound: int = 64,
-    stage: int | None = None,
 ) -> Verdict:
     """Stricter checker: tail codes must enumerate identical sets.
 
-    Builds on check_txtfex, then compares tail codes pairwise. An element
-    enumerated by one code at the early stage and still missing from the
-    other at the full stage is a persistent one-sided difference: a FAIL for
-    every i, because exact agreement of the enumerated sets is required. A
-    difference only visible at the full stage might still close, so it
-    downgrades to INCONCLUSIVE instead.
+    Builds on check_txtfex, then compares its tail codes pairwise. An element
+    enumerated by one code at the early stage (horizon // 2) and still
+    missing from the other at the full stage (the horizon) is a persistent
+    one-sided difference: a FAIL for every i, because exact agreement of the
+    enumerated sets is required. A difference only visible at the full stage
+    might still close, so it downgrades to INCONCLUSIVE instead. Each tail
+    code is read once at both stages. Monotone codes with equal readings never
+    differ, so only the least code of each distinct reading is compared; the
+    first failing pair in sorted order is always two such codes.
     """
-    horizon = trace.horizon
-    if stage is None:
-        stage = horizon
     fex = check_txtfex(trace, registry, i, j, settle=settle, bound=bound)
     if fex.status is Status.FAIL_WITNESSED:
         return Verdict(fex.status, fex.witness, dict(fex.details, via="vacillation"))
-    actual_settle = fex.details.get("settle", horizon // 2)
-    tail = _window_codes(trace, actual_settle) if horizon >= 1 else []
+    tail = fex.details.get("tail_codes", [])
+    stage = trace.horizon
     early = max(1, stage // 2)
+    least: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    for code in tail if len(tail) > 1 else []:
+        key = (registry.below(code, bound, early), registry.below(code, bound, stage))
+        least.setdefault(key, code)
     late_only = None
-    for a, b in combinations(sorted(set(tail)), 2):
-        a_early = registry.below(a, bound, early)
-        b_early = registry.below(b, bound, early)
-        a_full = registry.below(a, bound, stage)
-        b_full = registry.below(b, bound, stage)
+    for ((a_early, a_full), a), ((b_early, b_full), b) in combinations(least.items(), 2):
         persistent = (a_early - b_full) | (b_early - a_full)
         if persistent:
             return Verdict(
@@ -243,15 +238,13 @@ def check_txtfext(
             )
         if late_only is None and a_full != b_full:
             late_only = {"codes": [a, b], "elements": sorted(a_full ^ b_full)}
-    if fex.status is Status.INCONCLUSIVE:
+    if fex.status is Status.INCONCLUSIVE or late_only is None:
         return fex
-    if late_only is not None:
-        return Verdict(
-            Status.INCONCLUSIVE,
-            None,
-            dict(fex.details, reason="late one-sided difference", pair=late_only),
-        )
-    return Verdict(Status.PASS_AT_HORIZON, None, fex.details)
+    return Verdict(
+        Status.INCONCLUSIVE,
+        None,
+        dict(fex.details, reason="late one-sided difference", pair=late_only),
+    )
 
 
 def verify_witness(
@@ -262,7 +255,6 @@ def verify_witness(
     j,
     settle: int | None = None,
     bound: int = 64,
-    stage: int | None = None,
 ) -> bool:
     """Re-derive a FAIL witness from raw data, trusting nothing cached."""
     if verdict.status is not Status.FAIL_WITNESSED or verdict.witness is None:
@@ -271,8 +263,6 @@ def verify_witness(
     horizon = trace.horizon
     if settle is None:
         settle = horizon // 2
-    if stage is None:
-        stage = horizon
     kind = w.get("kind")
     if kind == "cardinality":
         tail = set(_window_codes(trace, settle))
@@ -285,9 +275,9 @@ def verify_witness(
         return len(diff) > i and sorted(diff) == w["difference"]
     if kind == "pairwise":
         a, b = w["codes"]
-        early = w.get("early_stage", max(1, stage // 2))
-        persistent = (registry.below(a, bound, early) - registry.below(b, bound, stage)) | (
-            registry.below(b, bound, early) - registry.below(a, bound, stage)
+        early = w.get("early_stage", max(1, horizon // 2))
+        persistent = (registry.below(a, bound, early) - registry.below(b, bound, horizon)) | (
+            registry.below(b, bound, early) - registry.below(a, bound, horizon)
         )
         return bool(persistent) and set(w["elements"]) == persistent
     return False

@@ -410,6 +410,19 @@ def test_brute_force_past_its_budget_fails_fast(capsys):
     assert err.startswith("error: ") and "over the budget of 1000000" in err
 
 
+def test_prefix_past_its_budget_fails_fast(capsys):
+    started = time.monotonic()
+    argv = ["construct", "--learner", "constant_zero", "--horizon", "5"]
+    rc = main(argv + ["--bound", "1000000000"])
+    assert rc == 1
+    assert time.monotonic() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "over the budget of 1000000" in err[0]
+
+
 def test_family_report(tmp_path):
     out = tmp_path / "r.json"
     rc = main(

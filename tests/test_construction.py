@@ -154,7 +154,7 @@ def test_reverify_final_confirms_live_rows():
     # the brute re-check must agree on small stages
     c2 = Construction(ConstantLearner(), 1, Registry(), method="brute")
     c2.run_to(6)
-    assert all(w is None for _, w in c2.reverify_final(method="brute"))
+    assert all(w is None for _, w in c2.reverify_final())
 
 
 def test_rows_snapshot_shape():

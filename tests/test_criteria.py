@@ -5,6 +5,7 @@ and the strict notion can never pass where the loose one fails.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from limitlearn import (
     StepFunctionEnumerator,
     Text,
     Trace,
+    Verdict,
     check_txtfex,
     check_txtfext,
     verify_witness,
@@ -98,6 +100,15 @@ def test_degenerate_window_is_inconclusive():
     v = check_txtfex(tr, reg, "*", 2)
     assert v.status is Status.INCONCLUSIVE
     assert v.details["reason"] == "degenerate window"
+
+
+def test_negative_settle_is_a_degenerate_window():
+    reg, a, b, c = _registry()
+    tr = _trace((a, a, a, a, c, a))
+    for check in (check_txtfex, check_txtfext):
+        v = check(tr, reg, "*", "*", settle=-2)
+        assert v.status is Status.INCONCLUSIVE
+        assert v.details["reason"] == "degenerate window"
 
 
 def test_tail_shift_is_inconclusive():
@@ -190,3 +201,110 @@ def test_every_witness_verifies():
             seen_fail += 1
             assert verify_witness(v, tr, reg, "*", 2)
     assert seen_fail > 0
+
+
+def _fext_per_pair(trace, reg, i, j, settle=None, bound=64):
+    """All-pairs reference for check_txtfext (settle >= 0): four reads per pair."""
+    horizon = trace.horizon
+    fex = check_txtfex(trace, reg, i, j, settle=settle, bound=bound)
+    if fex.status is Status.FAIL_WITNESSED:
+        return Verdict(fex.status, fex.witness, dict(fex.details, via="vacillation"))
+    tail = set(trace.outputs[fex.details.get("settle", horizon // 2) :])
+    early = max(1, horizon // 2)
+    late_only = None
+    for a, b in combinations(sorted(tail), 2):
+        a_early = reg.below(a, bound, early)
+        b_early = reg.below(b, bound, early)
+        a_full = reg.below(a, bound, horizon)
+        b_full = reg.below(b, bound, horizon)
+        persistent = (a_early - b_full) | (b_early - a_full)
+        if persistent:
+            return Verdict(
+                Status.FAIL_WITNESSED,
+                {
+                    "kind": "pairwise",
+                    "codes": [a, b],
+                    "elements": sorted(persistent),
+                    "early_stage": early,
+                    "stage": horizon,
+                },
+                dict(fex.details, via="pairwise"),
+            )
+        if late_only is None and a_full != b_full:
+            late_only = {"codes": [a, b], "elements": sorted(a_full ^ b_full)}
+    if fex.status is Status.INCONCLUSIVE:
+        return fex
+    if late_only is not None:
+        return Verdict(
+            Status.INCONCLUSIVE,
+            None,
+            dict(fex.details, reason="late one-sided difference", pair=late_only),
+        )
+    return Verdict(Status.PASS_AT_HORIZON, None, fex.details)
+
+
+def _strict_scenarios(seed, count):
+    """Traces over twin codes and late growers, with tails of 1 to 40 codes."""
+    rng = random.Random(seed)
+    reg = Registry()
+    families = []  # codes of one base set, some growing one element at a late stage
+    for _ in range(10):
+        base = frozenset(rng.sample(range(5), rng.randint(0, 2)))
+        twins = rng.randint(1, 4)
+        family = [reg.register(FiniteSetEnumerator(base)) for _ in range(twins)]
+        for _ in range(rng.randint(0, 2)):
+            late, extra = rng.randint(1, 80), rng.randint(5, 7)
+            grows = StepFunctionEnumerator(
+                lambda s, b=base, t=late, x=extra: (b | {x} if s >= t else b) if s else ()
+            )
+            family.append(reg.register(grows))
+        families.append(family)
+    codes = [0] + [code for family in families for code in family]
+    for _ in range(count):
+        horizon = rng.randint(2, 80)
+        if rng.random() < 0.4:
+            pool = rng.choice(families)
+        else:
+            pool = rng.sample(codes, rng.randint(1, len(codes)))
+        outputs = [rng.choice(codes) for _ in range(horizon // 2)]
+        outputs += [pool[n % len(pool)] for n in range(horizon + 1 - len(outputs))]
+        text = Text(tuple(rng.randint(0, 6) for _ in range(horizon)))
+        settle = None if rng.random() < 0.7 else rng.randint(0, horizon + 1)
+        i = "*" if rng.random() < 0.7 else rng.randint(0, 3)
+        j = "*" if rng.random() < 0.7 else rng.randint(1, 40)
+        yield reg, Trace(tuple(outputs), text, horizon), i, j, settle
+
+
+def test_strict_checker_matches_the_per_pair_oracle():
+    seen = set()
+    longest = 0
+    for reg, tr, i, j, settle in _strict_scenarios(37, 400):
+        v = check_txtfext(tr, reg, i, j, settle=settle)
+        assert v == _fext_per_pair(tr, reg, i, j, settle=settle)
+        seen.add(v.details.get("via") or v.details.get("reason") or v.status.value)
+        longest = max(longest, len(v.details.get("tail_codes", [])))
+    assert longest >= 30
+    assert seen >= {
+        "pairwise",
+        "vacillation",
+        "late one-sided difference",
+        "tail still shifting",
+        "degenerate window",
+        "PASS_AT_HORIZON",
+    }
+
+
+def test_strict_checker_reads_each_tail_code_once():
+    single = 0
+    for reg, tr, i, j, settle in _strict_scenarios(41, 400):
+        before = reg.query_count
+        fex = check_txtfex(tr, reg, i, j, settle=settle)
+        loose = reg.query_count - before
+        check_txtfext(tr, reg, i, j, settle=settle)
+        strict = reg.query_count - before - loose
+        tail = fex.details.get("tail_codes", [])
+        assert strict <= loose + 2 * len(tail)
+        if len(tail) == 1:
+            single += 1
+            assert strict == loose
+    assert single > 0

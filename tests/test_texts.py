@@ -63,7 +63,7 @@ def test_canonical_text_content_converges():
 def test_canonical_text_rejects_empty_enumerators():
     reg = Registry()
     with pytest.raises(ValueError, match="enumerated nothing by stage 10"):
-        canonical_text(reg, 0, 5, probe_cap=10)
+        canonical_text(reg, 0, 10)
 
 
 def test_run_learner_trace_shape():
@@ -72,6 +72,18 @@ def test_run_learner_trace_shape():
     assert tr.outputs == (0, 0, 0, 0, 0)
     assert tr.horizon == 4
     assert tr.text is t
+
+
+def test_negative_lengths_are_refused():
+    t = Text((1, 2, 3))
+    with pytest.raises(ValueError, match="negative"):
+        t.prefix(-1)
+    with pytest.raises(ValueError, match="negative"):
+        run_learner(ConstantLearner(), t, -1)
+    reg = Registry()
+    code = reg.register(FiniteSetEnumerator({4, 9}))
+    with pytest.raises(ValueError, match="negative"):
+        canonical_text(reg, code, -1)
 
 
 def test_run_learner_refuses_horizon_past_text():
