@@ -23,7 +23,6 @@ import time
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .construction import Construction
 from .criteria import (
     Status,
     Text,
@@ -81,7 +80,6 @@ PARAMS: dict[str, dict[str, Param]] = {
         "learner": Param(PROFILED, required=True),
         "base_e": _BASE_E,
         "horizon": _HORIZON,
-        "method": Param(("profile", "brute"), "profile"),
         "bound": Param(_check_natural, 50),
         "stage_bound": Param(_check_natural),
         "out": _OUT,
@@ -178,11 +176,7 @@ def _experiment(command: str, p: dict, names: tuple[str, ...]) -> ExperimentConf
 
 def _cmd_construct(p: dict) -> tuple[dict, int]:
     ws = Workspace()
-    if p["method"] == "brute":
-        learner = ws.sample_learner(p["learner"])
-        c = Construction(learner, p["base_e"], ws.registry, method="brute")
-    else:
-        c = ws.construction(p["learner"], p["base_e"])
+    c = ws.construction(p["learner"], p["base_e"])
     c.run_to(p["horizon"])
     results = {
         "stage": c.stage,
@@ -195,7 +189,7 @@ def _cmd_construct(p: dict) -> tuple[dict, int]:
     }
     if p["stage_bound"] is not None:
         results["separation_level"] = c.separation_level(p["stage_bound"])
-    recorded = ("learner", "base_e", "horizon", "method", "bound")
+    recorded = ("learner", "base_e", "horizon", "bound")
     report = make_report(
         _experiment("construct", p, recorded),
         results,

@@ -20,15 +20,16 @@ string, the same kernel the standalone check runs, and resumes it one stage
 at a time. Once that state is settled the row can only move if a lower row
 does, so the leading run of defined, settled rows (the frontier) is never
 visited again: a stage starts at the frontier, and above the first undefined
-row it stops at the first row that was undefined already. A search for row k
-needs no scan of its base either: row k-1's string covers e..e+k-1 by
-construction (rows only ever add e and the one value their depth requires),
-so e+k is the only value row k may have to add, and the least suffix has a
-closed form. A stage thus costs the rows that can still change plus the
+row it stops at the first row that was undefined already. A search needs no
+scan of its base either, because of the row rule: row 0 is all e, and row k
+is row k-1's string, then e repeated, then e+k. Row k-1's string holds
+exactly the values e..e+k-1, so e+k is the one value row k must add, and its
+least extension of length m pads with e and ends on e+k; a search only
+chooses m. A stage thus costs the rows that can still change plus the
 strings it writes. That is what makes horizons in the thousands affordable
-while staying exactly faithful to the brute-force semantics (the equivalence
-is covered by tests that run both methods side by side, and the fast table is
-checked against a full sweep of every row at every stage).
+while staying exactly faithful to the brute-force semantics of
+``stabilizing.check_stabilizing`` (the tests keep a brute-force table and a
+full sweep of every row at every stage as oracles).
 
 On top of the table live the observations. A row that has sat unchanged long
 enough yields its even marker value (observed_a) and the odd successor
@@ -97,23 +98,14 @@ class _Row:
 class Construction:
     """Stage table for one (learner, e) pair; see the module docstring."""
 
-    def __init__(
-        self,
-        learner: Learner,
-        e: int,
-        registry: Registry,
-        method: str = "profile",
-    ):
-        if method not in ("profile", "brute"):
-            raise ValueError(f"unknown method {method!r}")
-        if method == "profile" and not learner.length_profiled:
-            raise ValueError("profile method requires a length-profiled learner")
+    def __init__(self, learner: Learner, e: int, registry: Registry):
+        if not learner.length_profiled:
+            raise ValueError("the stage table requires a length-profiled learner")
         if e < 0:
             raise ValueError("base value e must be a natural number")
         self.learner = learner
         self.e = e
         self.registry = registry
-        self.method = method
         self.stage = 0
         self.rows: list[_Row] = [_Row(0, ())]
         # per stage: how many leading rows are defined, and the lowest row
@@ -187,14 +179,6 @@ class Construction:
         self._moved[stage] = min(self._moved[stage], row.n)
 
     def _survives(self, row: _Row, s: int) -> bool:
-        if self.method == "brute":
-            return (
-                check_stabilizing(
-                    self.e, row.n, row.value, s, self.learner, self.registry,
-                    method="brute",
-                )
-                is None
-            )
         qs = row.qstate
         if qs is None:
             return False
@@ -206,22 +190,24 @@ class Construction:
     def _search_least(
         self, k: int, base: Sequence | None, s: int
     ) -> tuple[Sequence, Survival] | None:
-        """Least admissible extension of base that stabilizes at depth k."""
+        """Least admissible extension of base that stabilizes at depth k.
+
+        Base is row k-1's string (empty for row 0) and holds only values in
+        [e, e+k), so the least extension of length m is base, then e up to
+        length m - 1, then e+k; only m is searched for. The string is built
+        in one pass: concatenated tuples leave copies of its length behind,
+        which fragments memory on long rows.
+        """
         self.counters["searches"] += 1
         if base is None or self.e + k > s:
             return None
-        if self.method == "brute":
-            return self._search_brute(k, base, s)
-        # row k-1's string covers e..e+k-1 (it was built that way), so the
-        # only value row k may still have to add is e+k
-        missing = [] if self.e + k in base else [self.e + k]
         skip = self._skip.setdefault(k, {})
-        m = self._next_length(skip, len(base) + len(missing))
+        m = self._next_length(skip, len(base) + 1)
         while m <= s:
             self.counters["length_checks"] += 1
             qs = Survival(m, k)
             if qs.fold(self.learner, self.registry, m, s) is None:
-                return self._least_suffix(base, m, missing), qs
+                return (*base, *repeat(self.e, m - len(base) - 1), self.e + k), qs
             skip[m] = m + 1
             m = self._next_length(skip, m + 1)
         return None
@@ -235,31 +221,6 @@ class Construction:
         while m != top:
             skip[m], m = top, skip[m]
         return top
-
-    def _search_brute(
-        self, k: int, base: Sequence, s: int
-    ) -> tuple[Sequence, None] | None:
-        from .stabilizing import candidate_strings
-
-        for tau in candidate_strings(base, s, self.e):
-            if check_stabilizing(
-                self.e, k, tau, s, self.learner, self.registry, method="brute"
-            ) is None:
-                # no incremental state: brute mode re-checks survival in full
-                return tau, None
-        return None
-
-    def _least_suffix(self, base: Sequence, m: int, missing: list[int]) -> Sequence:
-        """Lex-least suffix reaching length m while covering the missing values.
-
-        Emitting e is always the smallest legal move while slack remains; once
-        slack runs out the missing values must be placed in ascending order.
-        (A missing e then directly follows the padding, as if padded once more.)
-        """
-        out = list(base)
-        out.extend(repeat(self.e, m - len(base) - len(missing)))
-        out.extend(missing)
-        return tuple(out)
 
     # ---------------- row access ----------------
 
@@ -295,18 +256,14 @@ class Construction:
         out = []
         for n, v in self.defined_rows():
             w = check_stabilizing(
-                self.e,
-                n,
-                v,
-                self.stage,
-                self.learner,
-                self.registry,
-                method=self.method,
+                self.e, n, v, self.stage, self.learner, self.registry
             )
             out.append((n, w))
         return out
 
     def rows_snapshot(self, limit: int | None = None) -> list[dict]:
+        if limit is not None and limit < 0:
+            raise ValueError(f"row limit {limit} is negative")
         out = []
         for n, row in enumerate(self.rows[: limit if limit is not None else None]):
             v = row.value
@@ -464,8 +421,8 @@ class Construction:
         at a matching stage), pad straight to that length; otherwise feed the
         least tail element not yet shown. Deterministic by construction.
         """
-        if not self.learner.length_profiled:
-            raise ValueError("adversarial_text requires a length-profiled learner")
+        if length < 0:
+            raise ValueError(f"text length {length} is negative")
         t: list[int] = []
         while len(t) < length:
             m0 = len(t)
@@ -494,6 +451,8 @@ class Construction:
         up; otherwise one past the largest first-difference element over
         ordered code pairs, elements and stages both capped at stage_bound.
         """
+        if stage_bound < 0:
+            raise ValueError(f"stage bound {stage_bound} is negative")
         if not self.rows or self.rows[0].value is None:
             raise ValueError("row 0 has no stable value at the current horizon")
         row0 = self.rows[0].value

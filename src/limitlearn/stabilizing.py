@@ -84,10 +84,6 @@ def _covers_required(e: int, k: int, sigma: Sequence) -> bool:
     return all(x >= e for x in c) and set(range(e, e + k + 1)).issubset(c)
 
 
-def _diff_below(registry: Registry, c0: int, c1: int, k: int, stage: int) -> bool:
-    return registry.below(c0, k, stage) != registry.below(c1, k, stage)
-
-
 class Survival:
     """Conditions 2 and 3 for a length-sigma_len string, collapsed over lengths.
 
@@ -140,7 +136,7 @@ class Survival:
         for c in sorted(self.pending):
             for t in range(self.pending[c], s + 1):
                 stage = self.sigma_len + t
-                if _diff_below(registry, c0, c, k, stage):
+                if registry.sym_diff_below(c0, c, k, stage):
                     return 3, c, t
                 if registry.stable_below(c0, k, stage) and registry.stable_below(
                     c, k, stage
@@ -190,7 +186,7 @@ def _check_brute(
         if c1 == c0:
             continue
         for t in range(s + 1):
-            if _diff_below(registry, c0, c1, k, len(sigma) + t):
+            if registry.sym_diff_below(c0, c1, k, len(sigma) + t):
                 return StabWitness(tau=tau, t=t, violated_condition=3)
     return None
 
@@ -241,5 +237,5 @@ def stab_witness_valid(
             return False
         c0 = learner.decide(sigma)
         c1 = learner.decide(tau)
-        return _diff_below(registry, c0, c1, k, len(sigma) + witness.t)
+        return bool(registry.sym_diff_below(c0, c1, k, len(sigma) + witness.t))
     return False

@@ -1,4 +1,4 @@
-"""Stage table dynamics: survival, deaths, re-search, and the brute oracle.
+"""Stage table dynamics: survival, deaths, re-search, and the table oracles.
 
 Frozen row values below were computed once by hand-simulating the search
 order (least string, length first, then lexicographic) and then pinned.
@@ -20,6 +20,7 @@ from limitlearn import (
     Registry,
     StepFunctionEnumerator,
     Workspace,
+    candidate_strings,
     check_stabilizing,
 )
 from limitlearn.construction import _Row
@@ -27,18 +28,16 @@ from limitlearn.stabilizing import Survival
 
 
 def _constant(e=0):
-    return Construction(ConstantLearner(), e, Registry(), method="profile")
+    return Construction(ConstantLearner(), e, Registry())
 
 
 def test_constructor_validation():
     reg = Registry()
-    with pytest.raises(ValueError, match="unknown method"):
-        Construction(ConstantLearner(), 0, reg, method="magic")
     with pytest.raises(ValueError, match="natural number"):
         Construction(ConstantLearner(), -1, reg)
     unprofiled = type("L", (), {"length_profiled": False, "name": "x"})()
     with pytest.raises(ValueError, match="length-profiled"):
-        Construction(unprofiled, 0, reg, method="profile")
+        Construction(unprofiled, 0, reg)
 
 
 def test_stage_zero_seeds_row_zero_with_empty_string():
@@ -152,9 +151,24 @@ def test_reverify_final_confirms_live_rows():
     assert results
     assert all(w is None for _, w in results)
     # the brute re-check must agree on small stages
-    c2 = Construction(ConstantLearner(), 1, Registry(), method="brute")
+    c2 = _BruteTable(ConstantLearner(), 1, Registry())
     c2.run_to(6)
-    assert all(w is None for _, w in c2.reverify_final())
+    assert all(
+        check_stabilizing(1, n, v, 6, c2.learner, c2.registry, method="brute") is None
+        for n, v in c2.defined_rows()
+    )
+
+
+def test_sizes_must_not_be_negative():
+    c = Workspace().construction("constant_zero", 0)
+    c.run_to(10)
+    for call in (
+        lambda: c.rows_snapshot(-1),
+        lambda: c.adversarial_text(-1),
+        lambda: c.separation_level(-1),
+    ):
+        with pytest.raises(ValueError, match="negative"):
+            call()
 
 
 def test_rows_snapshot_shape():
@@ -173,8 +187,33 @@ def test_counters_move():
     assert c.counters["searches"] > 0
 
 
+class _BruteTable(Construction):
+    """The brute-force stage table, kept as an oracle for the profiled search.
+
+    A search walks every admissible extension of the base in length-lex
+    order and a kept row is re-checked in full each stage, both through
+    check_stabilizing's exponential brute method, so stages stay tiny.
+    """
+
+    def _survives(self, row, s):
+        return check_stabilizing(
+            self.e, row.n, row.value, s, self.learner, self.registry, method="brute"
+        ) is None
+
+    def _search_least(self, k, base, s):
+        self.counters["searches"] += 1
+        if base is None or self.e + k > s:
+            return None
+        for tau in candidate_strings(base, s, self.e):
+            if check_stabilizing(
+                self.e, k, tau, s, self.learner, self.registry, method="brute"
+            ) is None:
+                return tau, None
+        return None
+
+
 def _paired_constructions(rng):
-    """Same learner function over two registries, one per method."""
+    """Same learner function over two registries: profiled and brute tables."""
     reg_a, reg_b = Registry(), Registry()
     members = [rng.sample(range(4), rng.randint(0, 2)) for _ in range(2)]
     pool_a = [0] + [reg_a.register(FiniteSetEnumerator(m)) for m in members]
@@ -185,8 +224,8 @@ def _paired_constructions(rng):
     )
     e = rng.randint(0, 1)
     return (
-        Construction(mk(pool_a), e, reg_a, method="profile"),
-        Construction(mk(pool_b), e, reg_b, method="brute"),
+        Construction(mk(pool_a), e, reg_a),
+        _BruteTable(mk(pool_b), e, reg_b),
     )
 
 
@@ -206,7 +245,7 @@ def test_sample_learners_profile_matches_brute():
     for kind, e in (("constant_zero", 0), ("length_parity", 0), ("fresh_each_step", 1)):
         ws = Workspace()
         cp = ws.construction(kind, e)
-        cb = Construction(ws.sample_learner(kind), e, ws.registry, method="brute")
+        cb = _BruteTable(ws.sample_learner(kind), e, ws.registry)
         cp.run_to(6)
         cb.run_to(6)
         assert [r.events for r in cp.rows] == [r.events for r in cb.rows]
@@ -327,8 +366,6 @@ class _SweepOracle(Construction):
         self.counters["searches"] += 1
         if base is None or self.e + k > s:
             return None
-        if self.method == "brute":
-            return self._search_brute(k, base, s)
         missing = sorted(set(range(self.e, self.e + k + 1)) - set(base))
         m_lo = len(base)
         for m in range(m_lo, s + 1):
@@ -447,18 +484,31 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
         assert fast.r_prefix(60, "hat") == tail - set(b_values), s
 
 
-def test_least_suffix_matches_the_appending_oracle():
-    rng = random.Random(7)
-    for _ in range(2000):
-        e = rng.randint(0, 3)
-        fast = Construction(ConstantLearner(), e, Registry())
-        slow = _SweepOracle(ConstantLearner(), e, Registry())
-        base = tuple(rng.randint(e, e + 5) for _ in range(rng.randint(0, 6)))
-        missing = sorted(rng.sample(range(e, e + 6), rng.randint(0, 4)))
-        m = len(base) + len(missing) + rng.randint(0, 5)
-        assert fast._least_suffix(base, m, missing) == slow._least_suffix(
-            base, m, missing
-        ), (e, base, m, missing)
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+def test_each_row_is_the_row_below_then_e_padding_then_e_plus_k(kind):
+    for e in (0, 1, 2):
+        c = Workspace().construction(kind, e)
+        c.run_to(2000)
+        for k, row in enumerate(c.rows):
+            # a string is written only where it stabilizes at depth k
+            for t, v in row.events[1:]:
+                assert v is None or check_stabilizing(
+                    e, k, v, t, c.learner, c.registry
+                ) is None, (e, k, t)
+            # both rows hold their values between the stages either one logs
+            stages = set(row.stages)
+            if k:
+                stages |= set(c.rows[k - 1].stages)
+            for t in sorted(stages):
+                v = c.value_at(k, t)
+                if v is None:
+                    continue
+                if k == 0:
+                    assert v == (e,) * len(v), (e, t)
+                    continue
+                below = c.value_at(k - 1, t)
+                pad = len(v) - len(below) - 1
+                assert pad >= 0 and v == below + (e,) * pad + (e + k,), (e, k, t)
 
 
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])

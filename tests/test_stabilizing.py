@@ -6,6 +6,7 @@ brute cost is exponential in s.
 """
 
 import random
+import time
 
 import pytest
 
@@ -41,6 +42,17 @@ def test_candidate_strings_enumeration_order():
     assert candidate_strings((0, 5), 3, 0) == []    # base itself not admissible
     with pytest.raises(ValueError, match="2396745 candidate strings"):
         candidate_strings((), 7, 0)                 # 8^0 + ... + 8^7, past the budget
+
+
+def test_brute_check_past_its_budget_fails_fast():
+    started = time.monotonic()
+    # 9^0 + ... + 9^7 extensions of (0,) over [0, 8]
+    with pytest.raises(
+        ValueError,
+        match="5380840 candidate strings at stage 8, over the budget of 1000000",
+    ):
+        check_stabilizing(0, 0, (0,), 8, ConstantLearner(), Registry(), method="brute")
+    assert time.monotonic() - started < 1
 
 
 def test_condition_one_rejections():
