@@ -38,7 +38,6 @@ from .reports import ExperimentConfig, canonical_json, make_report
 from .stabilizing import (
     StabWitness,
     base_qualifies,
-    candidate_strings,
     check_stabilizing,
     stab_witness_valid,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "make_report",
     "StabWitness",
     "base_qualifies",
-    "candidate_strings",
     "check_stabilizing",
     "stab_witness_valid",
     "SuiteContext",

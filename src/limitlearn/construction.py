@@ -28,8 +28,8 @@ least extension of length m pads with e and ends on e+k; a search only
 chooses m. A stage thus costs the rows that can still change plus the
 strings it writes. That is what makes horizons in the thousands affordable
 while staying exactly faithful to the brute-force semantics of
-``stabilizing.check_stabilizing`` (the tests keep a brute-force table and a
-full sweep of every row at every stage as oracles).
+stabilization (the tests keep a brute-force check, a brute-force table and
+a full sweep of every row at every stage as oracles).
 
 On top of the table live the observations. A row that has sat unchanged long
 enough yields its even marker value (observed_a) and the odd successor
@@ -224,8 +224,14 @@ class Construction:
 
     # ---------------- row access ----------------
 
-    def _checked_stage(self, s: int) -> int:
-        """Stage s, which must lie within 0..horizon."""
+    def _checked_stage(self, s: int | None) -> int:
+        """Stage s, which must lie within 0..horizon; None means the horizon.
+
+        Every row and marker read goes through here: a stage past the
+        horizon raises instead of reading the horizon's answer.
+        """
+        if s is None:
+            return self.stage
         if s > self.stage:
             raise ValueError(f"stage {s} beyond current horizon {self.stage}")
         if s < 0:
@@ -241,7 +247,7 @@ class Construction:
         return self.rows[n].value_at(s)
 
     def defined_rows(self, s: int | None = None) -> list[tuple[int, Sequence]]:
-        s = self.stage if s is None else self._checked_stage(s)
+        s = self._checked_stage(s)
         return [(n, self.rows[n].value_at(s)) for n in range(self._defined[s])]
 
     def chain_ok(self, s: int | None = None) -> bool:
@@ -279,14 +285,6 @@ class Construction:
 
     # ---------------- marker observation ----------------
 
-    def _capped(self, s: int | None) -> int:
-        """Stage s capped at the current horizon; None means the horizon."""
-        if s is None:
-            return self.stage
-        if s < 0:
-            raise ValueError(f"stage {s} is negative")
-        return min(s, self.stage)
-
     def observed_a(self, ell: int, s: int | None = None) -> int | None:
         """Even marker for depth ell at horizon s, or None if not observable.
 
@@ -294,7 +292,7 @@ class Construction:
         value after both the settling point and the floor e + ell + 1, and
         must itself fall within the horizon.
         """
-        s = self._capped(s)
+        s = self._checked_stage(s)
         if ell < 0:
             raise ValueError(f"depth {ell} is negative")
         return next(islice(self._markers(s), ell, None), None)
@@ -316,7 +314,7 @@ class Construction:
             yield a
 
     def observed_b(self, ell: int, s: int | None = None) -> int | None:
-        s = self._capped(s)
+        s = self._checked_stage(s)
         a = self.observed_a(ell, s)
         if a is None or a + 1 > s:
             return None
@@ -324,11 +322,11 @@ class Construction:
 
     def a_values(self, s: int | None = None) -> list[int]:
         """observed_a per depth, stopping at the first unobservable one."""
-        return list(self._markers(self._capped(s)))
+        return list(self._markers(self._checked_stage(s)))
 
     def b_values(self, s: int | None = None) -> list[int]:
         """observed_b per depth: a + 1 for each even marker a below the horizon."""
-        cap = self._capped(s)
+        cap = self._checked_stage(s)
         return [a + 1 for a in takewhile(lambda a: a < cap, self.a_values(cap))]
 
     def r_prefix(
@@ -444,18 +442,20 @@ class Construction:
                 t.append(x)
         return tuple(t[:length])
 
-    def separation_level(self, stage_bound: int) -> int:
+    def separation_level(self, stage_bound: int) -> int | None:
         """How deep two-sided disagreement between emitted codes reaches.
 
-        0 when at most one distinct code (or no one-sided difference) shows
-        up; otherwise one past the largest first-difference element over
-        ordered code pairs, elements and stages both capped at stage_bound.
+        None when row 0 is undefined at the horizon, so there is no string
+        to extend. 0 when at most one distinct code (or no one-sided
+        difference) shows up; otherwise one past the largest first-difference
+        element over ordered code pairs, elements and stages both capped at
+        stage_bound.
         """
         if stage_bound < 0:
             raise ValueError(f"stage bound {stage_bound} is negative")
-        if not self.rows or self.rows[0].value is None:
-            raise ValueError("row 0 has no stable value at the current horizon")
         row0 = self.rows[0].value
+        if row0 is None:
+            return None
         codes = sorted(
             {
                 self.learner.length_code(m)

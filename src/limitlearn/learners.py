@@ -2,9 +2,11 @@
 
 Two families live here. The sample learners (constant, length-parity, fresh-
 length) exist to drive the diagonal construction; each of their outputs
-depends only on the input's length, which they advertise through the length
-profile hooks so the construction can reason about all extensions of a string
-at once instead of enumerating them. The gap-parity learner is the other kind:
+depends only on the input's length, which they advertise through two length
+profile hooks: length_code for one length, and length_codes for the distinct
+codes over a range of lengths, whose max is condition 2's top code. With them
+the stabilization check reasons about all extensions of a string at once
+instead of enumerating them. The gap-parity learner is the other kind:
 it reads the content of its input and answers with a diagonal hypothesis, and
 is the one expected to actually succeed on the constructed families.
 """
@@ -34,10 +36,6 @@ class Learner:
         """Code output on every sequence of length m (profiled learners only)."""
         raise NotImplementedError
 
-    def length_code_max(self, lo: int, hi: int) -> int:
-        """Max of length_code over lengths lo..hi inclusive."""
-        return max(self.length_code(m) for m in range(lo, hi + 1))
-
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
         """Distinct codes emitted across lengths lo..hi inclusive."""
         return frozenset(self.length_code(m) for m in range(lo, hi + 1))
@@ -57,9 +55,6 @@ class ConstantLearner(Learner):
         return 0
 
     def length_code(self, m: int) -> int:
-        return 0
-
-    def length_code_max(self, lo: int, hi: int) -> int:
         return 0
 
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
@@ -89,11 +84,6 @@ class LengthParityLearner(Learner):
 
     def length_code(self, m: int) -> int:
         return self.code_even if m % 2 == 0 else self.code_odd
-
-    def length_code_max(self, lo: int, hi: int) -> int:
-        if lo == hi:
-            return self.length_code(lo)
-        return max(self.code_even, self.code_odd)
 
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
         if lo == hi:
@@ -128,10 +118,6 @@ class FreshLengthLearner(Learner):
             n = len(self._codes)
             self._codes.append(self._registry.register(FiniteSetEnumerator({n})))
         return self._codes[m]
-
-    def length_code_max(self, lo: int, hi: int) -> int:
-        # codes are registered in ascending length order, so max is at hi
-        return self.length_code(hi)
 
     def finite_codes(self) -> frozenset[int] | None:
         return None

@@ -11,28 +11,23 @@ when three things hold:
      as sigma's own output, at every stage |sigma| + t with t <= s.
 
 check_stabilizing returns None on success or a concrete witness against the
-first failing condition. The brute method enumerates extensions outright and
-is exponential, so it is the reference oracle for small budgets only. The
-profile method exploits learners whose output depends only on input length:
-admissible extensions of a length-m string realize exactly the lengths m..s,
-so both quantifiers collapse to a scan over lengths. That scan is the
-resumable Survival kernel, which the stage table also keeps per row and
-advances one stage at a time. The two methods agree on the verdict
-everywhere; witnesses may differ but are always checkable via
+first failing condition. It takes learners whose output depends only on
+input length: admissible extensions of a length-m string realize exactly the
+lengths m..s, so both quantifiers collapse to a scan over lengths. That scan
+is the resumable Survival kernel, which the stage table also keeps per row
+and advances one stage at a time. The tests keep a brute-force check that
+enumerates every admissible extension as the oracle; the two agree on the
+verdict everywhere, and witnesses are always checkable via
 stab_witness_valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .encodings import Sequence, content, is_prefix
 from .learners import Learner
 from .universe import Registry
-
-# Work budget of the brute oracle: the longest candidate list it may build.
-MAX_CANDIDATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -54,29 +49,6 @@ class StabWitness:
 def base_qualifies(base: Sequence, s: int, e: int) -> bool:
     """True iff base itself is an admissible string for budget s over [e, s]."""
     return len(base) <= s and all(e <= x <= s for x in base)
-
-
-def candidate_strings(base: Sequence, s: int, e: int) -> list[Sequence]:
-    """All admissible extensions of base, in length-lex order.
-
-    Empty when base is not itself admissible. Size grows like (s-e+1)^s, so
-    the size is computed first and a list past MAX_CANDIDATES raises
-    ValueError; the construction never calls this on the fast path.
-    """
-    if not base_qualifies(base, s, e):
-        return []
-    width = max(0, s - e + 1)
-    size = sum(width ** (m - len(base)) for m in range(len(base), s + 1))
-    if size > MAX_CANDIDATES:
-        raise ValueError(
-            f"brute force needs {size} candidate strings at stage {s}, "
-            f"over the budget of {MAX_CANDIDATES}"
-        )
-    out: list[Sequence] = []
-    for m in range(len(base), s + 1):
-        for suffix in product(range(e, s + 1), repeat=m - len(base)):
-            out.append(base + suffix)
-    return out
 
 
 def _covers_required(e: int, k: int, sigma: Sequence) -> bool:
@@ -119,14 +91,14 @@ class Survival:
         """
         if self.settled:
             return None
+        codes = learner.length_codes(lo, s)
         # condition 2 first: it needs no per-code state
-        top = learner.length_code_max(lo, s)
+        top = max(codes)
         if top > self.sigma_len:
             return 2, top, 0
         if self.c0 is None:
             self.c0 = learner.length_code(self.sigma_len)
             self.checked.add(self.c0)
-        codes = learner.length_codes(lo, s)
         if self.k == 0:
             # condition 3 is vacuous below depth 0
             self.checked |= codes
@@ -158,44 +130,12 @@ def check_stabilizing(
     s: int,
     learner: Learner,
     registry: Registry,
-    method: str = "profile",
 ) -> StabWitness | None:
     """None if sigma stabilizes the learner at budget s, else a witness."""
     if not _covers_required(e, k, sigma):
         return StabWitness(tau=sigma, t=0, violated_condition=1)
-    if method == "brute":
-        return _check_brute(e, k, sigma, s, learner, registry)
-    if method == "profile":
-        return _check_profile(e, k, sigma, s, learner, registry)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _check_brute(
-    e: int, k: int, sigma: Sequence, s: int, learner: Learner, registry: Registry
-) -> StabWitness | None:
-    fam = candidate_strings(sigma, s, e)
-    if not fam:
-        # no admissible extension, nothing to violate conditions 2 and 3
-        return None
-    for tau in fam:
-        if learner.decide(tau) > len(sigma):
-            return StabWitness(tau=tau, t=0, violated_condition=2)
-    c0 = learner.decide(sigma)
-    for tau in fam:
-        c1 = learner.decide(tau)
-        if c1 == c0:
-            continue
-        for t in range(s + 1):
-            if registry.sym_diff_below(c0, c1, k, len(sigma) + t):
-                return StabWitness(tau=tau, t=t, violated_condition=3)
-    return None
-
-
-def _check_profile(
-    e: int, k: int, sigma: Sequence, s: int, learner: Learner, registry: Registry
-) -> StabWitness | None:
     if not learner.length_profiled:
-        raise ValueError("profile method requires a length-profiled learner")
+        raise ValueError("the stabilization check requires a length-profiled learner")
     if not base_qualifies(sigma, s, e):
         return None
     m0 = len(sigma)

@@ -78,6 +78,16 @@ def test_construct_separation_level(tmp_path):
     assert _load(out)["results"]["separation_level"] == 2
 
 
+@pytest.mark.parametrize("e", ["0", "1", "2"])
+def test_construct_separation_level_without_a_base_row(tmp_path, e):
+    # fresh_each_step leaves row 0 undefined, so the level is null, not an error
+    out = tmp_path / "r.json"
+    argv = ["construct", "--learner", "fresh_each_step", "--base-e", e]
+    argv += ["--horizon", "60", "--bound", "30", "--stage-bound", "40"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _load(out)["results"]["separation_level"] is None
+
+
 def test_construct_refuses_the_two_code_learner():
     # gap_parity has no length profile, so construct does not offer it
     with pytest.raises(SystemExit) as exc:

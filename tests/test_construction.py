@@ -20,11 +20,12 @@ from limitlearn import (
     Registry,
     StepFunctionEnumerator,
     Workspace,
-    candidate_strings,
     check_stabilizing,
 )
 from limitlearn.construction import _Row
 from limitlearn.stabilizing import Survival
+
+from brute_oracle import candidate_strings, check_brute
 
 
 def _constant(e=0):
@@ -154,7 +155,7 @@ def test_reverify_final_confirms_live_rows():
     c2 = _BruteTable(ConstantLearner(), 1, Registry())
     c2.run_to(6)
     assert all(
-        check_stabilizing(1, n, v, 6, c2.learner, c2.registry, method="brute") is None
+        check_brute(1, n, v, 6, c2.learner, c2.registry) is None
         for n, v in c2.defined_rows()
     )
 
@@ -192,12 +193,12 @@ class _BruteTable(Construction):
 
     A search walks every admissible extension of the base in length-lex
     order and a kept row is re-checked in full each stage, both through
-    check_stabilizing's exponential brute method, so stages stay tiny.
+    the exponential brute oracle check_brute, so stages stay tiny.
     """
 
     def _survives(self, row, s):
-        return check_stabilizing(
-            self.e, row.n, row.value, s, self.learner, self.registry, method="brute"
+        return check_brute(
+            self.e, row.n, row.value, s, self.learner, self.registry
         ) is None
 
     def _search_least(self, k, base, s):
@@ -205,9 +206,7 @@ class _BruteTable(Construction):
         if base is None or self.e + k > s:
             return None
         for tau in candidate_strings(base, s, self.e):
-            if check_stabilizing(
-                self.e, k, tau, s, self.learner, self.registry, method="brute"
-            ) is None:
+            if check_brute(self.e, k, tau, s, self.learner, self.registry) is None:
                 return tau, None
         return None
 
@@ -288,7 +287,7 @@ def test_resumed_rows_match_from_scratch_checks():
             for n, v in c.defined_rows():
                 where = (c.learner.name, c.e, s, n)
                 assert check_stabilizing(
-                    c.e, n, v, s, c.learner, c.registry, method="profile"
+                    c.e, n, v, s, c.learner, c.registry
                 ) is None, where
                 fresh = Survival(len(v), n)
                 assert fresh.fold(c.learner, c.registry, len(v), s) is None, where
@@ -392,7 +391,7 @@ class _SweepOracle(Construction):
         return tuple(out)
 
     def observed_a(self, ell, s=None):
-        s = self._capped(s)
+        s = self._checked_stage(s)
         if ell < 0:
             raise ValueError(f"depth {ell} is negative")
         feasible = 0
@@ -407,7 +406,7 @@ class _SweepOracle(Construction):
     def a_values(self, s=None):
         out = []
         ell = 0
-        cap = self._capped(s)
+        cap = self._checked_stage(s)
         while ell <= cap:
             a = self.observed_a(ell, cap)
             if a is None:

@@ -24,7 +24,6 @@ def test_constant_learner():
     assert m.decide(()) == 0
     assert m.decide((4, 4, 4)) == 0
     assert m.length_code(17) == 0
-    assert m.length_code_max(0, 30) == 0
     assert m.length_codes(0, 30) == frozenset({0})
     assert m.finite_codes() == frozenset({0})
 
@@ -48,9 +47,7 @@ def test_length_parity_o1_overrides_match_scan_defaults():
     m = LengthParityLearner(reg)
     for lo in range(5):
         for hi in range(lo, 8):
-            scan_max = max(m.length_code(n) for n in range(lo, hi + 1))
             scan_all = frozenset(m.length_code(n) for n in range(lo, hi + 1))
-            assert m.length_code_max(lo, hi) == scan_max
             assert m.length_codes(lo, hi) == scan_all
 
 
@@ -72,7 +69,7 @@ def test_fresh_learner_codes_are_increasing():
     c2 = m.length_code(2)
     assert m.length_code(5) == c5
     assert m.length_code(2) == c2
-    assert m.length_code_max(2, 5) == m.length_code(5)
+    assert max(m.length_codes(2, 5)) == m.length_code(5)
 
 
 def test_fresh_learner_hypothesis_content():

@@ -57,6 +57,23 @@ def test_parity_marker_rides_the_horizon():
     assert c.b_values() == [3]
 
 
+def test_marker_reads_past_the_horizon_raise():
+    c = _table("length_parity", 0, 31)
+    for read in (
+        lambda: c.a_values(s=32),
+        lambda: c.b_values(s=32),
+        lambda: c.observed_a(1, 10**9),
+        lambda: c.observed_b(0, 32),
+        lambda: c.r_prefix(20, "plain", s=32),
+        lambda: c.r_prefix(20, "hat", s=32),
+    ):
+        with pytest.raises(ValueError, match="stage .* beyond current horizon 31"):
+            read()
+    # the horizon's answer was not the answer at stage 32
+    c.run_to(32)
+    assert c.a_values(s=32) == [2, 32]
+
+
 def test_fresh_learner_has_no_markers():
     c = _table("fresh_each_step", 0, 30)
     assert c.a_values() == []

@@ -1,7 +1,5 @@
 """Vacillation-depth estimates over extensions of the surviving base row."""
 
-import pytest
-
 from limitlearn import Workspace
 
 
@@ -29,5 +27,5 @@ def test_separation_needs_a_surviving_base_row():
     ws = Workspace()
     c = ws.construction("fresh_each_step", 0)
     c.run_to(30)
-    with pytest.raises(ValueError, match="row 0 has no stable value"):
-        c.separation_level(50)
+    # row 0 is undefined, so there is no base to measure: no level at all
+    assert c.separation_level(50) is None

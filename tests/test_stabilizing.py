@@ -1,7 +1,7 @@
-"""Stabilizing-pair checks: the profiled fast path against brute enumeration.
+"""Stabilizing-pair checks: the profiled check against brute enumeration.
 
-The brute path literally enumerates every admissible extension up to the
-budget, so it serves as the oracle here. Budgets stay tiny (s <= 4) because
+The brute oracle (tests/brute_oracle.py) literally enumerates every
+admissible extension up to the budget. Budgets stay tiny (s <= 4) because
 brute cost is exponential in s.
 """
 
@@ -19,10 +19,11 @@ from limitlearn import (
     Registry,
     StepFunctionEnumerator,
     base_qualifies,
-    candidate_strings,
     check_stabilizing,
     stab_witness_valid,
 )
+
+from brute_oracle import candidate_strings, check_brute
 
 
 def test_base_qualifies():
@@ -51,7 +52,7 @@ def test_brute_check_past_its_budget_fails_fast():
         ValueError,
         match="5380840 candidate strings at stage 8, over the budget of 1000000",
     ):
-        check_stabilizing(0, 0, (0,), 8, ConstantLearner(), Registry(), method="brute")
+        check_brute(0, 0, (0,), 8, ConstantLearner(), Registry())
     assert time.monotonic() - started < 1
 
 
@@ -59,19 +60,19 @@ def test_condition_one_rejections():
     reg = Registry()
     m = ConstantLearner()
     # content must contain e..e+k
-    w = check_stabilizing(0, 1, (0,), 4, m, reg, method="brute")
+    w = check_brute(0, 1, (0,), 4, m, reg)
     assert w is not None and w.violated_condition == 1
     # content must avoid values below e
-    w = check_stabilizing(2, 0, (2, 1), 4, m, reg, method="brute")
+    w = check_brute(2, 0, (2, 1), 4, m, reg)
     assert w is not None and w.violated_condition == 1
 
 
 def test_constant_learner_stabilizes_immediately():
     reg = Registry()
     m = ConstantLearner()
-    for method in ("brute", "profile"):
-        assert check_stabilizing(0, 0, (0,), 3, m, reg, method=method) is None
-        assert check_stabilizing(1, 1, (1, 2), 4, m, reg, method=method) is None
+    for check in (check_brute, check_stabilizing):
+        assert check(0, 0, (0,), 3, m, reg) is None
+        assert check(1, 1, (1, 2), 4, m, reg) is None
 
 
 def test_profile_requires_profiled_learner():
@@ -79,17 +80,18 @@ def test_profile_requires_profiled_learner():
     m = LengthParityLearner(reg)
     unprofiled = type("L", (), {"length_profiled": False, "decide": lambda self, s: 0})()
     with pytest.raises(ValueError, match="length-profiled"):
-        check_stabilizing(0, 0, (0,), 2, unprofiled, reg, method="profile")
-    with pytest.raises(ValueError, match="unknown method"):
-        check_stabilizing(0, 0, (0,), 2, m, reg, method="cleverly")
+        check_stabilizing(0, 0, (0,), 2, unprofiled, reg)
+    # one check, no method to choose
+    with pytest.raises(TypeError, match="method"):
+        check_stabilizing(0, 0, (0,), 2, m, reg, method="profile")
 
 
 def test_fresh_learner_never_stabilizes_with_budget():
     reg = Registry()
     m = FreshLengthLearner(reg)
     # any extension pushes the output code past the current string length
-    for method in ("brute", "profile"):
-        w = check_stabilizing(0, 0, (0,), 3, m, reg, method=method)
+    for check in (check_brute, check_stabilizing):
+        w = check(0, 0, (0,), 3, m, reg)
         assert w is not None
         assert w.violated_condition == 2
         assert stab_witness_valid(w, 0, 0, (0,), 3, m, reg)
@@ -123,8 +125,8 @@ def test_profile_agrees_with_brute_on_sample_learners():
             k = rng.randint(0, 2)
             s = rng.randint(0, 4)
             sigma = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
-            brute = check_stabilizing(e, k, sigma, s, learner, reg, method="brute")
-            prof = check_stabilizing(e, k, sigma, s, learner, reg, method="profile")
+            brute = check_brute(e, k, sigma, s, learner, reg)
+            prof = check_stabilizing(e, k, sigma, s, learner, reg)
             assert (brute is None) == (prof is None), (learner.name, e, k, sigma, s)
             for w in (brute, prof):
                 if w is not None:
@@ -140,8 +142,8 @@ def test_profile_agrees_with_brute_on_random_learners():
             k = rng.randint(0, 2)
             s = rng.randint(0, 4)
             sigma = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
-            brute = check_stabilizing(e, k, sigma, s, learner, reg, method="brute")
-            prof = check_stabilizing(e, k, sigma, s, learner, reg, method="profile")
+            brute = check_brute(e, k, sigma, s, learner, reg)
+            prof = check_stabilizing(e, k, sigma, s, learner, reg)
             assert (brute is None) == (prof is None), (e, k, sigma, s)
             for w in (brute, prof):
                 if w is not None:
@@ -151,7 +153,7 @@ def test_profile_agrees_with_brute_on_random_learners():
 def test_witness_round_trips_through_as_dict():
     reg = Registry()
     m = FreshLengthLearner(reg)
-    w = check_stabilizing(0, 0, (0,), 3, m, reg, method="profile")
+    w = check_stabilizing(0, 0, (0,), 3, m, reg)
     d = w.as_dict()
     assert d["violated_condition"] == 2
     assert tuple(d["tau"]) == w.tau
@@ -160,7 +162,7 @@ def test_witness_round_trips_through_as_dict():
 def test_invalid_witness_is_rejected():
     reg = Registry()
     m = ConstantLearner()
-    w = check_stabilizing(0, 1, (0,), 4, m, reg, method="brute")
+    w = check_brute(0, 1, (0,), 4, m, reg)
     assert w is not None
     # the same witness transplanted onto a passing instance must not validate
     assert not stab_witness_valid(w, 0, 0, (0,), 3, m, reg)
@@ -197,7 +199,7 @@ def _fresh_registry(make):
 )
 def test_profile_witnesses_are_pinned(setup, e, k, sigma, s, witness, queries):
     reg, learner = _late_disagreement() if setup == "late" else _fresh_registry(setup)
-    w = check_stabilizing(e, k, sigma, s, learner, reg, method="profile")
+    w = check_stabilizing(e, k, sigma, s, learner, reg)
     assert reg.query_count == queries
     if witness is None:
         assert w is None
