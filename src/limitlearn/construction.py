@@ -42,7 +42,11 @@ confirmation exists by stage s that x can never become a marker.
 Confirmations are monotone facts, so the enumerators never retract an
 element. Confirmations go into one log in stage order; an x that must wait
 sits in a heap keyed by the one depth F it waits on, so each x costs O(log n)
-once and a view at stage s reads the log's prefix (see confirmation_stage).
+once (see confirmation_stage). The views read slices of the log, found by
+bisecting its stages: ``at_stage(s)`` reads the entries up to stage s, and
+``new_between(s0, s1)`` only the entries that stages s0+1..s1 added, so a
+caller walking the stages one at a time (a canonical text) pays for each
+element once instead of copying the whole prefix at every stage.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from itertools import islice, repeat, takewhile
 from math import inf
 from typing import Iterator
 
-from .encodings import Sequence, _check_natural, is_prefix
+from .encodings import Sequence, _check_natural, is_prefix, next_free
 from .learners import Learner
 from .stabilizing import StabWitness, Survival, check_stabilizing
 from .universe import Enumerator, Registry
@@ -118,6 +122,9 @@ class Construction:
         self._skip: dict[int, dict[int, int]] = {}
         # log x -> plain confirmation stage through _confirmed; waiting (-F, x)
         self._conf_at: dict[int, int] = {}
+        # the same log in stage order: _log_x[i] was confirmed at _log_t[i]
+        self._log_x: list[int] = []
+        self._log_t: list[int] = []
         self._confirmed = -1
         self._waiting: list[tuple[float, int]] = []
         self.counters = {
@@ -202,25 +209,15 @@ class Construction:
         if base is None or self.e + k > s:
             return None
         skip = self._skip.setdefault(k, {})
-        m = self._next_length(skip, len(base) + 1)
+        m = next_free(skip, len(base) + 1)
         while m <= s:
             self.counters["length_checks"] += 1
             qs = Survival(m, k)
             if qs.fold(self.learner, self.registry, m, s) is None:
                 return (*base, *repeat(self.e, m - len(base) - 1), self.e + k), qs
             skip[m] = m + 1
-            m = self._next_length(skip, m + 1)
+            m = next_free(skip, m + 1)
         return None
-
-    @staticmethod
-    def _next_length(skip: dict[int, int], m: int) -> int:
-        """Least length >= m not known to fail; compresses the path it walks."""
-        top = m
-        while top in skip:
-            top = skip[top]
-        while m != top:
-            skip[m], m = top, skip[m]
-        return top
 
     # ---------------- row access ----------------
 
@@ -361,25 +358,30 @@ class Construction:
     # Confirmations are final, so one log keeps them in stage order, extended
     # lazily. Stage t logs each waiting x with F >= _moved[t] (a heap keyed by
     # F), then logs x = t (F = inf if trivial) or pushes it to wait. Each x is
-    # pushed and popped at most once, O(log n) once; views read log prefixes.
+    # pushed and popped at most once, O(log n) once; views read log slices.
 
     def _confirm_to(self, s: int) -> None:
         self.run_to(s)
         e, defined, moved, waiting = self.e, self._defined, self._moved, self._waiting
         for t in range(self._confirmed + 1, s + 1):
             while waiting and -waiting[0][0] >= moved[t]:
-                self._conf_at[heappop(waiting)[1]] = t
+                self._confirm(heappop(waiting)[1], t)
                 self.counters["conf_cells"] += 1
             if t % 2 == 1 or t <= e + 1:
                 frozen = inf
             else:
                 frozen = max(0, min(t - e - 3, defined[t - 2], moved[t - 1], moved[t]))
             if frozen >= min(defined[t], t - e - 1):
-                self._conf_at[t] = t
+                self._confirm(t, t)
             else:
                 heappush(waiting, (-frozen, t))
             self.counters["conf_cells"] += 1
             self._confirmed = t
+
+    def _confirm(self, x: int, t: int) -> None:
+        self._conf_at[x] = t
+        self._log_x.append(x)
+        self._log_t.append(t)
 
     def confirmation_stage(self, x: int, variant: str = "plain") -> int | None:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -400,14 +402,28 @@ class Construction:
     def diagonal_at_stage(self, s: int, variant: str = "plain") -> frozenset[int]:
         _check_natural(s, "stage")
         _check_variant(variant)
-        self._confirm_to(s)
-        e = self.e
-        logged = takewhile(lambda xt: xt[1] <= s, self._conf_at.items())
+        return self._entered(-1, s, variant)
+
+    def _entered(self, s0: int, s1: int, variant: str) -> frozenset[int]:
+        """Diagonal elements that enter at stages s0+1..s1; s0 = -1 reads all.
+
+        Reads only the log entries of those stages (and of stage s0 for hat).
+        """
+        self._confirm_to(s1)
+        e, log_t = self.e, self._log_t
+        hi = bisect_right(log_t, s1)
         if variant == "plain":
-            return frozenset(x for x, _ in logged if x >= e)
-        # hat x + 1 enters once plain x is logged, but not before stage x + 1
-        hat = frozenset(x + 1 for x, _ in logged if e <= x + 1 <= s)
-        return hat | {0} if e == 0 else hat
+            lo = bisect_right(log_t, s0)
+            return frozenset(x for x in self._log_x[lo:hi] if x >= e)
+        # hat x + 1 enters once plain x is logged at t, but not before stage
+        # x + 1; x <= t, so it enters at t or t + 1, and t = s0 is read too
+        lo = bisect_right(log_t, s0 - 1)
+        hat = frozenset(
+            x + 1
+            for x, t in zip(self._log_x[lo:hi], log_t[lo:hi])
+            if x + 1 >= e and s0 < max(t, x + 1) <= s1
+        )
+        return hat | {0} if e == 0 and s0 < 0 else hat
 
     # ---------------- derived experiments ----------------
 
@@ -493,3 +509,7 @@ class DiagonalView(Enumerator):
 
     def at_stage(self, s: int) -> frozenset[int]:
         return self.construction.diagonal_at_stage(s, self.variant)
+
+    def _delta(self, s0: int, s1: int) -> frozenset[int]:
+        """Exactly at_stage(s1) - at_stage(s0), read from the log's slice."""
+        return self.construction._entered(s0, s1, self.variant)

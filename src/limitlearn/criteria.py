@@ -15,6 +15,11 @@ point, or a set element observed early and still absent from the partner at
 the full stage), so rerunning with a larger horizon keeps them valid. The
 finite-i content clause is the one deliberate exception: it compares against
 prefix content, which can still grow, and is marked revocable in details.
+
+Texts and traces are linear in what they read. canonical_text walks the
+stages one at a time and asks the registry only for what each stage added
+(``new_between``); run_learner hands the whole text to the learner once
+(``Learner.outputs``) instead of one prefix per step.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from enum import Enum
 from itertools import combinations
 
 from .encodings import Sequence
-from .learners import Learner
+from .learners import Learner, _check_horizon
 from .universe import DiscoveryCursor, Registry
 
 
@@ -71,6 +76,9 @@ def canonical_text(registry: Registry, code: int, length: int) -> Text:
     refreshes discovery up to stage s0 + n (s0 = first nonempty stage), then
     emits the next undelivered element, or repeats the least known element
     when delivery has caught up; late discoveries still surface later.
+    The refresh at n > 0 reads only what stage s0 + n added
+    (``Registry.new_between``, one query like ``enumerate_to``), so a text
+    costs what its set enumerates, not a whole snapshot per position.
     """
     if length < 0:
         raise ValueError(f"text length {length} is negative")
@@ -86,22 +94,20 @@ def canonical_text(registry: Registry, code: int, length: int) -> Text:
     p = 0
     for n in range(length):
         if n > 0:
-            cursor.advance(registry.enumerate_to(code, s0 + n))
+            cursor.advance(registry.new_between(code, s0 + n - 1, s0 + n))
         if p < len(cursor.order):
             items.append(cursor.order[p])
             p += 1
         else:
-            items.append(min(cursor.order))
+            items.append(cursor.least)
     return Text(items=tuple(items), label=f"canonical:{code}")
 
 
 def run_learner(learner: Learner, text: Text, horizon: int) -> Trace:
-    """Feed prefixes of lengths 0..horizon; horizon+1 outputs total."""
-    if horizon < 0:
-        raise ValueError(f"horizon {horizon} is negative")
-    if horizon > len(text):
-        raise ValueError(f"horizon {horizon} exceeds text length {len(text)}")
-    outputs = tuple(learner.decide(text.prefix(n)) for n in range(horizon + 1))
+    """Feed prefixes of lengths 0..horizon (``Learner.outputs``); horizon+1
+    outputs total."""
+    _check_horizon(horizon, len(text))
+    outputs = learner.outputs(text.items, horizon)
     return Trace(outputs=outputs, text=text, horizon=horizon)
 
 

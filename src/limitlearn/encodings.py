@@ -3,7 +3,9 @@
 Everything downstream speaks naturals. Pairing is the classic Cantor diagonal,
 finite sets are bit vectors (element i present iff bit i of the index is set),
 and sequences are plain tuples ordered length-first, then lexicographically.
-Python ints are arbitrary precision, so none of these can overflow.
+Python ints are arbitrary precision, so none of these can overflow. One
+search helper lives here too, because the table and the gap-parity learner
+both need it: the least natural not yet taken, with path-compressed skips.
 """
 
 from __future__ import annotations
@@ -18,6 +20,20 @@ EMPTY: Sequence = ()
 def _check_natural(value: int, name: str = "value") -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a natural number, got {value!r}")
+
+
+def next_free(skip: dict[int, int], m: int) -> int:
+    """Least n >= m that is not a key of skip; compresses the path it walks.
+
+    Each key k maps to a larger value whose predecessors from k on are all
+    keys, so a caller marks k as taken with skip[k] = k + 1.
+    """
+    top = m
+    while top in skip:
+        top = skip[top]
+    while m != top:
+        skip[m], m = top, skip[m]
+    return top
 
 
 def pair(x: int, y: int) -> int:

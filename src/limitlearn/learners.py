@@ -9,6 +9,11 @@ the stabilization check reasons about all extensions of a string at once
 instead of enumerating them. The gap-parity learner is the other kind:
 it reads the content of its input and answers with a diagonal hypothesis, and
 is the one expected to actually succeed on the constructed families.
+
+A trace asks for the outputs on every prefix of one text, through
+``outputs(items, horizon)``. Its default decides each prefix afresh, which
+costs the square of the horizon; the gap-parity learner carries its least
+element and first gap from one prefix to the next instead.
 """
 
 from __future__ import annotations
@@ -16,8 +21,15 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .encodings import Sequence
+from .encodings import Sequence, next_free
 from .universe import FiniteSetEnumerator, Registry
+
+
+def _check_horizon(horizon: int, length: int) -> None:
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
+    if horizon > length:
+        raise ValueError(f"horizon {horizon} exceeds text length {length}")
 
 
 class Learner:
@@ -31,6 +43,11 @@ class Learner:
 
     def decide(self, seq: Sequence) -> int:
         raise NotImplementedError
+
+    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        """decide(items[:n]) for n = 0..horizon; horizon + 1 outputs."""
+        _check_horizon(horizon, len(items))
+        return tuple(self.decide(items[:n]) for n in range(horizon + 1))
 
     def length_code(self, m: int) -> int:
         """Code output on every sequence of length m (profiled learners only)."""
@@ -201,5 +218,22 @@ class GapParityLearner(Learner):
         f = guess_features(seq)
         if f is None:
             return 0
-        variant = "plain" if f.gap % 2 == 0 else "hat"
-        return self._resolver(f.min_value, variant)
+        return self._resolve(f.min_value, f.gap)
+
+    def _resolve(self, min_value: int, gap: int) -> int:
+        return self._resolver(min_value, "plain" if gap % 2 == 0 else "hat")
+
+    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        """decide on every prefix in one pass, calling the resolver as decide
+        would. Seen values are keys of a path-compressed skip map, so a gap
+        that falls back below earlier content never rescans it."""
+        _check_horizon(horizon, len(items))
+        out = [0]
+        seen: dict[int, int] = {}
+        low = None
+        for x in items[:horizon]:
+            seen.setdefault(x, x + 1)
+            if low is None or x < low:
+                low = x
+            out.append(self._resolve(low, next_free(seen, low + 1)))
+        return tuple(out)

@@ -2,13 +2,19 @@
 
 An enumerator models a set being listed over discrete stages: ``at_stage(s)``
 is the finite portion visible by stage s, and it must never lose elements as
-s grows. The registry assigns natural-number codes to enumerators so learners
-can output hypotheses as plain ints; code 0 is reserved for the empty set.
+s grows. ``new_between(s0, s1)`` reads only what stages s0+1..s1 added: its
+result D satisfies at_stage(s1) - at_stage(s0) <= D <= at_stage(s1), so a
+caller that has seen every stage up to s0 learns stage s1 from D alone. The
+default subtracts two snapshots; enumerators that know their deltas (finite
+sets, unions, the diagonal views) override ``_delta`` and answer without
+building either one. The registry assigns natural-number codes to
+enumerators so learners can output hypotheses as plain ints; code 0 is
+reserved for the empty set.
 
 Determinism: all methods return frozensets and take no hidden state; callers
 that need ordered output must sort. The registry counts every ``at_stage``
-query it forwards, which gives reproducible work measurements independent of
-wall clock.
+and ``new_between`` query it forwards, one each, which gives reproducible
+work measurements independent of wall clock.
 """
 
 from __future__ import annotations
@@ -19,11 +25,27 @@ from .encodings import _check_natural
 
 
 class Enumerator:
-    """One set unfolding over stages; subclasses fill in at_stage."""
+    """One set unfolding over stages; subclasses fill in at_stage.
+
+    new_between checks its stages once and hands them to _delta, which a
+    subclass overrides when it can read a delta without two snapshots.
+    """
 
     def at_stage(self, s: int) -> frozenset[int]:
         """Elements enumerated by stage s. Must be monotone in s."""
         raise NotImplementedError
+
+    def new_between(self, s0: int, s1: int) -> frozenset[int]:
+        """A superset of at_stage(s1) - at_stage(s0) within at_stage(s1)."""
+        _check_natural(s0, "stage")
+        _check_natural(s1, "stage")
+        if s1 < s0:
+            raise ValueError(f"stage {s1} comes before stage {s0}")
+        return self._delta(s0, s1)
+
+    def _delta(self, s0: int, s1: int) -> frozenset[int]:
+        """new_between for stages already checked; override to skip snapshots."""
+        return self.at_stage(s1) - self.at_stage(s0)
 
     def stable_below(self, k: int, s: int) -> bool:
         """True only if the part below k provably never changes after stage s.
@@ -38,6 +60,9 @@ class EmptyEnumerator(Enumerator):
 
     def at_stage(self, s: int) -> frozenset[int]:
         _check_natural(s, "stage")
+        return frozenset()
+
+    def _delta(self, s0: int, s1: int) -> frozenset[int]:
         return frozenset()
 
     def stable_below(self, k: int, s: int) -> bool:
@@ -55,6 +80,9 @@ class FiniteSetEnumerator(Enumerator):
     def at_stage(self, s: int) -> frozenset[int]:
         _check_natural(s, "stage")
         return self._elements if s >= 1 else frozenset()
+
+    def _delta(self, s0: int, s1: int) -> frozenset[int]:
+        return self._elements if s0 < 1 <= s1 else frozenset()
 
     def stable_below(self, k: int, s: int) -> bool:
         return s >= 1
@@ -85,6 +113,14 @@ class UnionEnumerator(Enumerator):
         out: set[int] = set()
         for p in self._parts:
             out |= p.at_stage(s)
+        return frozenset(out)
+
+    def _delta(self, s0: int, s1: int) -> frozenset[int]:
+        """Union of the parts' deltas; it may hold an element that one part
+        adds and another had already, which the contract allows."""
+        out: set[int] = set()
+        for p in self._parts:
+            out |= p._delta(s0, s1)
         return frozenset(out)
 
     def stable_below(self, k: int, s: int) -> bool:
@@ -124,6 +160,12 @@ class Registry:
         self.query_count += 1
         return enum.at_stage(s)
 
+    def new_between(self, code: int, s0: int, s1: int) -> frozenset[int]:
+        """new_between(s0, s1) of the coded enumerator; counts as one query."""
+        enum = self.get(code)
+        self.query_count += 1
+        return enum.new_between(s0, s1)
+
     def stable_below(self, code: int, k: int, s: int) -> bool:
         return self.get(code).stable_below(k, s)
 
@@ -161,17 +203,23 @@ class DiscoveryCursor:
     """Tracks first-appearance order of elements across stages.
 
     Feeding stages in increasing order yields a canonical listing: within one
-    stage, newly seen elements are appended in sorted order. Used to turn an
-    enumerator into a concrete text deterministically.
+    stage, newly seen elements are appended in sorted order. A stage may be
+    fed whole or as any superset of what it added (``new_between``): elements
+    seen before are dropped either way. Used to turn an enumerator into a
+    concrete text deterministically.
     """
 
     def __init__(self) -> None:
         self._seen: set[int] = set()
         self.order: list[int] = []
+        self.least: int | None = None  # min(order), kept as order grows
 
     def advance(self, elements: frozenset[int]) -> list[int]:
         """Record a stage snapshot; returns the elements new to this stage."""
         fresh = sorted(elements - self._seen)
-        self._seen.update(fresh)
-        self.order.extend(fresh)
+        if fresh:
+            self._seen.update(fresh)
+            self.order.extend(fresh)
+            if self.least is None or fresh[0] < self.least:
+                self.least = fresh[0]
         return fresh

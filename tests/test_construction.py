@@ -6,6 +6,7 @@ order (least string, length first, then lexicographic) and then pinned.
 
 import random
 from bisect import bisect_right
+from itertools import chain
 from math import inf
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from limitlearn import (
     ConstantLearner,
     Construction,
+    DiagonalView,
     FiniteSetEnumerator,
     FreshLengthLearner,
     LengthParityLearner,
@@ -685,3 +687,50 @@ def test_confirmation_work_is_linear_in_the_horizon(kind):
             assert c.counters["conf_cells"] <= 2 * (c.stage + 1), (e, s)
         for x in range(horizon + 1):
             assert c.confirmation_stage(x) == _conf_closed_form(c, x), (e, x)
+
+
+# ---------------- deltas of the diagonal views ----------------
+
+
+def _entries_by_stage(c, variant, horizon):
+    """The x <= horizon that enter the view at each stage, from the seed scan."""
+    out = [[] for _ in range(horizon + 1)]
+    for x in range(c.e, horizon + 1):
+        t = _scan_confirmation(c, x, variant)
+        if t is not None and t <= horizon:
+            out[t].append(x)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_view_deltas_match_the_seed_scan(kind, e):
+    horizon = 501
+    ref = Workspace().construction(kind, e)
+    ref.run_to(horizon)
+    entries = {v: _entries_by_stage(ref, v, horizon) for v in ("plain", "hat")}
+
+    def want(variant, s0, s1):
+        return frozenset(chain.from_iterable(entries[variant][s0 + 1 : s1 + 1]))
+
+    rng = random.Random(f"{kind}-{e}")
+    steps = [(s, s + 1) for s in range(horizon)]
+    spans = [tuple(sorted(rng.sample(range(horizon + 1), 2))) for _ in range(200)]
+    spans += [(s, s) for s in rng.sample(range(horizon + 1), 5)]
+    for order in (steps, steps[::-1], rng.sample(steps, len(steps)), spans):
+        # a fresh table per order: the log extends lazily, to the highest stage asked
+        views = {v: DiagonalView(Workspace().construction(kind, e), v) for v in ("plain", "hat")}
+        for s0, s1 in order:
+            for variant, view in views.items():
+                got = view.new_between(s0, s1)
+                assert got == want(variant, s0, s1), (variant, s0, s1)
+                if order is spans:
+                    assert got == view.at_stage(s1) - view.at_stage(s0), (variant, s0, s1)
+
+
+def test_view_deltas_refuse_bad_stages():
+    view = DiagonalView(_constant(), "hat")
+    with pytest.raises(ValueError, match="got -1"):
+        view.new_between(-1, 4)
+    with pytest.raises(ValueError, match="stage 3 comes before stage 4"):
+        view.new_between(4, 3)

@@ -125,3 +125,22 @@ def test_is_prefix():
     assert is_prefix((4, 5), (4, 5))
     assert not is_prefix((5,), (4, 5))
     assert not is_prefix((4, 5, 6), (4, 5))
+
+
+def test_next_free_skips_taken_values_and_compresses():
+    from limitlearn.encodings import next_free
+
+    rng = random.Random(5)
+    taken = set()
+    skip = {}
+    for _ in range(400):
+        x = rng.randint(0, 60)
+        taken.add(x)
+        skip.setdefault(x, x + 1)
+        m = rng.randint(0, 62)
+        want = m
+        while want in taken:
+            want += 1
+        assert next_free(skip, m) == want
+        # every link still points past taken values only
+        assert all(all(v in taken for v in range(k, t)) for k, t in skip.items())

@@ -141,3 +141,61 @@ def test_registry_backed_learners_share_a_registry():
     assert a.length_code(0) != b.length_code(0)
     assert reg.enumerate_to(b.length_code(0), 1) == frozenset({0})
     assert FiniteSetEnumerator({0}).at_stage(1) == frozenset({0})
+
+
+def _random_text(rng):
+    """A text whose least element drops now and then, with repeats and
+    occasional large values."""
+    length = rng.randint(0, 60)
+    shape = rng.choice(("dense", "descending", "sparse"))
+    items = []
+    for k in range(length):
+        if shape == "dense":
+            x = rng.randint(0, 12)
+        elif shape == "descending":
+            # a falling floor with refills just above it
+            x = max(0, 40 - 2 * k + rng.randint(-1, 3))
+        else:
+            x = rng.choice((rng.randint(0, 8), rng.randint(0, 10**6), 10**18 + k))
+        items.append(x)
+        if items and rng.random() < 0.2:
+            items.append(rng.choice(items))
+    return tuple(items)
+
+
+def test_gap_parity_outputs_equal_per_prefix_decide():
+    rng = random.Random(7)
+    drops = 0
+    for _ in range(2500):
+        items = _random_text(rng)
+        horizon = rng.randint(0, len(items))
+        calls = {"decide": [], "outputs": []}
+
+        def resolver_for(log):
+            def resolve(e, variant):
+                log.append((e, variant))
+                return 2 * e + (variant == "hat") + 1
+
+            return resolve
+
+        per_prefix = GapParityLearner(resolver_for(calls["decide"]))
+        want = tuple(per_prefix.decide(items[:n]) for n in range(horizon + 1))
+        streaming = GapParityLearner(resolver_for(calls["outputs"]))
+        assert streaming.outputs(items, horizon) == want, (items, horizon)
+        # the resolver registers codes lazily: same calls, same order
+        assert calls["outputs"] == calls["decide"]
+        mins = [min(items[:n]) for n in range(1, horizon + 1)]
+        drops += sum(b < a - 1 for a, b in zip(mins, mins[1:]))
+    assert drops > 500  # the least element fell by 2 or more that often
+
+
+@pytest.mark.parametrize(
+    "learner", [FunctionLearner(len), GapParityLearner(lambda e, variant: 1)]
+)
+def test_learner_outputs_refuse_bad_horizons(learner):
+    assert len(learner.outputs((5, 6, 7), 2)) == 3
+    with pytest.raises(ValueError, match="horizon -1 is negative"):
+        learner.outputs((5, 6, 7), -1)
+    with pytest.raises(ValueError, match="horizon 4 exceeds text length 3"):
+        learner.outputs((5, 6, 7), 4)
+

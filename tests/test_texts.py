@@ -4,10 +4,13 @@ import pytest
 
 from limitlearn import (
     ConstantLearner,
+    DiscoveryCursor,
     Enumerator,
     FiniteSetEnumerator,
     Registry,
+    StepFunctionEnumerator,
     Text,
+    Workspace,
     canonical_text,
     run_learner,
 )
@@ -90,3 +93,113 @@ def test_run_learner_refuses_horizon_past_text():
     t = Text((0, 0), label="short")
     with pytest.raises(ValueError, match="exceeds text length"):
         run_learner(ConstantLearner(), t, 3)
+
+
+# ---------------- canonical_text against the per-stage snapshot loop ----------------
+
+
+def _canonical_text_by_snapshots(registry, code, length):
+    """The snapshot loop canonical_text replaced: every position reads the
+    whole set at its stage, and padding scans for the least element."""
+    cursor = DiscoveryCursor()
+    s0 = 0
+    while not cursor.advance(registry.enumerate_to(code, s0)):
+        if s0 == length:
+            raise ValueError(f"code {code} enumerated nothing by stage {length}")
+        s0 += 1
+    items = []
+    p = 0
+    for n in range(length):
+        if n > 0:
+            cursor.advance(registry.enumerate_to(code, s0 + n))
+        if p < len(cursor.order):
+            items.append(cursor.order[p])
+            p += 1
+        else:
+            items.append(min(cursor.order))
+    return tuple(items)
+
+
+def _assert_same_text(make, length):
+    """Same items and the same number of registry queries as the oracle, each
+    on a fresh (registry, code) pair from make()."""
+    reg, code = make()
+    before = reg.query_count
+    got = canonical_text(reg, code, length)
+    fast_queries = reg.query_count - before
+    reg, code = make()
+    before = reg.query_count
+    want = _canonical_text_by_snapshots(reg, code, length)
+    assert got.items == want
+    assert fast_queries == reg.query_count - before
+
+
+def _registered(enum):
+    reg = Registry()
+    return reg, reg.register(enum)
+
+
+@pytest.mark.parametrize("length", [3, 5, 12, 40])
+def test_canonical_text_matches_snapshots_on_late_discoveries(length):
+    _assert_same_text(lambda: _registered(_Late()), length)
+
+
+@pytest.mark.parametrize("length", [1, 7, 30, 80])
+def test_canonical_text_matches_snapshots_on_a_non_monotone_step(length):
+    # 5 vanishes and returns, 1 shows only at stages 2 mod 3, 0 comes late
+    step = StepFunctionEnumerator(
+        lambda s: ({5} if s % 4 != 3 else set())
+        | ({1} if s % 3 == 2 else set())
+        | ({0} if s >= 9 else set())
+        | ({s // 5 + 10} if s >= 4 else set())
+    )
+    _assert_same_text(lambda: _registered(step), length)
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+@pytest.mark.parametrize("e", [0, 1])
+def test_canonical_text_matches_snapshots_on_family_members(kind, e):
+    for n, variant, length in ((0, "plain", 400), (13, "hat", 400), (4000, "plain", 150)):
+
+        def make():
+            ws = Workspace()
+            return ws.registry, ws.family_member_code(kind, e, n, variant)
+
+        _assert_same_text(make, length)
+
+
+# ---------------- cost gate: a text reads each element about once ----------------
+
+
+class _Counting(Enumerator):
+    """Passes queries through and adds up the sizes of the sets it hands out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.handed = 0
+
+    def at_stage(self, s):
+        out = self.inner.at_stage(s)
+        self.handed += len(out)
+        return out
+
+    def _delta(self, s0, s1):
+        out = self.inner.new_between(s0, s1)
+        self.handed += len(out)
+        return out
+
+
+@pytest.mark.parametrize("variant", ["plain", "hat"])
+def test_text_reads_linear_in_its_length(variant):
+    n = 13  # finite part {0, 2, 3}
+    handed = {}
+    for length in (500, 1000):
+        ws = Workspace()
+        member = ws.registry.get(ws.family_member_code("constant_zero", 0, n, variant))
+        counting = _Counting(member)
+        canonical_text(ws.registry, ws.registry.register(counting), length)
+        handed[length] = counting.handed
+        # the diagonal part adds at most one element per stage, the finite
+        # part shows up once
+        assert counting.handed <= length + 3 + 2, (length, counting.handed)
+    assert handed[1000] <= 2.2 * handed[500], handed

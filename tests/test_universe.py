@@ -1,10 +1,13 @@
 """Stage-indexed enumerators, the hypothesis registry, and monotonicity checks."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from limitlearn import (
     DiscoveryCursor,
     EmptyEnumerator,
+    Enumerator,
     FiniteSetEnumerator,
     Registry,
     StepFunctionEnumerator,
@@ -101,3 +104,93 @@ def test_discovery_cursor():
     assert cur.advance({3, 1}) == []
     assert cur.advance({5, 1, 0}) == [0, 5]
     assert cur.order == [1, 3, 0, 5]
+
+
+def test_discovery_cursor_keeps_its_least_element():
+    cur = DiscoveryCursor()
+    assert cur.least is None
+    for elements in ({7, 9}, {8}, set(), {3, 12}, {5}, {3}):
+        cur.advance(elements)
+        assert cur.least == min(cur.order)
+    assert cur.least == 3
+
+
+# ---------------- new_between: the delta contract ----------------
+
+
+def _contract_cases():
+    """Enumerators whose deltas are computed, not defaulted, plus defaults."""
+    late = StepFunctionEnumerator(lambda s: {7} if s >= 3 else set())
+    flicker = StepFunctionEnumerator(
+        lambda s: {0, 4} | ({1} if s % 3 == 1 else set()) | ({2} if 4 <= s < 7 else set())
+    )
+    return {
+        "empty": EmptyEnumerator(),
+        "finite": FiniteSetEnumerator({3, 1, 8}),
+        "finite-empty": FiniteSetEnumerator(()),
+        "union": UnionEnumerator((FiniteSetEnumerator({1, 5}), late, FiniteSetEnumerator({5}))),
+        "union-empty": UnionEnumerator(()),
+        "step-non-monotone": flicker,
+        "union-non-monotone": UnionEnumerator((flicker, FiniteSetEnumerator({2, 9}))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_contract_cases()))
+def test_new_between_lies_between_the_delta_and_the_later_stage(name):
+    enum = _contract_cases()[name]
+    for s0, s1 in combinations_with_replacement(range(13), 2):
+        got = enum.new_between(s0, s1)
+        later = frozenset(enum.at_stage(s1))
+        assert later - frozenset(enum.at_stage(s0)) <= got <= later, (s0, s1)
+
+
+def test_new_between_of_finite_sets_and_unions_is_exact():
+    fin = FiniteSetEnumerator({3, 1})
+    assert fin.new_between(0, 1) == frozenset({1, 3})
+    assert fin.new_between(0, 9) == frozenset({1, 3})
+    assert fin.new_between(1, 9) == frozenset()
+    assert fin.new_between(0, 0) == frozenset()
+    u = UnionEnumerator((fin, StepFunctionEnumerator(lambda s: {7} if s >= 3 else set())))
+    assert u.new_between(2, 3) == frozenset({7})
+    assert u.new_between(0, 3) == frozenset({1, 3, 7})
+    assert u.new_between(3, 5) == frozenset()
+
+
+def test_default_new_between_subtracts_two_snapshots():
+    class Counting(Enumerator):
+        def __init__(self):
+            self.asked = []
+
+        def at_stage(self, s):
+            self.asked.append(s)
+            return frozenset(range(s))
+
+    enum = Counting()
+    assert enum.new_between(3, 6) == frozenset({3, 4, 5})
+    assert sorted(enum.asked) == [3, 6]
+
+
+@pytest.mark.parametrize("name", sorted(_contract_cases()))
+def test_new_between_refuses_bad_stages(name):
+    enum = _contract_cases()[name]
+    with pytest.raises(ValueError, match="stage must be a natural number, got -1"):
+        enum.new_between(-1, 3)
+    with pytest.raises(ValueError, match="stage must be a natural number, got -2"):
+        enum.new_between(0, -2)
+    with pytest.raises(ValueError, match="stage 2 comes before stage 5"):
+        enum.new_between(5, 2)
+
+
+def test_registry_new_between_counts_one_query_and_checks_its_input():
+    reg = Registry()
+    c = reg.register(FiniteSetEnumerator({4}))
+    before = reg.query_count
+    assert reg.new_between(c, 0, 2) == frozenset({4})
+    assert reg.new_between(0, 0, 2) == frozenset()
+    assert reg.query_count == before + 2
+    with pytest.raises(KeyError, match="unregistered hypothesis code 9"):
+        reg.new_between(9, 0, 1)
+    with pytest.raises(ValueError, match="got -1"):
+        reg.new_between(c, -1, 1)
+    with pytest.raises(ValueError, match="stage 1 comes before stage 4"):
+        reg.new_between(c, 4, 1)
