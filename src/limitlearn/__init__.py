@@ -13,14 +13,11 @@ from .criteria import (
     verify_witness,
 )
 from .encodings import (
-    EMPTY,
     content,
     finite_set_decode,
     finite_set_encode,
     is_prefix,
     pair,
-    seq_compare,
-    seq_key,
     unpair,
 )
 from .learners import (
@@ -68,14 +65,11 @@ __all__ = [
     "check_txtfext",
     "run_learner",
     "verify_witness",
-    "EMPTY",
     "content",
     "finite_set_decode",
     "finite_set_encode",
     "is_prefix",
     "pair",
-    "seq_compare",
-    "seq_key",
     "unpair",
     "ConstantLearner",
     "FreshLengthLearner",

@@ -25,11 +25,16 @@ scan of its base either, because of the row rule: row 0 is all e, and row k
 is row k-1's string, then e repeated, then e+k. Row k-1's string holds
 exactly the values e..e+k-1, so e+k is the one value row k must add, and its
 least extension of length m pads with e and ends on e+k; a search only
-chooses m. A stage thus costs the rows that can still change plus the
-strings it writes. That is what makes horizons in the thousands affordable
-while staying exactly faithful to the brute-force semantics of
-stabilization (the tests keep a brute-force check, a brute-force table and
-a full sweep of every row at every stage as oracles).
+chooses m. So the lengths of rows 0..k fix row k's string: a row logs one
+(stage, length) event per change of its string, (stage, None) when it goes
+undefined, and strings are built only where a caller reads one (_strings).
+Row k's string changed iff its length changed, it went to or from undefined,
+or k >= 2 and row k-1's string changed (row 1 is e padding then e+1 whatever
+row 0's length). A stage thus costs the rows that can still change, so table
+time and memory are linear in the horizon, while staying exactly faithful to
+the brute-force semantics of stabilization (the tests keep a brute-force
+check, and a brute-force table and a full sweep that store whole strings, as
+oracles).
 
 On top of the table live the observations. A row that has sat unchanged long
 enough yields its even marker value (observed_a) and the odd successor
@@ -53,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappop, heappush
-from itertools import islice, repeat, takewhile
+from itertools import islice, pairwise, repeat, takewhile
 from math import inf
 from typing import Iterator
 
@@ -74,25 +79,25 @@ def _check_variant(variant: str) -> None:
 
 
 class _Row:
-    """Event-sourced row state: (stage, value) pairs, None meaning undefined."""
+    """Event-sourced row lengths: (stage, length) pairs, None meaning undefined."""
 
     __slots__ = ("n", "events", "stages", "qstate")
 
-    def __init__(self, n: int, seed: Sequence | None):
+    def __init__(self, n: int, seed: int | None):
         self.n = n
-        self.events: list[tuple[int, Sequence | None]] = [(0, seed)]
+        self.events: list[tuple[int, int | None]] = [(0, seed)]
         self.stages = [0]
         self.qstate: Survival | None = None
 
     @property
-    def value(self) -> Sequence | None:
+    def length(self) -> int | None:
         return self.events[-1][1]
 
-    def log(self, stage: int, value: Sequence | None) -> None:
-        self.events.append((stage, value))
+    def log(self, stage: int, length: int | None) -> None:
+        self.events.append((stage, length))
         self.stages.append(stage)
 
-    def value_at(self, s: int) -> Sequence | None:
+    def length_at(self, s: int) -> int | None:
         return self.events[bisect_right(self.stages, s) - 1][1]
 
     def last_change_at_or_before(self, s: int) -> int:
@@ -111,7 +116,7 @@ class Construction:
         self.e = e
         self.registry = registry
         self.stage = 0
-        self.rows: list[_Row] = [_Row(0, ())]
+        self.rows: list[_Row] = [_Row(0, 0)]
         # per stage: how many leading rows are defined, and the lowest row
         # that logged an event (inf if none did)
         self._defined: list[int] = [1]
@@ -148,11 +153,12 @@ class Construction:
         self._moved.append(inf)
         lower_defined = True
         lower_changed = False
+        below_changed = False
         n = self._frontier
         while n < len(self.rows):
             self.counters["rows_visited"] += 1
             row = self.rows[n]
-            old = row.value
+            old = row.length
             if not lower_defined:
                 if old is None:
                     break  # every row above an undefined row is undefined
@@ -163,10 +169,13 @@ class Construction:
             if old is not None and not lower_changed and self._survives(row, s):
                 new, changed = old, False
             else:
-                base = () if n == 0 else self.rows[n - 1].value
+                base = 0 if n == 0 else self.rows[n - 1].length
                 found = self._search_least(n, base, s)
                 new, row.qstate = (None, None) if found is None else found
-                changed = new != old
+                # the string changed iff the length did or, from row 2 on,
+                # the string below did: row 1 is e padding then e + 1
+                # whatever row 0's length
+                changed = new != old or (new is not None and below_changed)
                 if changed:
                     self._log(row, s, new)
             if new is None:
@@ -174,6 +183,7 @@ class Construction:
                 self._defined.append(n)
             elif changed:
                 lower_changed = True
+            below_changed = changed and n > 0
             if new is not None and n == len(self.rows) - 1:
                 self.rows.append(_Row(n + 1, None))
             n += 1
@@ -181,8 +191,8 @@ class Construction:
         while (qs := self.rows[self._frontier].qstate) is not None and qs.settled:
             self._frontier += 1
 
-    def _log(self, row: _Row, stage: int, value: Sequence | None) -> None:
-        row.log(stage, value)
+    def _log(self, row: _Row, stage: int, length: int | None) -> None:
+        row.log(stage, length)
         self._moved[stage] = min(self._moved[stage], row.n)
 
     def _survives(self, row: _Row, s: int) -> bool:
@@ -195,26 +205,25 @@ class Construction:
         return qs.fold(self.learner, self.registry, s, s) is None
 
     def _search_least(
-        self, k: int, base: Sequence | None, s: int
-    ) -> tuple[Sequence, Survival] | None:
-        """Least admissible extension of base that stabilizes at depth k.
+        self, k: int, base: int, s: int
+    ) -> tuple[int, Survival] | None:
+        """Least length of an extension of row k-1 that stabilizes at depth k.
 
-        Base is row k-1's string (empty for row 0) and holds only values in
-        [e, e+k), so the least extension of length m is base, then e up to
-        length m - 1, then e+k; only m is searched for. The string is built
-        in one pass: concatenated tuples leave copies of its length behind,
-        which fragments memory on long rows.
+        Base is row k-1's length (0 for row 0). Row k-1 holds only values in
+        [e, e+k), so the least extension of length m is row k-1, then e up
+        to length m - 1, then e+k; only m is searched for, and no string is
+        built.
         """
         self.counters["searches"] += 1
-        if base is None or self.e + k > s:
+        if self.e + k > s:
             return None
         skip = self._skip.setdefault(k, {})
-        m = next_free(skip, len(base) + 1)
+        m = next_free(skip, base + 1)
         while m <= s:
             self.counters["length_checks"] += 1
             qs = Survival(m, k)
             if qs.fold(self.learner, self.registry, m, s) is None:
-                return (*base, *repeat(self.e, m - len(base) - 1), self.e + k), qs
+                return m, qs
             skip[m] = m + 1
             m = next_free(skip, m + 1)
         return None
@@ -235,50 +244,75 @@ class Construction:
             raise ValueError(f"stage {s} is negative")
         return s
 
+    def _strings(self, s: int, stop: int) -> Iterator[list[int]]:
+        """Strings of rows 0..stop-1 at stage s, each built from the one below.
+
+        Row n of length m is the first m - 1 values of row n-1 padded with
+        e, then e + n; row 0 is e repeated m times. The strings are built in
+        one list, extended in place and yielded after each row, so a caller
+        that keeps a row copies it. A row not longer than the one below
+        comes out cut short, so it does not extend it.
+        """
+        e, out = self.e, []
+        for n in range(stop):
+            m = self.rows[n].length_at(s)
+            if m:  # only row 0 at stage 0 is empty
+                del out[m - 1 :]
+                out.extend(repeat(e, m - 1 - len(out)))
+                out.append(e + n)
+            yield out
+
     def value_at(self, n: int, s: int) -> Sequence | None:
         self._checked_stage(s)
         if n < 0:
             raise ValueError(f"row {n} is negative")
-        if n >= len(self.rows):
+        if n >= self._defined[s]:
             return None
-        return self.rows[n].value_at(s)
+        # lengths grow row to row, so row n is e except at the last position
+        # of each row j >= 1, which holds e + j
+        e = self.e
+        out = [e] * self.rows[n].length_at(s)
+        for j, row in enumerate(self.rows[1 : n + 1], 1):
+            out[row.length_at(s) - 1] = e + j
+        return tuple(out)
 
     def defined_rows(self, s: int | None = None) -> list[tuple[int, Sequence]]:
         s = self._checked_stage(s)
-        return [(n, self.rows[n].value_at(s)) for n in range(self._defined[s])]
+        return [(n, tuple(v)) for n, v in enumerate(self._strings(s, self._defined[s]))]
 
     def chain_ok(self, s: int | None = None) -> bool:
         """Each defined row's string must extend the one below it."""
-        rows = self.defined_rows(s)
-        return all(
-            is_prefix(rows[i][1], rows[i + 1][1]) for i in range(len(rows) - 1)
-        )
+        s = self._checked_stage(s)
+        rows = map(tuple, self._strings(s, self._defined[s]))
+        return all(is_prefix(below, v) for below, v in pairwise(rows))
 
     def reverify_final(self) -> list[tuple[int, StabWitness | None]]:
-        """Re-run the standalone stabilization check on every surviving row."""
-        out = []
-        for n, v in self.defined_rows():
-            w = check_stabilizing(
-                self.e, n, v, self.stage, self.learner, self.registry
-            )
-            out.append((n, w))
-        return out
+        """Re-run the standalone stabilization check on every surviving row.
+
+        Each string is built and read afresh, one row at a time: the cost is
+        linear in the strings' total length (H^2 / 2 for constant_zero at
+        horizon H), not in the horizon.
+        """
+        s = self.stage
+        return [
+            (n, check_stabilizing(self.e, n, tuple(v), s, self.learner, self.registry))
+            for n, v in enumerate(self._strings(s, self._defined[s]))
+        ]
 
     def rows_snapshot(self, limit: int | None = None) -> list[dict]:
         if limit is not None and limit < 0:
             raise ValueError(f"row limit {limit} is negative")
-        out = []
-        for n, row in enumerate(self.rows[: limit if limit is not None else None]):
-            v = row.value
-            out.append(
-                {
-                    "row": n,
-                    "value": None if v is None else list(v),
-                    "since": row.stages[-1],
-                    "changes": len(row.events) - 1,
-                }
-            )
-        return out
+        rows = self.rows[:limit]
+        strings = self._strings(self.stage, min(len(rows), self._defined[self.stage]))
+        return [
+            {
+                "row": n,
+                "value": None if row.length is None else list(next(strings)),
+                "since": row.stages[-1],
+                "changes": len(row.events) - 1,
+            }
+            for n, row in enumerate(rows)
+        ]
 
     # ---------------- marker observation ----------------
 
@@ -469,15 +503,12 @@ class Construction:
         """
         if stage_bound < 0:
             raise ValueError(f"stage bound {stage_bound} is negative")
-        row0 = self.rows[0].value
-        if row0 is None:
+        m0 = self.rows[0].length
+        if m0 is None:
             return None
-        codes = sorted(
-            {
-                self.learner.length_code(m)
-                for m in range(len(row0), stage_bound + 1)
-            }
-        )
+        if m0 > stage_bound:
+            return 0  # no length to read a code at
+        codes = sorted(self.learner.length_codes(m0, stage_bound))
         if len(codes) <= 1:
             return 0
         sets = {c: self.registry.below(c, stage_bound, stage_bound) for c in codes}

@@ -2,7 +2,7 @@
 
 Everything downstream speaks naturals. Pairing is the classic Cantor diagonal,
 finite sets are bit vectors (element i present iff bit i of the index is set),
-and sequences are plain tuples ordered length-first, then lexicographically.
+and sequences are plain tuples.
 Python ints are arbitrary precision, so none of these can overflow. One
 search helper lives here too, because the table and the gap-parity learner
 both need it: the least natural not yet taken, with path-compressed skips.
@@ -13,8 +13,6 @@ from __future__ import annotations
 from math import isqrt
 
 Sequence = tuple[int, ...]
-
-EMPTY: Sequence = ()
 
 
 def _check_natural(value: int, name: str = "value") -> None:
@@ -80,21 +78,6 @@ def finite_set_encode(elements: frozenset[int] | set[int]) -> int:
 def content(seq: Sequence) -> frozenset[int]:
     """Set of values occurring in a sequence."""
     return frozenset(seq)
-
-
-def seq_key(seq: Sequence) -> tuple[int, Sequence]:
-    """Sort key realizing length-first, then lexicographic order."""
-    return (len(seq), seq)
-
-
-def seq_compare(a: Sequence, b: Sequence) -> int:
-    """-1, 0, or 1 comparing sequences in length-lex order."""
-    ka, kb = seq_key(a), seq_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def is_prefix(a: Sequence, b: Sequence) -> bool:

@@ -11,9 +11,10 @@ it reads the content of its input and answers with a diagonal hypothesis, and
 is the one expected to actually succeed on the constructed families.
 
 A trace asks for the outputs on every prefix of one text, through
-``outputs(items, horizon)``. Its default decides each prefix afresh, which
-costs the square of the horizon; the gap-parity learner carries its least
-element and first gap from one prefix to the next instead.
+``outputs(items, horizon)``. A profiled learner reads one length_code per
+prefix length; the gap-parity learner carries its least element and first
+gap from one prefix to the next. Only a learner with neither decides each
+prefix afresh, which costs the square of the horizon.
 """
 
 from __future__ import annotations
@@ -38,15 +39,19 @@ class Learner:
     name = "learner"
 
     # True when decide(seq) depends on seq only through len(seq). Profiled
-    # learners must implement length_code and keep it consistent with decide.
+    # learners implement length_code, and decide reads it.
     length_profiled = False
 
     def decide(self, seq: Sequence) -> int:
+        if self.length_profiled:
+            return self.length_code(len(seq))
         raise NotImplementedError
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide(items[:n]) for n = 0..horizon; horizon + 1 outputs."""
         _check_horizon(horizon, len(items))
+        if self.length_profiled:  # no prefix to slice
+            return tuple(map(self.length_code, range(horizon + 1)))
         return tuple(self.decide(items[:n]) for n in range(horizon + 1))
 
     def length_code(self, m: int) -> int:
@@ -67,9 +72,6 @@ class ConstantLearner(Learner):
 
     name = "constant_zero"
     length_profiled = True
-
-    def decide(self, seq: Sequence) -> int:
-        return 0
 
     def length_code(self, m: int) -> int:
         return 0
@@ -95,9 +97,6 @@ class LengthParityLearner(Learner):
     def __init__(self, registry: Registry):
         self.code_even = registry.register(FiniteSetEnumerator({0}))
         self.code_odd = registry.register(FiniteSetEnumerator({1}))
-
-    def decide(self, seq: Sequence) -> int:
-        return self.length_code(len(seq))
 
     def length_code(self, m: int) -> int:
         return self.code_even if m % 2 == 0 else self.code_odd
@@ -127,9 +126,6 @@ class FreshLengthLearner(Learner):
         self._registry = registry
         self._codes: list[int] = []
 
-    def decide(self, seq: Sequence) -> int:
-        return self.length_code(len(seq))
-
     def length_code(self, m: int) -> int:
         while len(self._codes) <= m:
             n = len(self._codes)
@@ -156,9 +152,6 @@ class ProfiledFunctionLearner(Learner):
         self._finite = finite
         if name is not None:
             self.name = name
-
-    def decide(self, seq: Sequence) -> int:
-        return self._fn(len(seq))
 
     def length_code(self, m: int) -> int:
         return self._fn(m)

@@ -48,12 +48,12 @@ class StabWitness:
 
 def base_qualifies(base: Sequence, s: int, e: int) -> bool:
     """True iff base itself is an admissible string for budget s over [e, s]."""
-    return len(base) <= s and all(e <= x <= s for x in base)
+    return len(base) <= s and (not base or e <= min(base) and max(base) <= s)
 
 
-def _covers_required(e: int, k: int, sigma: Sequence) -> bool:
-    c = content(sigma)
-    return all(x >= e for x in c) and set(range(e, e + k + 1)).issubset(c)
+def _covers_required(e: int, k: int, c: frozenset[int]) -> bool:
+    """Condition 1 on a string's content c: e..e+k all occur, nothing below e."""
+    return min(c, default=e) >= e and c.issuperset(range(e, e + k + 1))
 
 
 class Survival:
@@ -132,11 +132,13 @@ def check_stabilizing(
     registry: Registry,
 ) -> StabWitness | None:
     """None if sigma stabilizes the learner at budget s, else a witness."""
-    if not _covers_required(e, k, sigma):
+    c = content(sigma)  # the one read of sigma; the rest scans lengths
+    if not _covers_required(e, k, c):
         return StabWitness(tau=sigma, t=0, violated_condition=1)
     if not learner.length_profiled:
         raise ValueError("the stabilization check requires a length-profiled learner")
-    if not base_qualifies(sigma, s, e):
+    # not admissible itself: condition 1 already put every value at or above e
+    if len(sigma) > s or (c and max(c) > s):
         return None
     m0 = len(sigma)
     failure = Survival(m0, k).fold(learner, registry, m0, s)
@@ -161,14 +163,9 @@ def stab_witness_valid(
 ) -> bool:
     """Independently confirm a witness without trusting its producer."""
     if witness.violated_condition == 1:
-        return witness.tau == sigma and not _covers_required(e, k, sigma)
+        return witness.tau == sigma and not _covers_required(e, k, content(sigma))
     tau = witness.tau
-    admissible = (
-        is_prefix(sigma, tau)
-        and len(tau) <= s
-        and all(e <= x <= s for x in tau)
-    )
-    if not admissible:
+    if not (is_prefix(sigma, tau) and base_qualifies(tau, s, e)):
         return False
     if witness.violated_condition == 2:
         return learner.decide(tau) > len(sigma)

@@ -78,6 +78,20 @@ def test_construct_separation_level(tmp_path):
     assert _load(out)["results"]["separation_level"] == 2
 
 
+@pytest.mark.parametrize(
+    "learner, level",
+    [("length_parity", 2), ("constant_zero", 0), ("fresh_each_step", None)],
+)
+def test_construct_huge_stage_bound_finishes_fast(tmp_path, learner, level):
+    # codes come from one length_codes call, not one length_code per length
+    out = tmp_path / "r.json"
+    started = time.monotonic()
+    argv = ["construct", "--learner", learner, "--horizon", "50"]
+    assert main(argv + ["--stage-bound", "100000000", "--out", str(out)]) == 0
+    assert time.monotonic() - started < 5
+    assert _load(out)["results"]["separation_level"] == level
+
+
 @pytest.mark.parametrize("e", ["0", "1", "2"])
 def test_construct_separation_level_without_a_base_row(tmp_path, e):
     # fresh_each_step leaves row 0 undefined, so the level is null, not an error

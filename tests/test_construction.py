@@ -5,6 +5,7 @@ order (least string, length first, then lexicographic) and then pinned.
 """
 
 import random
+import tracemalloc
 from bisect import bisect_right
 from itertools import chain
 from math import inf
@@ -24,7 +25,6 @@ from limitlearn import (
     Workspace,
     check_stabilizing,
 )
-from limitlearn.construction import _Row
 from limitlearn.stabilizing import Survival
 
 from brute_oracle import candidate_strings, check_brute
@@ -46,7 +46,8 @@ def test_constructor_validation():
 def test_stage_zero_seeds_row_zero_with_empty_string():
     c = _constant()
     assert c.stage == 0
-    assert c.rows[0].value == ()
+    assert c.value_at(0, 0) == ()
+    assert c.rows[0].events == [(0, 0)]
 
 
 def test_constant_rows_grow_one_per_stage():
@@ -59,7 +60,7 @@ def test_constant_rows_grow_one_per_stage():
     # row n settles on the string (0, 1, ..., n) at stage n+1, never moves
     for n, v in rows:
         assert v == tuple(range(n + 1))
-        assert c.rows[n].events[-1] == (n + 1, v)
+        assert c.rows[n].events[-1] == (n + 1, len(v))
 
 
 def test_constant_rows_shift_with_base_value():
@@ -74,21 +75,21 @@ def test_row_zero_transition_from_empty():
     c = _constant()
     c.run_stage()
     # stage 1: () still qualifies but condition 1 needs 0 in the content
-    assert c.rows[0].value == (0,)
-    assert c.rows[0].events[0] == (0, ())
+    assert c.value_at(0, 1) == (0,)
+    assert c.rows[0].events[0] == (0, 0)
 
 
 def test_parity_rows_churn_at_the_horizon():
     ws = Workspace()
     c = ws.construction("length_parity", 0)
     c.run_to(30)
-    assert c.rows[0].value == (0, 0)
+    assert c.value_at(0, 30) == (0, 0)
     # row 1 only ever holds a maximal-length string, so it moves every stage
-    assert len(c.rows[1].value) == 30
-    assert c.rows[2].value is None
+    assert c.rows[1].length == 30
+    assert c.rows[2].length is None
     assert len(c.rows) == 3
     c.run_to(31)
-    assert len(c.rows[1].value) == 31
+    assert c.rows[1].length == 31
 
 
 def test_parity_row_one_value_shape():
@@ -96,15 +97,15 @@ def test_parity_row_one_value_shape():
     c = ws.construction("length_parity", 0)
     c.run_to(8)
     # least length-8 extension of (0, 0) covering {0, 1}: all zeros then a one
-    assert c.rows[1].value == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert c.value_at(1, 8) == (0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_fresh_learner_kills_row_zero_at_stage_one():
     ws = Workspace()
     c = ws.construction("fresh_each_step", 0)
     c.run_to(25)
-    assert c.rows[0].value is None
-    assert c.rows[0].events == [(0, ()), (1, None)]
+    assert c.rows[0].length is None
+    assert c.rows[0].events == [(0, 0), (1, None)]
     assert len(c.rows) == 1
     assert c.defined_rows() == []
 
@@ -190,29 +191,6 @@ def test_counters_move():
     assert c.counters["searches"] > 0
 
 
-class _BruteTable(Construction):
-    """The brute-force stage table, kept as an oracle for the profiled search.
-
-    A search walks every admissible extension of the base in length-lex
-    order and a kept row is re-checked in full each stage, both through
-    the exponential brute oracle check_brute, so stages stay tiny.
-    """
-
-    def _survives(self, row, s):
-        return check_brute(
-            self.e, row.n, row.value, s, self.learner, self.registry
-        ) is None
-
-    def _search_least(self, k, base, s):
-        self.counters["searches"] += 1
-        if base is None or self.e + k > s:
-            return None
-        for tau in candidate_strings(base, s, self.e):
-            if check_brute(self.e, k, tau, s, self.learner, self.registry) is None:
-                return tau, None
-        return None
-
-
 def _paired_constructions(rng):
     """Same learner function over two registries: profiled and brute tables."""
     reg_a, reg_b = Registry(), Registry()
@@ -249,7 +227,10 @@ def test_sample_learners_profile_matches_brute():
         cb = _BruteTable(ws.sample_learner(kind), e, ws.registry)
         cp.run_to(6)
         cb.run_to(6)
-        assert [r.events for r in cp.rows] == [r.events for r in cb.rows]
+        assert [r.stages for r in cp.rows] == [r.stages for r in cb.rows]
+        for s in range(7):
+            for n in range(len(cb.rows)):
+                assert cp.value_at(n, s) == cb.value_at(n, s), (kind, s, n)
 
 
 def _never_stable_table(rng):
@@ -301,9 +282,36 @@ def test_resumed_rows_match_from_scratch_checks():
                 ), where
 
 
+class _StringRow:
+    """A row that stores its strings: (stage, string) events, None undefined."""
+
+    __slots__ = ("n", "events", "stages", "qstate")
+
+    def __init__(self, n, seed):
+        self.n = n
+        self.events = [(0, seed)]
+        self.stages = [0]
+        self.qstate = None
+
+    @property
+    def value(self):
+        return self.events[-1][1]
+
+    def log(self, stage, value):
+        self.events.append((stage, value))
+        self.stages.append(stage)
+
+    def value_at(self, s):
+        return self.events[bisect_right(self.stages, s) - 1][1]
+
+    def last_change_at_or_before(self, s):
+        return self.stages[bisect_right(self.stages, s) - 1]
+
+
 class _SweepOracle(Construction):
     """The from-scratch table: every row visited at every stage.
 
+    Rows store whole strings, and a row changes when its string does.
     Kept rows are compared with themselves, the missing values are a set
     difference over the whole base, failed lengths are a set looked up once
     per length, the suffix is built one element at a time, each marker
@@ -313,6 +321,7 @@ class _SweepOracle(Construction):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.rows = [_StringRow(0, ())]
         self._false_cache = set()
 
     def run_stage(self):
@@ -350,7 +359,7 @@ class _SweepOracle(Construction):
             elif new != old:
                 lower_changed = True
             if new is not None and n == len(self.rows) - 1:
-                self.rows.append(_Row(n + 1, None))
+                self.rows.append(_StringRow(n + 1, None))
             n += 1
         self.stage = s
         self._defined.append(
@@ -392,30 +401,52 @@ class _SweepOracle(Construction):
         out.extend(left)
         return tuple(out)
 
-    def observed_a(self, ell, s=None):
+    def value_at(self, n, s):
+        self._checked_stage(s)
+        return self.rows[n].value_at(s) if n < len(self.rows) else None
+
+    def defined_rows(self, s=None):
         s = self._checked_stage(s)
-        if ell < 0:
-            raise ValueError(f"depth {ell} is negative")
-        feasible = 0
-        for h in range(ell + 1):
-            if h >= len(self.rows) or self.rows[h].value_at(s) is None:
-                return None
-            feasible = max(feasible, self.rows[h].last_change_at_or_before(s))
-        start = max(feasible, self.e + ell + 2)
-        a = start if start % 2 == 0 else start + 1
-        return a if a <= s else None
+        return [(row.n, v) for row in self.rows if (v := row.value_at(s)) is not None]
 
     def a_values(self, s=None):
+        """Each depth's marker from rows 0..ell, rescanned for every depth."""
+        s = self._checked_stage(s)
+        defined = [row.value_at(s) is not None for row in self.rows]
+        settled = [row.last_change_at_or_before(s) for row in self.rows]
         out = []
-        ell = 0
-        cap = self._checked_stage(s)
-        while ell <= cap:
-            a = self.observed_a(ell, cap)
-            if a is None:
+        for ell in range(min(len(self.rows), s + 1)):
+            if not all(defined[: ell + 1]):
+                break
+            start = max(max(settled[: ell + 1]), self.e + ell + 2)
+            a = start if start % 2 == 0 else start + 1
+            if a > s:
                 break
             out.append(a)
-            ell += 1
         return out
+
+
+class _BruteTable(_SweepOracle):
+    """The brute-force stage table, kept as an oracle for the profiled search.
+
+    A search walks every admissible extension of the base in length-lex
+    order and a kept row is re-checked in full each stage, both through
+    the exponential brute oracle check_brute, so stages stay tiny.
+    """
+
+    def _survives(self, row, s):
+        return check_brute(
+            self.e, row.n, row.value, s, self.learner, self.registry
+        ) is None
+
+    def _search_least(self, k, base, s):
+        self.counters["searches"] += 1
+        if base is None or self.e + k > s:
+            return None
+        for tau in candidate_strings(base, s, self.e):
+            if check_brute(self.e, k, tau, s, self.learner, self.registry) is None:
+                return tau, None
+        return None
 
 
 def _sample_pair(kind, e):
@@ -467,7 +498,12 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
     for s in range(1, 301):
         fast.run_stage()
         slow.run_stage()
-        assert [r.events for r in fast.rows] == [r.events for r in slow.rows], s
+        # one event per change of a row's string: the oracle compares strings
+        assert [r.stages for r in fast.rows] == [r.stages for r in slow.rows], s
+        for n in range(len(slow.rows)):
+            assert fast.value_at(n, s) == slow.value_at(n, s), (s, n)
+        # the readers that build rows one from the next agree with it too
+        assert fast.defined_rows() == slow.defined_rows(), s
         assert [_qstate_fields(r.qstate) for r in fast.rows] == [
             _qstate_fields(r.qstate) for r in slow.rows
         ], s
@@ -491,25 +527,65 @@ def test_each_row_is_the_row_below_then_e_padding_then_e_plus_k(kind):
         c = Workspace().construction(kind, e)
         c.run_to(2000)
         for k, row in enumerate(c.rows):
-            # a string is written only where it stabilizes at depth k
-            for t, v in row.events[1:]:
-                assert v is None or check_stabilizing(
-                    e, k, v, t, c.learner, c.registry
-                ) is None, (e, k, t)
-            # both rows hold their values between the stages either one logs
+            # a row is longer than the row below at every stage either one logs
             stages = set(row.stages)
             if k:
                 stages |= set(c.rows[k - 1].stages)
             for t in sorted(stages):
+                m = row.length_at(t)
+                if k and m is not None:
+                    assert m > c.rows[k - 1].length_at(t), (e, k, t)
+            # a string is logged only where it stabilizes at depth k, and it
+            # is the row below, then e padding, then e + k
+            for t, m in row.events[1:]:
                 v = c.value_at(k, t)
-                if v is None:
+                if m is None:
+                    assert v is None, (e, k, t)
                     continue
-                if k == 0:
-                    assert v == (e,) * len(v), (e, t)
-                    continue
-                below = c.value_at(k - 1, t)
-                pad = len(v) - len(below) - 1
-                assert pad >= 0 and v == below + (e,) * pad + (e + k,), (e, k, t)
+                assert len(v) == m, (e, k, t)
+                assert check_stabilizing(e, k, v, t, c.learner, c.registry) is None, (
+                    e,
+                    k,
+                    t,
+                )
+                below = () if k == 0 else c.value_at(k - 1, t)
+                pad = m - len(below) - 1
+                assert v == below + (e,) * pad + (e + k,), (e, k, t)
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+def test_rows_store_lengths_not_strings(kind):
+    c = Workspace().construction(kind, 1)
+    c.run_to(500)
+    for row in c.rows:
+        assert all(m is None or type(m) is int for _, m in row.events), row.n
+
+
+def _table_bytes(horizon):
+    tracemalloc.start()
+    try:
+        c = Workspace().construction("constant_zero", 0)
+        c.run_to(horizon)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_memory_is_linear_in_the_horizon():
+    # a string per row would grow 4 times from 4000 to 8000
+    assert _table_bytes(8000) <= 2.2 * _table_bytes(4000)
+
+
+def test_chain_ok_sees_corrupted_lengths():
+    c = _constant()
+    c.run_to(20)
+    assert c.chain_ok()
+    # row 3 no longer than row 2: its string cannot extend row 2's
+    row = c.rows[3]
+    for m in (c.rows[2].length, c.rows[2].length - 1):
+        row.events[-1] = (row.stages[-1], m)
+        assert not c.chain_ok(), m
+        assert c.chain_ok(row.stages[-1] - 1)
 
 
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
@@ -560,7 +636,8 @@ def _conf_cell(c, x, ell, ev_after_x, ev_after_w):
         best = ev_after_x
     if (
         x >= c.e + ell + 4
-        and c.value_at(ell, x - 2) is not None
+        and ell < len(c.rows)
+        and c.rows[ell].length_at(x - 2) is not None
         and (ev_after_w is None or ev_after_w > x)
     ):
         best = x

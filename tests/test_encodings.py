@@ -5,14 +5,11 @@ import random
 import pytest
 
 from limitlearn import (
-    EMPTY,
     content,
     finite_set_decode,
     finite_set_encode,
     is_prefix,
     pair,
-    seq_compare,
-    seq_key,
     unpair,
 )
 
@@ -101,26 +98,12 @@ def test_finite_set_roundtrip_sparse():
 
 
 def test_content():
-    assert content(EMPTY) == frozenset()
+    assert content(()) == frozenset()
     assert content((3, 1, 3, 2)) == frozenset({1, 2, 3})
 
 
-def test_seq_key_orders_by_length_then_lex():
-    seqs = [(1,), (0, 2), (0,), EMPTY, (0, 1), (2,)]
-    assert sorted(seqs, key=seq_key) == [EMPTY, (0,), (1,), (2,), (0, 1), (0, 2)]
-
-
-def test_seq_compare_matches_seq_key():
-    rng = random.Random(5)
-    pool = [tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3))) for _ in range(60)]
-    for a in pool:
-        for b in pool:
-            want = (seq_key(a) > seq_key(b)) - (seq_key(a) < seq_key(b))
-            assert seq_compare(a, b) == want
-
-
 def test_is_prefix():
-    assert is_prefix(EMPTY, (4, 5))
+    assert is_prefix((), (4, 5))
     assert is_prefix((4,), (4, 5))
     assert is_prefix((4, 5), (4, 5))
     assert not is_prefix((5,), (4, 5))

@@ -199,3 +199,29 @@ def test_learner_outputs_refuse_bad_horizons(learner):
     with pytest.raises(ValueError, match="horizon 4 exceeds text length 3"):
         learner.outputs((5, 6, 7), 4)
 
+
+
+_PROFILED = {
+    "constant_zero": lambda reg: ConstantLearner(),
+    "length_parity": LengthParityLearner,
+    "fresh_each_step": FreshLengthLearner,
+    "profiled_function": lambda reg: ProfiledFunctionLearner(lambda m: (m * m) % 7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PROFILED))
+def test_profiled_outputs_equal_per_prefix_decide(kind):
+    rng = random.Random(kind)
+    per_prefix, streaming = Registry(), Registry()
+    slow, fast = _PROFILED[kind](per_prefix), _PROFILED[kind](streaming)
+    for _ in range(300):
+        items = _random_text(rng)
+        horizon = rng.randint(0, len(items))
+        want = tuple(slow.decide(items[:n]) for n in range(horizon + 1))
+        assert fast.outputs(items, horizon) == want, (items, horizon)
+        # codes registered lazily come in the order decide would ask for them
+        assert len(streaming) == len(per_prefix)
+        assert [streaming.get(c).at_stage(0) for c in range(len(streaming))] == [
+            per_prefix.get(c).at_stage(0) for c in range(len(per_prefix))
+        ]
+        assert streaming.query_count == per_prefix.query_count

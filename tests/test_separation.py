@@ -1,5 +1,7 @@
 """Vacillation-depth estimates over extensions of the surviving base row."""
 
+import pytest
+
 from limitlearn import Workspace
 
 
@@ -29,3 +31,33 @@ def test_separation_needs_a_surviving_base_row():
     c.run_to(30)
     # row 0 is undefined, so there is no base to measure: no level at all
     assert c.separation_level(50) is None
+
+
+def _per_length_level(c, stage_bound):
+    """separation_level as first written: one length_code per length."""
+    row0 = c.value_at(0, c.stage)
+    if row0 is None:
+        return None
+    codes = sorted(
+        {c.learner.length_code(m) for m in range(len(row0), stage_bound + 1)}
+    )
+    if len(codes) <= 1:
+        return 0
+    sets = {x: c.registry.below(x, stage_bound, stage_bound) for x in codes}
+    firsts = [min(sets[a] - sets[b]) for a in codes for b in codes if sets[a] - sets[b]]
+    return max(firsts) + 1 if firsts else 0
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+def test_separation_level_matches_the_per_length_scan(kind):
+    for e in (0, 1, 2):
+        fast_ws, slow_ws = Workspace(), Workspace()
+        fast = fast_ws.construction(kind, e)
+        slow = slow_ws.construction(kind, e)
+        fast.run_to(40)
+        slow.run_to(40)
+        for bound in range(301):
+            want = _per_length_level(slow, bound)
+            assert fast.separation_level(bound) == want, (e, bound)
+        # the same code sets are read, so the registry sees the same queries
+        assert fast_ws.registry.query_count == slow_ws.registry.query_count, e

@@ -34,6 +34,20 @@ def test_base_qualifies():
     assert not base_qualifies((0,), 2, 1)           # 0 below the base value
 
 
+def test_base_qualifies_and_condition_one_match_a_scan_of_every_value():
+    rng = random.Random(3)
+    learner, reg = ConstantLearner(), Registry()
+    for _ in range(3000):
+        e, k, s = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 6)
+        sigma = tuple(rng.randint(0, 7) for _ in range(rng.randint(0, 7)))
+        want = len(sigma) <= s and all(e <= x <= s for x in sigma)
+        assert base_qualifies(sigma, s, e) == want, (sigma, s, e)
+        low_ok = all(x >= e for x in sigma)
+        covers = low_ok and set(range(e, e + k + 1)) <= set(sigma)
+        w = check_stabilizing(e, k, sigma, s, learner, reg)
+        assert (w is not None and w.violated_condition == 1) == (not covers)
+
+
 def test_candidate_strings_enumeration_order():
     got = candidate_strings((1,), 2, 1)
     assert got == [(1,), (1, 1), (1, 2)]
