@@ -29,6 +29,7 @@ from .learners import (
     Learner,
     LengthParityLearner,
     ProfiledFunctionLearner,
+    ProfiledLearner,
     guess_features,
 )
 from .reports import ExperimentConfig, canonical_json, make_report
@@ -79,6 +80,7 @@ __all__ = [
     "Learner",
     "LengthParityLearner",
     "ProfiledFunctionLearner",
+    "ProfiledLearner",
     "guess_features",
     "ExperimentConfig",
     "canonical_json",

@@ -62,8 +62,8 @@ from itertools import islice, pairwise, repeat, takewhile
 from math import inf
 from typing import Iterator
 
-from .encodings import Sequence, _check_natural, is_prefix, next_free
-from .learners import Learner
+from .encodings import Sequence, _check_natural, next_free
+from .learners import ProfiledLearner
 from .stabilizing import StabWitness, Survival, check_stabilizing
 from .universe import Enumerator, Registry
 
@@ -107,11 +107,10 @@ class _Row:
 class Construction:
     """Stage table for one (learner, e) pair; see the module docstring."""
 
-    def __init__(self, learner: Learner, e: int, registry: Registry):
+    def __init__(self, learner: ProfiledLearner, e: int, registry: Registry):
         if not learner.length_profiled:
             raise ValueError("the stage table requires a length-profiled learner")
-        if e < 0:
-            raise ValueError("base value e must be a natural number")
+        _check_natural(e, "base value e")
         self.learner = learner
         self.e = e
         self.registry = registry
@@ -281,10 +280,17 @@ class Construction:
         return [(n, tuple(v)) for n, v in enumerate(self._strings(s, self._defined[s]))]
 
     def chain_ok(self, s: int | None = None) -> bool:
-        """Each defined row's string must extend the one below it."""
+        """Each defined row's string must extend the one below it.
+
+        Compares stored lengths only, and that is exact: as _strings builds
+        them, a row longer than the one below is that row, then e padding,
+        then its own last value, so it extends it; a row no longer than the
+        one below is cut short and ends on a value the one below does not
+        hold at that position, so it does not.
+        """
         s = self._checked_stage(s)
-        rows = map(tuple, self._strings(s, self._defined[s]))
-        return all(is_prefix(below, v) for below, v in pairwise(rows))
+        lengths = (row.length_at(s) for row in self.rows[: self._defined[s]])
+        return all(a < b for a, b in pairwise(lengths))
 
     def reverify_final(self) -> list[tuple[int, StabWitness | None]]:
         """Re-run the standalone stabilization check on every surviving row.
@@ -467,28 +473,29 @@ class Construction:
         Greedy per step: if some nearby length would switch the learner to a
         code that visibly differs (symmetric difference below a small bound,
         at a matching stage), pad straight to that length; otherwise feed the
-        least tail element not yet shown. Deterministic by construction.
+        least tail element not yet shown. Deterministic by construction. The
+        learner is read by length only, and the values shown are the keys of
+        a skip map, so a step costs ADVERSARY_WINDOW + 1 learner reads and no
+        pass over the text so far.
         """
         if length < 0:
             raise ValueError(f"text length {length} is negative")
+        e, code = self.e, self.learner.length_code
         t: list[int] = []
+        shown: dict[int, int] = {}
         while len(t) < length:
             m0 = len(t)
-            prev = self.learner.decide(tuple(t))
+            prev = code(m0)
             bound = m0 + ADVERSARY_WINDOW
-            adopt = None
             for m in range(m0 + 1, bound + 1):
-                c = self.learner.length_code(m)
+                c = code(m)
                 if c != prev and self.registry.sym_diff_below(prev, c, bound, bound):
-                    adopt = m
+                    t.extend(repeat(e, m - m0))
+                    shown.setdefault(e, e + 1)
                     break
-            if adopt is not None:
-                t.extend([self.e] * (adopt - m0))
             else:
-                x = self.e
-                seen = set(t)
-                while x in seen:
-                    x += 1
+                x = next_free(shown, e)
+                shown[x] = x + 1
                 t.append(x)
         return tuple(t[:length])
 

@@ -2,16 +2,18 @@
 
 Two families live here. The sample learners (constant, length-parity, fresh-
 length) exist to drive the diagonal construction; each of their outputs
-depends only on the input's length, which they advertise through two length
-profile hooks: length_code for one length, and length_codes for the distinct
-codes over a range of lengths, whose max is condition 2's top code. With them
-the stabilization check reasons about all extensions of a string at once
-instead of enumerating them. The gap-parity learner is the other kind:
-it reads the content of its input and answers with a diagonal hypothesis, and
-is the one expected to actually succeed on the constructed families.
+depends only on the input's length, so each is a ProfiledLearner, whose
+decide and outputs read one hook: length_code for one length. Two more give
+cheaper answers: length_codes for the distinct codes over a range of lengths,
+whose max is condition 2's top code, and finite_codes for every code the
+learner can emit. With them the stabilization check reasons about all
+extensions of a string at once instead of enumerating them. The gap-parity
+learner is the other kind, with no length profile: it reads the content of
+its input and answers with a diagonal hypothesis, and is the one expected to
+actually succeed on the constructed families.
 
 A trace asks for the outputs on every prefix of one text, through
-``outputs(items, horizon)``. A profiled learner reads one length_code per
+``outputs(items, horizon)``. A ProfiledLearner reads one length_code per
 prefix length; the gap-parity learner carries its least element and first
 gap from one prefix to the next. Only a learner with neither decides each
 prefix afresh, which costs the square of the horizon.
@@ -38,24 +40,35 @@ class Learner:
 
     name = "learner"
 
-    # True when decide(seq) depends on seq only through len(seq). Profiled
-    # learners implement length_code, and decide reads it.
+    # True only for ProfiledLearner: decide(seq) depends on seq only through
+    # len(seq). The stage table and the stabilization check test this flag.
     length_profiled = False
 
     def decide(self, seq: Sequence) -> int:
-        if self.length_profiled:
-            return self.length_code(len(seq))
         raise NotImplementedError
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide(items[:n]) for n = 0..horizon; horizon + 1 outputs."""
         _check_horizon(horizon, len(items))
-        if self.length_profiled:  # no prefix to slice
-            return tuple(map(self.length_code, range(horizon + 1)))
         return tuple(self.decide(items[:n]) for n in range(horizon + 1))
 
+
+class ProfiledLearner(Learner):
+    """Output depends on the input's length only: subclasses supply
+    length_code, and decide and outputs read it, never the content."""
+
+    length_profiled = True
+
+    def decide(self, seq: Sequence) -> int:
+        return self.length_code(len(seq))
+
+    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        """length_code(n) for n = 0..horizon: no prefix to slice."""
+        _check_horizon(horizon, len(items))
+        return tuple(map(self.length_code, range(horizon + 1)))
+
     def length_code(self, m: int) -> int:
-        """Code output on every sequence of length m (profiled learners only)."""
+        """Code output on every sequence of length m."""
         raise NotImplementedError
 
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
@@ -67,11 +80,10 @@ class Learner:
         return None
 
 
-class ConstantLearner(Learner):
+class ConstantLearner(ProfiledLearner):
     """Always answers the reserved empty-set code 0."""
 
     name = "constant_zero"
-    length_profiled = True
 
     def length_code(self, m: int) -> int:
         return 0
@@ -83,7 +95,7 @@ class ConstantLearner(Learner):
         return frozenset({0})
 
 
-class LengthParityLearner(Learner):
+class LengthParityLearner(ProfiledLearner):
     """Two hypotheses forever, switched by input length parity.
 
     Even lengths answer a code for {0}, odd lengths a code for {1}. The two
@@ -92,7 +104,6 @@ class LengthParityLearner(Learner):
     """
 
     name = "length_parity"
-    length_profiled = True
 
     def __init__(self, registry: Registry):
         self.code_even = registry.register(FiniteSetEnumerator({0}))
@@ -110,7 +121,7 @@ class LengthParityLearner(Learner):
         return frozenset({self.code_even, self.code_odd})
 
 
-class FreshLengthLearner(Learner):
+class FreshLengthLearner(ProfiledLearner):
     """A brand-new hypothesis for every input length.
 
     Length m maps to a singleton set {m}, registered lazily in ascending
@@ -120,7 +131,6 @@ class FreshLengthLearner(Learner):
     """
 
     name = "fresh_each_step"
-    length_profiled = True
 
     def __init__(self, registry: Registry):
         self._registry = registry
@@ -132,15 +142,11 @@ class FreshLengthLearner(Learner):
             self._codes.append(self._registry.register(FiniteSetEnumerator({n})))
         return self._codes[m]
 
-    def finite_codes(self) -> frozenset[int] | None:
-        return None
 
-
-class ProfiledFunctionLearner(Learner):
+class ProfiledFunctionLearner(ProfiledLearner):
     """Length-profiled learner driven by a plain function; for tests."""
 
     name = "profiled_function"
-    length_profiled = True
 
     def __init__(
         self,

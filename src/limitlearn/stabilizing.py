@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .encodings import Sequence, content, is_prefix
-from .learners import Learner
+from .learners import Learner, ProfiledLearner
 from .universe import Registry
 
 
@@ -81,7 +81,7 @@ class Survival:
         self.settled = False
 
     def fold(
-        self, learner: Learner, registry: Registry, lo: int, s: int
+        self, learner: ProfiledLearner, registry: Registry, lo: int, s: int
     ) -> tuple[int, int, int] | None:
         """Fold in lengths lo..s and stages up to sigma_len + s.
 
@@ -128,7 +128,7 @@ def check_stabilizing(
     k: int,
     sigma: Sequence,
     s: int,
-    learner: Learner,
+    learner: ProfiledLearner,
     registry: Registry,
 ) -> StabWitness | None:
     """None if sigma stabilizes the learner at budget s, else a witness."""

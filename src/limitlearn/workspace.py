@@ -13,8 +13,8 @@ from .learners import (
     ConstantLearner,
     FreshLengthLearner,
     GapParityLearner,
-    Learner,
     LengthParityLearner,
+    ProfiledLearner,
 )
 from .universe import FiniteSetEnumerator, Registry, UnionEnumerator
 
@@ -25,13 +25,13 @@ VARIANTS = ("plain", "hat")
 class Workspace:
     def __init__(self) -> None:
         self.registry = Registry()
-        self._samples: dict[str, Learner] = {}
+        self._samples: dict[str, ProfiledLearner] = {}
         self._gap_learners: dict[str, GapParityLearner] = {}
         self._constructions: dict[tuple[str, int], Construction] = {}
         self._diagonal_codes: dict[tuple[str, int, str], int] = {}
         self._member_codes: dict[tuple[str, int, int, str], int] = {}
 
-    def sample_learner(self, kind: str) -> Learner:
+    def sample_learner(self, kind: str) -> ProfiledLearner:
         if kind not in SAMPLE_LEARNERS:
             raise ValueError(f"unknown sample learner {kind!r}")
         if kind not in self._samples:

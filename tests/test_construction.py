@@ -7,7 +7,7 @@ order (least string, length first, then lexicographic) and then pinned.
 import random
 import tracemalloc
 from bisect import bisect_right
-from itertools import chain
+from itertools import chain, pairwise
 from math import inf
 
 import pytest
@@ -24,6 +24,7 @@ from limitlearn import (
     StepFunctionEnumerator,
     Workspace,
     check_stabilizing,
+    is_prefix,
 )
 from limitlearn.stabilizing import Survival
 
@@ -36,8 +37,9 @@ def _constant(e=0):
 
 def test_constructor_validation():
     reg = Registry()
-    with pytest.raises(ValueError, match="natural number"):
-        Construction(ConstantLearner(), -1, reg)
+    for e in (-1, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="natural number"):
+            Construction(ConstantLearner(), e, reg)
     unprofiled = type("L", (), {"length_profiled": False, "name": "x"})()
     with pytest.raises(ValueError, match="length-profiled"):
         Construction(unprofiled, 0, reg)
@@ -586,6 +588,48 @@ def test_chain_ok_sees_corrupted_lengths():
         row.events[-1] = (row.stages[-1], m)
         assert not c.chain_ok(), m
         assert c.chain_ok(row.stages[-1] - 1)
+
+
+def _chain_by_strings(c, s):
+    """chain_ok as first written: build every row's string, compare by prefix."""
+    rows = map(tuple, c._strings(s, c._defined[s]))
+    return all(is_prefix(below, v) for below, v in pairwise(rows))
+
+
+def _chain_tables():
+    for kind in ("constant_zero", "length_parity", "fresh_each_step"):
+        for e in (0, 1, 2):
+            yield Workspace().construction(kind, e)
+    for seed in (23, 31):
+        yield _paired_constructions(random.Random(seed))[0]
+
+
+def test_chain_ok_matches_the_string_chain_at_every_stage():
+    for c in _chain_tables():
+        c.run_to(300)
+        for s in range(301):
+            assert c.chain_ok(s) == _chain_by_strings(c, s), s
+
+
+def test_chain_ok_matches_the_string_chain_on_corrupted_lengths():
+    c = _constant()
+    c.run_to(20)
+    row, s = c.rows[3], c.stage
+    for m in range(1, c.rows[4].length + 2):
+        row.events[-1] = (row.stages[-1], m)
+        assert c.chain_ok(s) == _chain_by_strings(c, s), m
+
+
+def test_chain_ok_builds_no_string(monkeypatch):
+    c = Workspace().construction("length_parity", 1)
+    c.run_to(200)
+
+    def no_strings(*args):
+        raise AssertionError("chain_ok must read lengths only")
+
+    monkeypatch.setattr(Construction, "_strings", no_strings)
+    assert c.chain_ok()
+    assert all(c.chain_ok(s) for s in range(201))
 
 
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])

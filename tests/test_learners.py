@@ -93,8 +93,10 @@ def test_function_learner_is_not_profiled():
     m = FunctionLearner(lambda seq: sum(seq) % 3)
     assert not m.length_profiled
     assert m.decide((2, 2)) == 1
-    with pytest.raises(NotImplementedError):
-        m.length_code(2)
+    # only a ProfiledLearner has length profile hooks, not even stubs elsewhere
+    for learner in (m, GapParityLearner(lambda e, variant: 0)):
+        for hook in ("length_code", "length_codes", "finite_codes"):
+            assert not hasattr(learner, hook), (learner.name, hook)
 
 
 def test_guess_features():
