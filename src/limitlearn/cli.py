@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -46,6 +47,15 @@ def _check_path(value, name: str) -> None:
         raise ValueError(f"{name} must be a file path, got {value!r}")
 
 
+def _check_out(value, name: str) -> None:
+    """A report path: checked before the run, so a bad one costs no work."""
+    _check_path(value, name)
+    if os.path.isdir(value) or not os.path.isdir(os.path.dirname(value) or "."):
+        raise ValueError(
+            f"--{name} {value!r} must name a file in an existing directory"
+        )
+
+
 class Param(NamedTuple):
     """One parameter: a checker (or a tuple of allowed values) and a default."""
 
@@ -57,7 +67,7 @@ class Param(NamedTuple):
 
 _BASE_E = Param(_check_natural, 0)
 _HORIZON = Param(_check_natural, 200)
-_OUT = Param(_check_path, help="write the report here instead of stdout")
+_OUT = Param(_check_out, help="write the report here instead of stdout")
 _MEMBER = {
     "base_e": _BASE_E,
     "member_n": Param(_check_natural, 0),

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import re
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tokenize
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 
 from limitlearn.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _load(path):
@@ -495,6 +499,46 @@ def test_stdout_emission(capsys):
     rep = json.loads(captured.out)
     assert rep["results"]["stage"] == 6
     assert captured.out.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["construct", "--learner", "constant_zero", "--horizon", "30000"], "a/b"),
+        (["suite"], "."),
+    ],
+)
+def test_bad_out_path_fails_before_the_run(tmp_path, monkeypatch, capsys, argv, out):
+    import limitlearn.cli as cli
+
+    def never(p):
+        raise AssertionError("the run started")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.COMMANDS, argv[0], ("run", never))
+    assert main(argv + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --out {out!r} must name a file in an existing directory"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_runs_the_console_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {
+        "module": ["-m", "limitlearn"],
+        "script": ["-c", "import sys, limitlearn.cli as c; sys.exit(c.main())"],
+    }
+    codes = {}
+    for name, how in runs.items():
+        argv = [sys.executable, *how, "suite", "--seed", "0", "--out", f"{name}.json"]
+        run = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+        codes[name] = run.returncode
+    assert codes == {"module": 0, "script": 0}
+    module, script = tmp_path / "module.json", tmp_path / "script.json"
+    assert module.read_bytes() == script.read_bytes()
 
 
 def test_out_of_memory_is_one_error_line(monkeypatch, capsys):

@@ -1,11 +1,26 @@
 """Canonical report serialization: stable bytes, no ambient state."""
 
 import json
+import math
+import random
+from enum import Enum, IntEnum
 
 import pytest
 
-from limitlearn import ExperimentConfig, Status, canonical_json, make_report
+from limitlearn import ExperimentConfig, Status, Verdict, canonical_json, make_report
+from limitlearn import reports
+from limitlearn.cli import COMMANDS, build_parser, resolve
 from limitlearn.reports import SCHEMA_VERSION, to_jsonable
+from limitlearn.suite import run_battery
+
+
+def _canonical_json_oracle(obj) -> str:
+    """The two-pass encoder canonical_json replaced: copy, then json's indent path."""
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _assert_same_bytes(obj):
+    assert canonical_json(obj) == _canonical_json_oracle(obj)
 
 
 def test_to_jsonable_handles_library_shapes():
@@ -56,3 +71,206 @@ def test_reports_carry_no_timestamps():
     blob = canonical_json(rep)
     for needle in ("time", "date", "stamp"):
         assert needle not in blob
+
+
+def _random_value(rng: random.Random, depth: int):
+    kind = rng.randrange(11 if depth else 4)
+    if kind == 0:
+        return rng.choice([0, 1, -7, 255, 10**20, rng.randrange(10**6)])
+    if kind == 1:
+        head = rng.choice(["", "a", "\u00e9", 'q"', "k\n", "\\"])
+        return head + str(rng.randrange(9))
+    if kind == 2:
+        return rng.choice([None, True, False])
+    if kind == 3:
+        return rng.choice([0.5, -0.0, 1e300, float("nan"), float("-inf")])
+    if kind == 4:
+        ints = [rng.randrange(-3, 50) for _ in range(rng.randrange(6))]
+        if ints and rng.random() < 0.3:
+            ints[rng.randrange(len(ints))] = rng.choice([True, False])
+        return ints
+    if kind == 5:
+        return [_random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return tuple(_random_value(rng, depth - 1) for _ in range(rng.randrange(4)))
+    if kind in (7, 8):
+        keys = [rng.choice([rng.randrange(5), str(rng.randrange(5))]) for _ in range(4)]
+        return {k: _random_value(rng, depth - 1) for k in keys[: rng.randrange(5)]}
+    if kind == 9:
+        pool = [rng.randrange(20) for _ in range(5)]
+        if rng.random() < 0.5:
+            pool = [str(x) for x in pool]
+        members = pool[: rng.randrange(6)]
+        return set(members) if rng.random() < 0.5 else frozenset(members)
+    return frozenset(
+        tuple(rng.randrange(4) for _ in range(rng.randrange(3)))
+        for _ in range(rng.randrange(4))
+    )
+
+
+def test_canonical_json_matches_the_oracle_on_random_values():
+    rng = random.Random(13)
+    for _ in range(3000):
+        _assert_same_bytes(_random_value(rng, 4))
+
+
+class _Colour(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class _Pair(Enum):
+    LOW = (0, 1)
+
+
+class _Count(int):
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
+class _Name(str):
+    pass
+
+
+class _Thing:
+    def as_dict(self):
+        return {"v": (1, 2), "s": {3, 1}, "status": Status.FAIL_WITNESSED}
+
+
+class _Label(str):
+    def as_dict(self):
+        return {"label": str(self)}
+
+
+class _Record(dict):
+    def as_dict(self):
+        return {"record": len(self)}
+
+
+_EDGE_CORPUS = [
+    [True, 1, False, 2],
+    [1, True],
+    {"flags": [0, False], "set": {True, 2}},
+    float("nan"),
+    [float("inf"), float("-inf"), -0.0, 1e300, 0.1, 1.5],
+    {"x": float("nan"), "y": -0.0},
+    "caf\u00e9 \u4e2d \U0001F600",
+    'quote " and backslash \\ and slash /',
+    "\x00\x1f\n\t\x7f\u2028",
+    {"caf\u00e9": "\"", "\n": 1},
+    {"a": [], "b": {}, "c": [[], {}, ()], "d": set(), "e": frozenset(), "f": ()},
+    [[], [[]], {"k": {}}],
+    {},
+    [],
+    {1: "a", "1": "b"},
+    {"1": "b", 1: "a"},
+    frozenset({(1, 2), (0, 5), (1,), ()}),
+    {frozenset({(2, 3), (1,)}), frozenset()},
+    Status.PASS_AT_HORIZON,
+    {"status": Status.INCONCLUSIVE, Status.PASS_AT_HORIZON: [Status.FAIL_WITNESSED]},
+    _Colour.BLUE,
+    [_Colour.RED, 2, _Colour.BLUE],
+    {_Colour.RED: _Colour.BLUE},
+    {_Colour.RED, _Colour.BLUE},
+    _Pair.LOW,
+    _Thing(),
+    [_Thing(), {"t": _Thing()}],
+    [_Label("as_dict before str"), _Record(kept="dict before as_dict")],
+    Verdict(Status.FAIL_WITNESSED, {"codes": frozenset({4, 2}), "at": (3, 9)}, {}),
+    _Count(7),
+    [_Count(3), 4],
+    {_Count(2), _Count(1)},
+    {_Count(5): _Name("n")},
+    _Name("plain"),
+    [_Name("b"), _Name("a")],
+    {_Name("k"): 1},
+    [10**40, -(10**40), 0],
+    (1, "a", None, 2.5, True),
+    [[[[[1]]]]],
+    {"deep": {"er": {"est": [1, [2, {"x": None}]]}}},
+    5,
+    None,
+    True,
+    "",
+]
+
+
+@pytest.mark.parametrize("obj", _EDGE_CORPUS, ids=range(len(_EDGE_CORPUS)))
+def test_canonical_json_matches_the_oracle_on_edge_cases(obj):
+    _assert_same_bytes(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        object(),
+        [1, object()],
+        (2, [object()]),
+        {object()},
+        frozenset({1, object()}),
+        {"k": object()},
+        {"a": {"b": [3, {object()}]}},
+        {1, "a"},
+    ],
+    ids=["top", "list", "tuple", "set", "frozenset", "dict", "nested", "unsortable"],
+)
+def test_canonical_json_raises_the_oracle_type_error(obj):
+    with pytest.raises(TypeError) as new:
+        canonical_json(obj)
+    with pytest.raises(TypeError) as old:
+        _canonical_json_oracle(obj)
+    assert str(new.value) == str(old.value)
+
+
+def _cli_report(argv):
+    p = resolve(build_parser().parse_args(argv))
+    return COMMANDS[argv[0]][1](p)[0]
+
+
+_REPORT_ARGV = [
+    *(
+        ["construct", "--learner", learner, "--base-e", str(e), "--horizon", "120"]
+        + ["--stage-bound", "100"]
+        for learner in ("constant_zero", "length_parity", "fresh_each_step")
+        for e in (0, 1, 2)
+    ),
+    ["learn", "--learner", "gap_parity", "--adversary", "constant_zero"],
+    ["check", "--learner", "fresh_each_step", "--adversary", "constant_zero"]
+    + ["--i", "*", "--j", "*"],
+    ["family", "--adversary", "constant_zero", "--member-n", "13"],
+    ["suite", "--seed", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", _REPORT_ARGV, ids=lambda argv: " ".join(argv[:3]))
+def test_canonical_json_matches_the_oracle_on_cli_reports(argv):
+    _assert_same_bytes(_cli_report(argv))
+
+
+def test_canonical_json_matches_the_oracle_on_a_raw_battery():
+    # run_battery's criteria hold Verdicts, Status members, tuples and sets
+    _assert_same_bytes(run_battery(0))
+
+
+def test_canonical_json_neither_recurses_nor_dumps_containers(monkeypatch):
+    # a tracer wraps the module's canonical_json; one call must stay one span
+    calls = []
+    original = reports.canonical_json
+    real_dumps = json.dumps
+
+    def counting(obj):
+        calls.append(obj)
+        return original(obj)
+
+    def scalar_dumps(obj, **kwargs):
+        assert obj is None or isinstance(obj, (bool, int, float)), type(obj)
+        assert not kwargs
+        return real_dumps(obj)
+
+    monkeypatch.setattr(reports, "canonical_json", counting)
+    monkeypatch.setattr(reports.json, "dumps", scalar_dumps)
+    value = {"a": [{"b": (1, 2.5)}, {3}], "c": _Thing(), "d": [True, None, math.pi]}
+    blob = reports.canonical_json(value)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert blob == _canonical_json_oracle(value)
