@@ -48,10 +48,10 @@ Confirmations are monotone facts, so the enumerators never retract an
 element. Confirmations go into one log in stage order; an x that must wait
 sits in a heap keyed by the one depth F it waits on, so each x costs O(log n)
 once (see confirmation_stage). The views read slices of the log, found by
-bisecting its stages: ``at_stage(s)`` reads the entries up to stage s, and
-``new_between(s0, s1)`` only the entries that stages s0+1..s1 added, so a
-caller walking the stages one at a time (a canonical text) pays for each
-element once instead of copying the whole prefix at every stage.
+bisecting its stages: ``arrivals(s0, s1)`` reads only the entries that
+stages s0+1..s1 added, each tagged with its stage, and ``at_stage(s)`` takes
+the keys of that read from stage -1, so a caller that needs many stages (a
+canonical text) reads them all at once and pays for each element once.
 """
 
 from __future__ import annotations
@@ -442,10 +442,11 @@ class Construction:
     def diagonal_at_stage(self, s: int, variant: str = "plain") -> frozenset[int]:
         _check_natural(s, "stage")
         _check_variant(variant)
-        return self._entered(-1, s, variant)
+        return frozenset(self._entered(-1, s, variant))
 
-    def _entered(self, s0: int, s1: int, variant: str) -> frozenset[int]:
-        """Diagonal elements that enter at stages s0+1..s1; s0 = -1 reads all.
+    def _entered(self, s0: int, s1: int, variant: str) -> dict[int, int]:
+        """Diagonal elements that enter at stages s0+1..s1, each mapped to
+        its stage; s0 = -1 reads all.
 
         Reads only the log entries of those stages (and of stage s0 for hat).
         """
@@ -454,16 +455,18 @@ class Construction:
         hi = bisect_right(log_t, s1)
         if variant == "plain":
             lo = bisect_right(log_t, s0)
-            return frozenset(x for x in self._log_x[lo:hi] if x >= e)
+            return {x: t for x, t in zip(self._log_x[lo:hi], log_t[lo:hi]) if x >= e}
         # hat x + 1 enters once plain x is logged at t, but not before stage
         # x + 1; x <= t, so it enters at t or t + 1, and t = s0 is read too
         lo = bisect_right(log_t, s0 - 1)
-        hat = frozenset(
-            x + 1
+        hat = {
+            x + 1: u
             for x, t in zip(self._log_x[lo:hi], log_t[lo:hi])
-            if x + 1 >= e and s0 < max(t, x + 1) <= s1
-        )
-        return hat | {0} if e == 0 and s0 < 0 else hat
+            if x + 1 >= e and s0 < (u := t if t > x else x + 1) <= s1
+        }
+        if e == 0 and s0 < 0:
+            hat[0] = 0
+        return hat
 
     # ---------------- derived experiments ----------------
 
@@ -548,6 +551,6 @@ class DiagonalView(Enumerator):
     def at_stage(self, s: int) -> frozenset[int]:
         return self.construction.diagonal_at_stage(s, self.variant)
 
-    def _delta(self, s0: int, s1: int) -> frozenset[int]:
-        """Exactly at_stage(s1) - at_stage(s0), read from the log's slice."""
+    def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
+        """Exactly the elements entering at s0+1..s1, from the log's slice."""
         return self.construction._entered(s0, s1, self.variant)

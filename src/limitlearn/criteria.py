@@ -16,9 +16,9 @@ the full stage), so rerunning with a larger horizon keeps them valid. The
 finite-i content clause is the one deliberate exception: it compares against
 prefix content, which can still grow, and is marked revocable in details.
 
-Texts and traces are linear in what they read. canonical_text walks the
-stages one at a time and asks the registry only for what each stage added
-(``new_between``); run_learner hands the whole text to the learner once
+Texts and traces are linear in what they read. canonical_text asks the
+registry once for every element its later stages add, tagged with its stage
+(``arrivals``); run_learner hands the whole text to the learner once
 (``Learner.outputs``) instead of one prefix per step.
 """
 
@@ -76,9 +76,9 @@ def canonical_text(registry: Registry, code: int, length: int) -> Text:
     refreshes discovery up to stage s0 + n (s0 = first nonempty stage), then
     emits the next undelivered element, or repeats the least known element
     when delivery has caught up; late discoveries still surface later.
-    The refresh at n > 0 reads only what stage s0 + n added
-    (``Registry.new_between``, one query like ``enumerate_to``), so a text
-    costs what its set enumerates, not a whole snapshot per position.
+    Stages s0 + 1 on come from one ``Registry.arrivals`` read (one query,
+    like ``enumerate_to``), so a text costs s0 + 2 queries and what its set
+    enumerates, not a snapshot per position.
     """
     if length < 0:
         raise ValueError(f"text length {length} is negative")
@@ -90,11 +90,15 @@ def canonical_text(registry: Registry, code: int, length: int) -> Text:
                 f"code {code} enumerated nothing by stage {length}; cannot build a text"
             )
         s0 += 1
+    by_stage: dict[int, list[int]] = {}
+    if length >= 2:
+        for x, t in registry.arrivals(code, s0, s0 + length - 1).items():
+            by_stage.setdefault(t, []).append(x)
     items: list[int] = []
     p = 0
     for n in range(length):
-        if n > 0:
-            cursor.advance(registry.new_between(code, s0 + n - 1, s0 + n))
+        if (new := by_stage.get(s0 + n)) is not None:
+            cursor.advance(frozenset(new))
         if p < len(cursor.order):
             items.append(cursor.order[p])
             p += 1

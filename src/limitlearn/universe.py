@@ -2,18 +2,18 @@
 
 An enumerator models a set being listed over discrete stages: ``at_stage(s)``
 is the finite portion visible by stage s, and it must never lose elements as
-s grows. ``new_between(s0, s1)`` reads only what stages s0+1..s1 added: its
-result D satisfies at_stage(s1) - at_stage(s0) <= D <= at_stage(s1), so a
-caller that has seen every stage up to s0 learns stage s1 from D alone. The
-default subtracts two snapshots; enumerators that know their deltas (finite
-sets, unions, the diagonal views) override ``_delta`` and answer without
-building either one. The registry assigns natural-number codes to
-enumerators so learners can output hypotheses as plain ints; code 0 is
-reserved for the empty set.
+s grows. ``arrivals(s0, s1)`` reads in one call what stages s0+1..s1 added,
+each element tagged with its stage: an x outside at_stage(s0) that some
+at_stage(t), s0 < t <= s1, holds maps to the least such t, and any other key
+is in at_stage(s0), so a caller that has seen stage s0 drops it. The default
+walks the snapshots of those stages; enumerators that know their stages
+(finite sets, unions, the diagonal views) override ``_arrivals`` and build
+none. The registry assigns natural-number codes to enumerators so learners
+can output hypotheses as plain ints; code 0 is reserved for the empty set.
 
-Determinism: all methods return frozensets and take no hidden state; callers
-that need ordered output must sort. The registry counts every ``at_stage``
-and ``new_between`` query it forwards, one each, which gives reproducible
+Determinism: all methods return frozensets (arrivals a fresh dict) and take
+no hidden state; callers that need ordered output must sort. The registry counts every ``at_stage``
+and ``arrivals`` query it forwards, one each, which gives reproducible
 work measurements independent of wall clock.
 """
 
@@ -27,25 +27,30 @@ from .encodings import _check_natural
 class Enumerator:
     """One set unfolding over stages; subclasses fill in at_stage.
 
-    new_between checks its stages once and hands them to _delta, which a
-    subclass overrides when it can read a delta without two snapshots.
+    arrivals checks its stages once and hands them to _arrivals, which a
+    subclass overrides when it knows its stages without snapshots.
     """
 
     def at_stage(self, s: int) -> frozenset[int]:
         """Elements enumerated by stage s. Must be monotone in s."""
         raise NotImplementedError
 
-    def new_between(self, s0: int, s1: int) -> frozenset[int]:
-        """A superset of at_stage(s1) - at_stage(s0) within at_stage(s1)."""
+    def arrivals(self, s0: int, s1: int) -> dict[int, int]:
+        """Element -> least stage in s0+1..s1 showing it, for x outside
+        at_stage(s0); any other key is in at_stage(s0)."""
         _check_natural(s0, "stage")
         _check_natural(s1, "stage")
         if s1 < s0:
             raise ValueError(f"stage {s1} comes before stage {s0}")
-        return self._delta(s0, s1)
+        return self._arrivals(s0, s1)
 
-    def _delta(self, s0: int, s1: int) -> frozenset[int]:
-        """new_between for stages already checked; override to skip snapshots."""
-        return self.at_stage(s1) - self.at_stage(s0)
+    def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
+        """arrivals for stages already checked; exact even if not monotone."""
+        out = dict.fromkeys(self.at_stage(s0), s0)
+        for t in range(s0 + 1, s1 + 1):
+            for x in self.at_stage(t):
+                out.setdefault(x, t)
+        return {x: t for x, t in out.items() if t > s0}
 
     def stable_below(self, k: int, s: int) -> bool:
         """True only if the part below k provably never changes after stage s.
@@ -62,8 +67,8 @@ class EmptyEnumerator(Enumerator):
         _check_natural(s, "stage")
         return frozenset()
 
-    def _delta(self, s0: int, s1: int) -> frozenset[int]:
-        return frozenset()
+    def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
+        return {}
 
     def stable_below(self, k: int, s: int) -> bool:
         return True
@@ -81,8 +86,8 @@ class FiniteSetEnumerator(Enumerator):
         _check_natural(s, "stage")
         return self._elements if s >= 1 else frozenset()
 
-    def _delta(self, s0: int, s1: int) -> frozenset[int]:
-        return self._elements if s0 < 1 <= s1 else frozenset()
+    def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
+        return dict.fromkeys(self._elements, 1) if s0 < 1 <= s1 else {}
 
     def stable_below(self, k: int, s: int) -> bool:
         return s >= 1
@@ -115,13 +120,15 @@ class UnionEnumerator(Enumerator):
             out |= p.at_stage(s)
         return frozenset(out)
 
-    def _delta(self, s0: int, s1: int) -> frozenset[int]:
-        """Union of the parts' deltas; it may hold an element that one part
-        adds and another had already, which the contract allows."""
-        out: set[int] = set()
+    def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
+        """Each element's least stage over the parts; a key that one part
+        adds and another had already is in at_stage(s0), as allowed."""
+        out: dict[int, int] = {}
         for p in self._parts:
-            out |= p._delta(s0, s1)
-        return frozenset(out)
+            for x, t in p._arrivals(s0, s1).items():
+                if out.setdefault(x, t) > t:
+                    out[x] = t
+        return out
 
     def stable_below(self, k: int, s: int) -> bool:
         return all(p.stable_below(k, s) for p in self._parts)
@@ -160,11 +167,11 @@ class Registry:
         self.query_count += 1
         return enum.at_stage(s)
 
-    def new_between(self, code: int, s0: int, s1: int) -> frozenset[int]:
-        """new_between(s0, s1) of the coded enumerator; counts as one query."""
+    def arrivals(self, code: int, s0: int, s1: int) -> dict[int, int]:
+        """arrivals(s0, s1) of the coded enumerator; counts as one query."""
         enum = self.get(code)
         self.query_count += 1
-        return enum.new_between(s0, s1)
+        return enum.arrivals(s0, s1)
 
     def stable_below(self, code: int, k: int, s: int) -> bool:
         return self.get(code).stable_below(k, s)
@@ -204,9 +211,9 @@ class DiscoveryCursor:
 
     Feeding stages in increasing order yields a canonical listing: within one
     stage, newly seen elements are appended in sorted order. A stage may be
-    fed whole or as any superset of what it added (``new_between``): elements
-    seen before are dropped either way. Used to turn an enumerator into a
-    concrete text deterministically.
+    fed whole or as what it added (the keys ``arrivals`` tags with it):
+    elements seen before are dropped either way. Used to turn an enumerator
+    into a concrete text deterministically.
     """
 
     def __init__(self) -> None:

@@ -810,7 +810,7 @@ def test_confirmation_work_is_linear_in_the_horizon(kind):
             assert c.confirmation_stage(x) == _conf_closed_form(c, x), (e, x)
 
 
-# ---------------- deltas of the diagonal views ----------------
+# ---------------- arrivals of the diagonal views ----------------
 
 
 def _entries_by_stage(c, variant, horizon):
@@ -826,13 +826,15 @@ def _entries_by_stage(c, variant, horizon):
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
 @pytest.mark.parametrize("e", [0, 1, 2])
 def test_view_deltas_match_the_seed_scan(kind, e):
+    """arrivals(s0, s1) of every view: exactly the x whose scanned
+    confirmation stage t lies in s0+1..s1, each tagged with that t."""
     horizon = 501
     ref = Workspace().construction(kind, e)
     ref.run_to(horizon)
     entries = {v: _entries_by_stage(ref, v, horizon) for v in ("plain", "hat")}
 
     def want(variant, s0, s1):
-        return frozenset(chain.from_iterable(entries[variant][s0 + 1 : s1 + 1]))
+        return {x: t for t in range(s0 + 1, s1 + 1) for x in entries[variant][t]}
 
     rng = random.Random(f"{kind}-{e}")
     steps = [(s, s + 1) for s in range(horizon)]
@@ -843,15 +845,15 @@ def test_view_deltas_match_the_seed_scan(kind, e):
         views = {v: DiagonalView(Workspace().construction(kind, e), v) for v in ("plain", "hat")}
         for s0, s1 in order:
             for variant, view in views.items():
-                got = view.new_between(s0, s1)
+                got = view.arrivals(s0, s1)
                 assert got == want(variant, s0, s1), (variant, s0, s1)
                 if order is spans:
-                    assert got == view.at_stage(s1) - view.at_stage(s0), (variant, s0, s1)
+                    assert got.keys() == view.at_stage(s1) - view.at_stage(s0), (variant, s0, s1)
 
 
 def test_view_deltas_refuse_bad_stages():
     view = DiagonalView(_constant(), "hat")
     with pytest.raises(ValueError, match="got -1"):
-        view.new_between(-1, 4)
+        view.arrivals(-1, 4)
     with pytest.raises(ValueError, match="stage 3 comes before stage 4"):
-        view.new_between(4, 3)
+        view.arrivals(4, 3)

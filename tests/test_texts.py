@@ -100,7 +100,8 @@ def test_run_learner_refuses_horizon_past_text():
 
 def _canonical_text_by_snapshots(registry, code, length):
     """The snapshot loop canonical_text replaced: every position reads the
-    whole set at its stage, and padding scans for the least element."""
+    whole set at its stage, and padding scans for the least element.
+    Returns the items and s0, the first stage with an element."""
     cursor = DiscoveryCursor()
     s0 = 0
     while not cursor.advance(registry.enumerate_to(code, s0)):
@@ -117,21 +118,30 @@ def _canonical_text_by_snapshots(registry, code, length):
             p += 1
         else:
             items.append(min(cursor.order))
-    return tuple(items)
+    return tuple(items), s0
 
 
 def _assert_same_text(make, length):
-    """Same items and the same number of registry queries as the oracle, each
-    on a fresh (registry, code) pair from make()."""
+    """Same items as the oracle, each on a fresh (registry, code) pair from
+    make(). The text reads s0 + 1 opening snapshots and, from length 2 on, one
+    range read; so it makes the oracle's registry queries less its length - 1
+    later snapshots, plus that read (building a table queries the registry
+    too, the same on both sides)."""
     reg, code = make()
+    counting = _Counting(reg.get(code))
+    code = reg.register(counting)
     before = reg.query_count
     got = canonical_text(reg, code, length)
     fast_queries = reg.query_count - before
     reg, code = make()
     before = reg.query_count
-    want = _canonical_text_by_snapshots(reg, code, length)
+    want, s0 = _canonical_text_by_snapshots(reg, code, length)
     assert got.items == want
-    assert fast_queries == reg.query_count - before
+    reads = [("at_stage", s) for s in range(s0 + 1)]
+    if length >= 2:
+        reads.append(("arrivals", s0, s0 + length - 1))
+    assert counting.reads == reads
+    assert fast_queries == reg.query_count - before - max(length - 1, 0) + (length >= 2)
 
 
 def _registered(enum):
@@ -172,34 +182,89 @@ def test_canonical_text_matches_snapshots_on_family_members(kind, e):
 
 
 class _Counting(Enumerator):
-    """Passes queries through and adds up the sizes of the sets it hands out."""
+    """Passes queries through, logs them, and adds up the sizes of the sets
+    it hands out."""
 
     def __init__(self, inner):
         self.inner = inner
         self.handed = 0
+        self.reads = []
 
     def at_stage(self, s):
+        self.reads.append(("at_stage", s))
         out = self.inner.at_stage(s)
         self.handed += len(out)
         return out
 
-    def _delta(self, s0, s1):
-        out = self.inner.new_between(s0, s1)
+    def _arrivals(self, s0, s1):
+        self.reads.append(("arrivals", s0, s1))
+        out = self.inner.arrivals(s0, s1)
         self.handed += len(out)
         return out
 
 
+def _counted_member_text(variant, length):
+    """A constant_zero member's text (finite part {0, 2, 3}) through _Counting;
+    returns the wrapper and the text's registry queries."""
+    ws = Workspace()
+    member = ws.registry.get(ws.family_member_code("constant_zero", 0, 13, variant))
+    counting = _Counting(member)
+    code = ws.registry.register(counting)
+    before = ws.registry.query_count
+    canonical_text(ws.registry, code, length)
+    return counting, ws.registry.query_count - before
+
+
 @pytest.mark.parametrize("variant", ["plain", "hat"])
 def test_text_reads_linear_in_its_length(variant):
-    n = 13  # finite part {0, 2, 3}
     handed = {}
     for length in (500, 1000):
-        ws = Workspace()
-        member = ws.registry.get(ws.family_member_code("constant_zero", 0, n, variant))
-        counting = _Counting(member)
-        canonical_text(ws.registry, ws.registry.register(counting), length)
+        counting, _ = _counted_member_text(variant, length)
         handed[length] = counting.handed
         # the diagonal part adds at most one element per stage, the finite
         # part shows up once
         assert counting.handed <= length + 3 + 2, (length, counting.handed)
     assert handed[1000] <= 2.2 * handed[500], handed
+
+
+@pytest.mark.parametrize("variant", ["plain", "hat"])
+def test_text_queries_do_not_grow_with_its_length(variant):
+    # a text is s0 + 1 snapshots and one range read, however long it is
+    queries = {length: _counted_member_text(variant, length)[1] for length in (500, 1000)}
+    assert queries[500] == queries[1000] == 2, queries
+
+
+# ---------------- edge lengths: no range read below length 2 ----------------
+
+
+def _member():
+    ws = Workspace()
+    return ws.registry, ws.family_member_code("constant_zero", 0, 13, "plain")
+
+
+# each case: make, and the texts it has at lengths 0..2 (a missing length raises)
+_SHORT = {
+    "finite": (lambda: _registered(FiniteSetEnumerator({4, 9})), {1: (4,), 2: (4, 9)}),
+    "late": (lambda: _registered(_Late()), {}),
+    "member": (_member, {0: (), 1: (0,), 2: (0, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHORT))
+@pytest.mark.parametrize("length", [0, 1, 2])
+def test_short_texts_pin_items_and_reads(name, length):
+    make, texts = _SHORT[name]
+    if length in texts:
+        reg, code = make()
+        assert canonical_text(reg, code, length).items == texts[length]
+        _assert_same_text(make, length)
+        return
+    # empty at stage 0: it raises after reading stages 0..length
+    reg, code = make()
+    counting = _Counting(reg.get(code))
+    code = reg.register(counting)
+    before = reg.query_count
+    with pytest.raises(ValueError, match=f"enumerated nothing by stage {length};"):
+        canonical_text(reg, code, length)
+    assert counting.reads == [("at_stage", s) for s in range(length + 1)]
+    assert reg.query_count - before == length + 1

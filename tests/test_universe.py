@@ -115,11 +115,11 @@ def test_discovery_cursor_keeps_its_least_element():
     assert cur.least == 3
 
 
-# ---------------- new_between: the delta contract ----------------
+# ---------------- arrivals: each new element with its first stage ----------------
 
 
 def _contract_cases():
-    """Enumerators whose deltas are computed, not defaulted, plus defaults."""
+    """Enumerators whose arrivals are computed, not defaulted, plus defaults."""
     late = StepFunctionEnumerator(lambda s: {7} if s >= 3 else set())
     flicker = StepFunctionEnumerator(
         lambda s: {0, 4} | ({1} if s % 3 == 1 else set()) | ({2} if 4 <= s < 7 else set())
@@ -132,31 +132,49 @@ def _contract_cases():
         "union-empty": UnionEnumerator(()),
         "step-non-monotone": flicker,
         "union-non-monotone": UnionEnumerator((flicker, FiniteSetEnumerator({2, 9}))),
+        # the part listed last shows 2 later than the first one does
+        "union-late-part": UnionEnumerator((FiniteSetEnumerator({2, 9}), flicker)),
     }
 
 
+def _first_stages(enum, s0, s1):
+    """The oracle: each x outside at_stage(s0) that a snapshot of stages
+    s0+1..s1 shows, mapped to the first of those snapshots."""
+    before = frozenset(enum.at_stage(s0))
+    out = {}
+    for t in range(s0 + 1, s1 + 1):
+        for x in enum.at_stage(t):
+            if x not in before:
+                out.setdefault(x, t)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(_contract_cases()))
-def test_new_between_lies_between_the_delta_and_the_later_stage(name):
+def test_arrivals_tag_each_new_element_with_its_first_stage(name):
     enum = _contract_cases()[name]
     for s0, s1 in combinations_with_replacement(range(13), 2):
-        got = enum.new_between(s0, s1)
-        later = frozenset(enum.at_stage(s1))
-        assert later - frozenset(enum.at_stage(s0)) <= got <= later, (s0, s1)
+        got = enum.arrivals(s0, s1)
+        before = frozenset(enum.at_stage(s0))
+        assert {x: t for x, t in got.items() if x not in before} == _first_stages(
+            enum, s0, s1
+        ), (s0, s1)
 
 
-def test_new_between_of_finite_sets_and_unions_is_exact():
+def test_arrivals_of_finite_sets_and_unions_are_exact():
     fin = FiniteSetEnumerator({3, 1})
-    assert fin.new_between(0, 1) == frozenset({1, 3})
-    assert fin.new_between(0, 9) == frozenset({1, 3})
-    assert fin.new_between(1, 9) == frozenset()
-    assert fin.new_between(0, 0) == frozenset()
-    u = UnionEnumerator((fin, StepFunctionEnumerator(lambda s: {7} if s >= 3 else set())))
-    assert u.new_between(2, 3) == frozenset({7})
-    assert u.new_between(0, 3) == frozenset({1, 3, 7})
-    assert u.new_between(3, 5) == frozenset()
+    assert fin.arrivals(0, 1) == {1: 1, 3: 1}
+    assert fin.arrivals(0, 9) == {1: 1, 3: 1}
+    assert fin.arrivals(1, 9) == {}
+    assert fin.arrivals(0, 0) == {}
+    late = StepFunctionEnumerator(lambda s: {7, 3} if s >= 3 else set())
+    assert UnionEnumerator((fin, late)).arrivals(2, 3) == {3: 3, 7: 3}
+    # the least stage over the parts, whichever part comes first
+    assert UnionEnumerator((fin, late)).arrivals(0, 3) == {1: 1, 3: 1, 7: 3}
+    assert UnionEnumerator((late, fin)).arrivals(0, 3) == {1: 1, 3: 1, 7: 3}
+    assert UnionEnumerator((fin, late)).arrivals(3, 5) == {}
 
 
-def test_default_new_between_subtracts_two_snapshots():
+def test_default_arrivals_walks_the_snapshots():
     class Counting(Enumerator):
         def __init__(self):
             self.asked = []
@@ -166,31 +184,32 @@ def test_default_new_between_subtracts_two_snapshots():
             return frozenset(range(s))
 
     enum = Counting()
-    assert enum.new_between(3, 6) == frozenset({3, 4, 5})
-    assert sorted(enum.asked) == [3, 6]
+    assert enum.arrivals(3, 6) == {3: 4, 4: 5, 5: 6}
+    assert sorted(enum.asked) == [3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("name", sorted(_contract_cases()))
 def test_new_between_refuses_bad_stages(name):
+    # arrivals is the read of what is new between two stages
     enum = _contract_cases()[name]
     with pytest.raises(ValueError, match="stage must be a natural number, got -1"):
-        enum.new_between(-1, 3)
+        enum.arrivals(-1, 3)
     with pytest.raises(ValueError, match="stage must be a natural number, got -2"):
-        enum.new_between(0, -2)
+        enum.arrivals(0, -2)
     with pytest.raises(ValueError, match="stage 2 comes before stage 5"):
-        enum.new_between(5, 2)
+        enum.arrivals(5, 2)
 
 
-def test_registry_new_between_counts_one_query_and_checks_its_input():
+def test_registry_arrivals_counts_one_query_and_checks_its_input():
     reg = Registry()
     c = reg.register(FiniteSetEnumerator({4}))
     before = reg.query_count
-    assert reg.new_between(c, 0, 2) == frozenset({4})
-    assert reg.new_between(0, 0, 2) == frozenset()
+    assert reg.arrivals(c, 0, 2) == {4: 1}
+    assert reg.arrivals(0, 0, 2) == {}
     assert reg.query_count == before + 2
     with pytest.raises(KeyError, match="unregistered hypothesis code 9"):
-        reg.new_between(9, 0, 1)
+        reg.arrivals(9, 0, 1)
     with pytest.raises(ValueError, match="got -1"):
-        reg.new_between(c, -1, 1)
+        reg.arrivals(c, -1, 1)
     with pytest.raises(ValueError, match="stage 1 comes before stage 4"):
-        reg.new_between(c, 4, 1)
+        reg.arrivals(c, 4, 1)
