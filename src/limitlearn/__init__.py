@@ -32,7 +32,7 @@ from .learners import (
     ProfiledLearner,
     guess_features,
 )
-from .reports import ExperimentConfig, canonical_json, make_report
+from .reports import canonical_json, make_report
 from .stabilizing import (
     StabWitness,
     base_qualifies,
@@ -82,7 +82,6 @@ __all__ = [
     "ProfiledFunctionLearner",
     "ProfiledLearner",
     "guess_features",
-    "ExperimentConfig",
     "canonical_json",
     "make_report",
     "StabWitness",

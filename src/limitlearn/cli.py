@@ -34,7 +34,7 @@ from .criteria import (
     run_learner,
 )
 from .encodings import _check_natural
-from .reports import ExperimentConfig, canonical_json, make_report
+from .reports import canonical_json, make_report
 from .suite import run_suite
 from .workspace import SAMPLE_LEARNERS, Workspace
 
@@ -180,10 +180,6 @@ def resolve(args: argparse.Namespace) -> dict:
     return values
 
 
-def _experiment(command: str, p: dict, names: tuple[str, ...]) -> ExperimentConfig:
-    return ExperimentConfig(command, {name: p[name] for name in names})
-
-
 def _cmd_construct(p: dict) -> tuple[dict, int]:
     ws = Workspace()
     c = ws.construction(p["learner"], p["base_e"])
@@ -199,13 +195,8 @@ def _cmd_construct(p: dict) -> tuple[dict, int]:
     }
     if p["stage_bound"] is not None:
         results["separation_level"] = c.separation_level(p["stage_bound"])
-    recorded = ("learner", "base_e", "horizon", "bound")
-    report = make_report(
-        _experiment("construct", p, recorded),
-        results,
-        work=dict(c.counters, registry_queries=ws.registry.query_count),
-    )
-    return report, 0
+    work = dict(c.counters, registry_queries=ws.registry.query_count)
+    return make_report("construct", p, results, work), 0
 
 
 def _build_text(p: dict, ws: Workspace) -> Text:
@@ -259,31 +250,23 @@ def _cmd_learn(command: str, p: dict) -> tuple[dict, int]:
         results["vacillation"] = fex
         results["strict"] = fext
         failed = Status.FAIL_WITNESSED in (fex.status, fext.status)
-    report = make_report(
-        _experiment(command, p, ("learner", "horizon", "bound", "i", "j")),
-        results,
-        work={"registry_queries": ws.registry.query_count},
-    )
-    return report, 1 if failed else 0
+    work = {"registry_queries": ws.registry.query_count}
+    return make_report(command, p, results, work), 1 if failed else 0
 
 
 def _cmd_family(p: dict) -> tuple[dict, int]:
     ws = Workspace()
     adversary, e, variant = p["adversary"], p["base_e"], p["variant"]
     code = ws.family_member_code(adversary, e, p["member_n"], variant)
-    recorded = ("adversary", "base_e", "member_n", "variant", "horizon", "bound")
-    report = make_report(
-        _experiment("family", p, recorded),
-        {
-            "member_code": code,
-            "diagonal_code": ws.diagonal_code(adversary, e, variant),
-            "elements_below_bound": sorted(
-                ws.registry.below(code, p["bound"], p["horizon"])
-            ),
-        },
-        work={"registry_queries": ws.registry.query_count},
-    )
-    return report, 0
+    results = {
+        "member_code": code,
+        "diagonal_code": ws.diagonal_code(adversary, e, variant),
+        "elements_below_bound": sorted(
+            ws.registry.below(code, p["bound"], p["horizon"])
+        ),
+    }
+    work = {"registry_queries": ws.registry.query_count}
+    return make_report("family", p, results, work), 0
 
 
 def _cmd_suite(p: dict) -> tuple[dict, int]:
@@ -310,10 +293,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         p = resolve(args)
+        out = p.pop("out")  # the one parameter a report does not record
         report, code = COMMANDS[args.cmd][1](p)
         payload = canonical_json(report)
-        if p["out"]:
-            with open(p["out"], "w", encoding="utf-8") as fh:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         else:
             sys.stdout.write(payload)

@@ -108,7 +108,7 @@ class Construction:
     """Stage table for one (learner, e) pair; see the module docstring."""
 
     def __init__(self, learner: ProfiledLearner, e: int, registry: Registry):
-        if not learner.length_profiled:
+        if not isinstance(learner, ProfiledLearner):
             raise ValueError("the stage table requires a length-profiled learner")
         _check_natural(e, "base value e")
         self.learner = learner

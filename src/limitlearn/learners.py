@@ -40,10 +40,6 @@ class Learner:
 
     name = "learner"
 
-    # True only for ProfiledLearner: decide(seq) depends on seq only through
-    # len(seq). The stage table and the stabilization check test this flag.
-    length_profiled = False
-
     def decide(self, seq: Sequence) -> int:
         raise NotImplementedError
 
@@ -56,8 +52,6 @@ class Learner:
 class ProfiledLearner(Learner):
     """Output depends on the input's length only: subclasses supply
     length_code, and decide and outputs read it, never the content."""
-
-    length_profiled = True
 
     def decide(self, seq: Sequence) -> int:
         return self.length_code(len(seq))

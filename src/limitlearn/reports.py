@@ -5,36 +5,19 @@ inputs must serialize identically. Hence sorted keys, sorted set contents,
 a fixed indent, a trailing newline, and no timestamps or wall-clock numbers
 anywhere in a report (work counters are deterministic; clocks are not).
 
-The layout is exactly ``json.dumps(to_jsonable(obj), sort_keys=True,
-indent=2)`` plus a newline, written in one pass by ``canonical_json``;
-``tests/test_reports.py`` keeps that two-step form as the oracle.
+``canonical_json`` is the only converter: in one pass it writes exactly
+``json.dumps(..., sort_keys=True, indent=2)`` of the value with enums, sets
+and ``as_dict`` objects converted, plus a newline. ``tests/test_reports.py``
+keeps that copy-then-dump form as the oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = "1"
-
-
-def to_jsonable(obj):
-    """Coerce package objects into plain JSON-friendly structures."""
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, (frozenset, set)):
-        return sorted(to_jsonable(x) for x in obj)
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if hasattr(obj, "as_dict"):
-        return to_jsonable(obj.as_dict())
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def canonical_json(obj) -> str:
@@ -44,13 +27,13 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, nl: str, out: list[str]) -> None:
-    """Append obj to out at indent nl, testing types in to_jsonable's order."""
+    """Append obj to out at indent nl, testing types in the oracle's order."""
     if type(obj) is int or obj is None:
         return out.append("null" if obj is None else int.__repr__(obj))
     if isinstance(obj, Enum):
         return _write(obj.value, nl, out)
     if isinstance(obj, (frozenset, set)):
-        obj = sorted(map(to_jsonable, obj))
+        obj = sorted(obj, key=_order)
     if isinstance(obj, (list, tuple)):
         inner = nl + "  "
         if obj and all(type(x) is int for x in obj):
@@ -81,21 +64,33 @@ def _write(obj, nl: str, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    params: dict = field(default_factory=dict)
+def _order(x):
+    """What a set member sorts by: its report value, as far as < can tell.
 
-    def as_dict(self) -> dict:
-        return {"command": self.command, "params": self.params}
+    A dict never compares by <, so an as_dict object stops at as_dict().
+    """
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, frozenset):
+        return sorted(map(_order, x))
+    if isinstance(x, tuple):
+        return list(map(_order, x))
+    if hasattr(x, "as_dict"):
+        return x.as_dict()
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    raise TypeError(f"cannot serialize {type(x).__name__} into a report")
 
 
-def make_report(config: ExperimentConfig, results: dict, work: dict | None = None) -> dict:
+def make_report(
+    command: str, params: dict, results: dict, work: dict | None = None
+) -> dict:
+    """The report of one run, holding the given objects: no copy is made."""
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": to_jsonable(config),
-        "results": to_jsonable(results),
+        "config": {"command": command, "params": params},
+        "results": results,
     }
     if work is not None:
-        report["work"] = to_jsonable(work)
+        report["work"] = work
     return report

@@ -135,7 +135,7 @@ def check_stabilizing(
     c = content(sigma)  # the one read of sigma; the rest scans lengths
     if not _covers_required(e, k, c):
         return StabWitness(tau=sigma, t=0, violated_condition=1)
-    if not learner.length_profiled:
+    if not isinstance(learner, ProfiledLearner):
         raise ValueError("the stabilization check requires a length-profiled learner")
     # not admissible itself: condition 1 already put every value at or above e
     if len(sigma) > s or (c and max(c) > s):

@@ -21,7 +21,7 @@ from .criteria import (
     verify_witness,
 )
 from .encodings import finite_set_decode, finite_set_encode, pair, unpair
-from .reports import ExperimentConfig, canonical_json, make_report
+from .reports import canonical_json, make_report
 from .universe import Registry, StepFunctionEnumerator, check_monotone
 from .workspace import Workspace
 
@@ -304,9 +304,5 @@ def run_suite(seed: int = 0) -> tuple[dict, bool]:
     )
     criteria = first["criteria"] + [replay]
     all_pass = all(c["status"] == "PASS" for c in criteria)
-    report = make_report(
-        ExperimentConfig(command="suite", params={"seed": seed}),
-        {"criteria": criteria, "all_pass": all_pass},
-        work=first["work"],
-    )
-    return report, all_pass
+    results = {"criteria": criteria, "all_pass": all_pass}
+    return make_report("suite", {"seed": seed}, results, first["work"]), all_pass

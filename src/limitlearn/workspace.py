@@ -19,7 +19,6 @@ from .learners import (
 from .universe import FiniteSetEnumerator, Registry, UnionEnumerator
 
 SAMPLE_LEARNERS = ("constant_zero", "length_parity", "fresh_each_step")
-VARIANTS = ("plain", "hat")
 
 
 class Workspace:

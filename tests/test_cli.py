@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from limitlearn.cli import main
+from limitlearn.cli import PARAMS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -429,7 +429,37 @@ def test_config_and_flags_give_the_same_bytes(tmp_path, argv, flags, config):
     assert main(argv + ["--config", str(cfg), "--out", str(by_config)]) == rc
     assert by_flags.read_bytes() == by_config.read_bytes()
     params = _load(by_flags)["config"]["params"]
-    assert all(params[key] == value for key, value in config.items() if key in params)
+    assert all(params[key] == value for key, value in config.items())
+
+
+@pytest.mark.parametrize(
+    "argv, flag, values",
+    [
+        (
+            ["check", "--learner", "gap_parity", "--i", "*", "--j", "2"],
+            "--adversary",
+            ["constant_zero", "fresh_each_step"],
+        ),
+        (
+            ["construct", "--learner", "length_parity"],
+            "--stage-bound",
+            ["20", "50"],
+        ),
+    ],
+)
+def test_reports_record_every_parameter_but_out(tmp_path, argv, flag, values):
+    # two runs that differ in one parameter must differ in config.params
+    recorded = []
+    for value in values:
+        out = tmp_path / f"{value}.json"
+        main(argv + ["--horizon", "100", flag, value, "--out", str(out)])
+        recorded.append(_load(out)["config"]["params"])
+    assert recorded[0] != recorded[1]
+    key = flag[2:].replace("-", "_")
+    assert [params[key] for params in recorded] == [
+        int(v) if v.isdigit() else v for v in values
+    ]
+    assert set(recorded[0]) == set(PARAMS[argv[0]]) - {"out"}
 
 
 def test_prefix_past_its_budget_fails_fast(capsys):

@@ -13,6 +13,7 @@ from limitlearn import (
     GuessFeatures,
     LengthParityLearner,
     ProfiledFunctionLearner,
+    ProfiledLearner,
     Registry,
     guess_features,
 )
@@ -20,7 +21,7 @@ from limitlearn import (
 
 def test_constant_learner():
     m = ConstantLearner()
-    assert m.length_profiled
+    assert isinstance(m, ProfiledLearner)
     assert m.decide(()) == 0
     assert m.decide((4, 4, 4)) == 0
     assert m.length_code(17) == 0
@@ -82,7 +83,7 @@ def test_fresh_learner_hypothesis_content():
 def test_profiled_function_learner():
     table = {0: 3, 1: 3, 2: 5}
     m = ProfiledFunctionLearner(lambda n: table.get(n, 0), finite=frozenset({0, 3, 5}))
-    assert m.length_profiled
+    assert isinstance(m, ProfiledLearner)
     assert m.decide((8, 8)) == 5
     assert m.length_code(1) == 3
     assert m.length_codes(0, 3) == frozenset({0, 3, 5})
@@ -91,7 +92,7 @@ def test_profiled_function_learner():
 
 def test_function_learner_is_not_profiled():
     m = FunctionLearner(lambda seq: sum(seq) % 3)
-    assert not m.length_profiled
+    assert not isinstance(m, ProfiledLearner)
     assert m.decide((2, 2)) == 1
     # only a ProfiledLearner has length profile hooks, not even stubs elsewhere
     for learner in (m, GapParityLearner(lambda e, variant: 0)):

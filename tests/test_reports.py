@@ -7,11 +7,28 @@ from enum import Enum, IntEnum
 
 import pytest
 
-from limitlearn import ExperimentConfig, Status, Verdict, canonical_json, make_report
+from limitlearn import Status, Verdict, canonical_json, make_report
 from limitlearn import reports
 from limitlearn.cli import COMMANDS, build_parser, resolve
-from limitlearn.reports import SCHEMA_VERSION, to_jsonable
+from limitlearn.reports import SCHEMA_VERSION
 from limitlearn.suite import run_battery
+
+
+def to_jsonable(obj):
+    """The oracle's copy: package objects as plain JSON-friendly structures."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (frozenset, set)):
+        return sorted(to_jsonable(x) for x in obj)
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "as_dict"):
+        return to_jsonable(obj.as_dict())
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def _canonical_json_oracle(obj) -> str:
@@ -54,20 +71,29 @@ def test_canonical_json_layout():
 
 
 def test_make_report_shape():
-    cfg = ExperimentConfig(command="construct", params={"horizon": 5})
-    rep = make_report(cfg, {"answer": frozenset({1})}, work={"queries": 9})
+    answer = {"answer": frozenset({1})}
+    rep = make_report("construct", {"horizon": 5}, answer, {"queries": 9})
+    assert set(rep) == {"schema_version", "config", "results", "work"}
     assert rep["schema_version"] == SCHEMA_VERSION
-    assert rep["config"]["command"] == "construct"
-    assert rep["results"] == {"answer": [1]}
+    assert rep["config"] == {"command": "construct", "params": {"horizon": 5}}
+    assert rep["results"] == {"answer": frozenset({1})}
     assert rep["work"] == {"queries": 9}
+    assert "work" not in make_report("suite", {}, {})
     # reports must stay loadable and re-serializable byte for byte
     blob = canonical_json(rep)
     assert canonical_json(json.loads(blob)) == blob
 
 
+def test_make_report_keeps_its_inputs():
+    params, results, work = {"seed": 0}, {"codes": {2, 1}}, {"queries": 3}
+    rep = make_report("suite", params, results, work)
+    assert rep["config"]["params"] is params
+    assert rep["results"] is results
+    assert rep["work"] is work
+
+
 def test_reports_carry_no_timestamps():
-    cfg = ExperimentConfig(command="suite", params={})
-    rep = make_report(cfg, {})
+    rep = make_report("suite", {}, {})
     blob = canonical_json(rep)
     for needle in ("time", "date", "stamp"):
         assert needle not in blob
@@ -220,6 +246,35 @@ def test_canonical_json_raises_the_oracle_type_error(obj):
     with pytest.raises(TypeError) as old:
         _canonical_json_oracle(obj)
     assert str(new.value) == str(old.value)
+
+
+class _Plain(Enum):
+    ONE = 1
+    TWO = 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {_Plain.TWO, _Plain.ONE},
+        frozenset({(_Plain.TWO, 0), (_Plain.ONE, 5)}),
+        {(1, 2), frozenset({3, 0})},
+        {frozenset({3}), frozenset({1, 2}), frozenset({2, 9})},
+        {_Label("b"), _Label("a")},
+        {_Label("a"), "b"},
+        {_Thing()},
+    ],
+    ids=["enums", "enum-tuples", "tuple-and-set", "subsets", "as_dict", "mixed", "one"],
+)
+def test_set_members_sort_as_the_oracle_sorts(obj):
+    # members sort by their report values: a set's own < is subset order
+    outcomes = []
+    for encode in (canonical_json, _canonical_json_oracle):
+        try:
+            outcomes.append(encode(obj))
+        except TypeError as exc:
+            outcomes.append(f"TypeError: {exc}")
+    assert outcomes[0] == outcomes[1]
 
 
 def _cli_report(argv):
