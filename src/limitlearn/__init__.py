@@ -23,14 +23,10 @@ from .encodings import (
 from .learners import (
     ConstantLearner,
     FreshLengthLearner,
-    FunctionLearner,
     GapParityLearner,
-    GuessFeatures,
     Learner,
     LengthParityLearner,
-    ProfiledFunctionLearner,
     ProfiledLearner,
-    guess_features,
 )
 from .reports import canonical_json, make_report
 from .stabilizing import (
@@ -74,14 +70,10 @@ __all__ = [
     "unpair",
     "ConstantLearner",
     "FreshLengthLearner",
-    "FunctionLearner",
     "GapParityLearner",
-    "GuessFeatures",
     "Learner",
     "LengthParityLearner",
-    "ProfiledFunctionLearner",
     "ProfiledLearner",
-    "guess_features",
     "canonical_json",
     "make_report",
     "StabWitness",

@@ -49,15 +49,13 @@ class Text:
     def __len__(self) -> int:
         return len(self.items)
 
-    def prefix(self, n: int) -> Sequence:
+    def content_at(self, n: int) -> frozenset[int]:
+        """The set of the first n items."""
         if n < 0:
             raise ValueError(f"prefix length {n} is negative")
         if n > len(self.items):
             raise ValueError(f"text has only {len(self.items)} items, wanted {n}")
-        return self.items[:n]
-
-    def content_at(self, n: int) -> frozenset[int]:
-        return frozenset(self.prefix(n))
+        return frozenset(self.items[:n])
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,26 @@
 """Learners: total maps from finite sequences to hypothesis codes.
 
+Every learner supplies two methods: decide(seq) for one input, and
+outputs(items, horizon), the answers on every prefix of one text. A trace
+reads outputs, so each learner answers all prefixes in one pass.
+
 Two families live here. The sample learners (constant, length-parity, fresh-
 length) exist to drive the diagonal construction; each of their outputs
-depends only on the input's length, so each is a ProfiledLearner, whose
-decide and outputs read one hook: length_code for one length. Two more give
-cheaper answers: length_codes for the distinct codes over a range of lengths,
-whose max is condition 2's top code, and finite_codes for every code the
-learner can emit. With them the stabilization check reasons about all
+depends only on the input's length, so each is a ProfiledLearner, which
+derives decide and outputs from one hook: length_code for one length. Two more
+give cheaper answers: length_codes for the distinct codes over a range of
+lengths, whose max is condition 2's top code, and finite_codes for every code
+the learner can emit. With them the stabilization check reasons about all
 extensions of a string at once instead of enumerating them. The gap-parity
 learner is the other kind, with no length profile: it reads the content of
 its input and answers with a diagonal hypothesis, and is the one expected to
-actually succeed on the constructed families.
-
-A trace asks for the outputs on every prefix of one text, through
-``outputs(items, horizon)``. A ProfiledLearner reads one length_code per
-prefix length; the gap-parity learner carries its least element and first
-gap from one prefix to the next. Only a learner with neither decides each
-prefix afresh, which costs the square of the horizon.
-"""
+actually succeed on the constructed families. One scan carries its least
+element and first gap from one prefix to the next; decide and outputs both
+read it."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .encodings import Sequence, next_free
 from .universe import FiniteSetEnumerator, Registry
@@ -36,7 +34,7 @@ def _check_horizon(horizon: int, length: int) -> None:
 
 
 class Learner:
-    """Base interface; decide() must be total and deterministic."""
+    """Base interface: decide and outputs, both total and deterministic."""
 
     name = "learner"
 
@@ -45,8 +43,7 @@ class Learner:
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide(items[:n]) for n = 0..horizon; horizon + 1 outputs."""
-        _check_horizon(horizon, len(items))
-        return tuple(self.decide(items[:n]) for n in range(horizon + 1))
+        raise NotImplementedError
 
 
 class ProfiledLearner(Learner):
@@ -137,62 +134,6 @@ class FreshLengthLearner(ProfiledLearner):
         return self._codes[m]
 
 
-class ProfiledFunctionLearner(ProfiledLearner):
-    """Length-profiled learner driven by a plain function; for tests."""
-
-    name = "profiled_function"
-
-    def __init__(
-        self,
-        length_fn: Callable[[int], int],
-        finite: frozenset[int] | None = None,
-        name: str | None = None,
-    ):
-        self._fn = length_fn
-        self._finite = finite
-        if name is not None:
-            self.name = name
-
-    def length_code(self, m: int) -> int:
-        return self._fn(m)
-
-    def finite_codes(self) -> frozenset[int] | None:
-        return self._finite
-
-
-class FunctionLearner(Learner):
-    """Arbitrary decide function, no profile; for tests and experiments."""
-
-    name = "function"
-
-    def __init__(self, fn: Callable[[Sequence], int], name: str | None = None):
-        self._fn = fn
-        if name is not None:
-            self.name = name
-
-    def decide(self, seq: Sequence) -> int:
-        return self._fn(seq)
-
-
-@dataclass(frozen=True)
-class GuessFeatures:
-    """What the gap-parity learner extracts from a nonempty input."""
-
-    min_value: int
-    gap: int  # least value above min_value missing from the content
-
-
-def guess_features(seq: Sequence) -> GuessFeatures | None:
-    if not seq:
-        return None
-    seen = set(seq)
-    m = min(seen)
-    n = m + 1
-    while n in seen:
-        n += 1
-    return GuessFeatures(min_value=m, gap=n)
-
-
 class GapParityLearner(Learner):
     """Reads the least element and the first gap above it, then commits.
 
@@ -208,19 +149,25 @@ class GapParityLearner(Learner):
         self._resolver = resolver
 
     def decide(self, seq: Sequence) -> int:
-        f = guess_features(seq)
-        if f is None:
-            return 0
-        return self._resolve(f.min_value, f.gap)
+        """The last answer of one scan over seq, resolved alone."""
+        last = self._scan(seq, len(seq), lambda *found: found)[-1]
+        return self._resolve(*last) if seq else 0
 
     def _resolve(self, min_value: int, gap: int) -> int:
         return self._resolver(min_value, "plain" if gap % 2 == 0 else "hat")
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide on every prefix in one pass, calling the resolver as decide
-        would. Seen values are keys of a path-compressed skip map, so a gap
-        that falls back below earlier content never rescans it."""
+        would."""
         _check_horizon(horizon, len(items))
+        return tuple(self._scan(items, horizon, self._resolve))
+
+    @staticmethod
+    def _scan(items: Sequence, horizon: int, answer: Callable) -> list:
+        """[0], then answer(least element, first gap above it) for each
+        nonempty prefix of items[:horizon]. Seen values are keys of a
+        path-compressed skip map, so a gap that falls back below earlier
+        content never rescans it."""
         out = [0]
         seen: dict[int, int] = {}
         low = None
@@ -228,5 +175,5 @@ class GapParityLearner(Learner):
             seen.setdefault(x, x + 1)
             if low is None or x < low:
                 low = x
-            out.append(self._resolve(low, next_free(seen, low + 1)))
-        return tuple(out)
+            out.append(answer(low, next_free(seen, low + 1)))
+        return out

@@ -7,14 +7,14 @@ import pytest
 from limitlearn import (
     Construction,
     FiniteSetEnumerator,
-    FunctionLearner,
-    ProfiledFunctionLearner,
     Registry,
     Text,
     Workspace,
     run_learner,
 )
 from limitlearn.construction import ADVERSARY_WINDOW
+
+from learner_helpers import FunctionLearner, ProfiledFunctionLearner
 
 
 def test_constant_learner_gets_plain_enumeration():

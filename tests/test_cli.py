@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, exit codes, canonical output."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from limitlearn.cli import PARAMS, main
+from limitlearn import canonical_json
+from limitlearn.cli import MAX_HORIZON, PARAMS, build_parser, main, resolve
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -251,6 +253,26 @@ def test_text_file_input(tmp_path):
     assert rc == 0
     rep = _load(out)
     assert rep["results"]["outputs_head"] == [1, 2, 1, 2, 1, 2, 1]
+
+
+def test_text_report_names_its_file(tmp_path):
+    """Two files at one path, alike in their first 20 items and in every
+    item the trace reads, still give different reports."""
+    text, out = tmp_path / "t.json", tmp_path / "r.json"
+    argv = ["learn", "--learner", "constant_zero", "--text", str(text)]
+    argv += ["--horizon", "20", "--out", str(out)]
+    reports = []
+    for items in ([0] * 30, [0] * 25 + [1] * 5):
+        text.write_text(json.dumps(items))
+        assert main(argv) == 0
+        rep = _load(out)
+        assert rep["results"]["text_items"] == 30
+        digest = hashlib.sha256(canonical_json(items).encode()).hexdigest()
+        assert rep["results"]["text_sha256"] == digest
+        reports.append(rep)
+    first, second = reports
+    assert first["results"].pop("text_sha256") != second["results"].pop("text_sha256")
+    assert first == second
 
 
 def test_text_file_too_short(tmp_path, capsys):
@@ -520,6 +542,24 @@ def test_suite_exit_codes(monkeypatch, capsys, tmp_path):
     assert "criterion 2 monotone: FAIL" in err
     monkeypatch.setattr(cli, "run_suite", lambda seed: (fake, True))
     assert main(["suite", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("cmd", ["construct", "learn", "check", "family"])
+def test_horizon_over_budget_fails_at_once(capsys, cmd):
+    argv = [cmd] + _REQUIRED[cmd]
+    if cmd == "check":
+        argv += ["--i", "*", "--j", "2"]
+    started = time.monotonic()
+    rc = main(argv + ["--horizon", "1000000000000"])
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: horizon 1000000000000 is over the budget of {MAX_HORIZON} stages"
+    ]
+    at_budget = build_parser().parse_args(argv + ["--horizon", str(MAX_HORIZON)])
+    assert resolve(at_budget)["horizon"] == MAX_HORIZON
 
 
 def test_stdout_emission(capsys):

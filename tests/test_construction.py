@@ -19,7 +19,6 @@ from limitlearn import (
     FiniteSetEnumerator,
     FreshLengthLearner,
     LengthParityLearner,
-    ProfiledFunctionLearner,
     Registry,
     StepFunctionEnumerator,
     Workspace,
@@ -29,6 +28,7 @@ from limitlearn import (
 from limitlearn.stabilizing import Survival
 
 from brute_oracle import candidate_strings, check_brute
+from learner_helpers import ProfiledFunctionLearner
 
 
 def _constant(e=0):

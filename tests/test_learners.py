@@ -8,13 +8,16 @@ from limitlearn import (
     ConstantLearner,
     FiniteSetEnumerator,
     FreshLengthLearner,
-    FunctionLearner,
     GapParityLearner,
-    GuessFeatures,
     LengthParityLearner,
-    ProfiledFunctionLearner,
     ProfiledLearner,
     Registry,
+)
+
+from learner_helpers import (
+    FunctionLearner,
+    GuessFeatures,
+    ProfiledFunctionLearner,
     guess_features,
 )
 
@@ -135,6 +138,15 @@ def test_gap_parity_randomized_agreement_with_features():
             assert got == 1
         else:
             assert got == 2
+    # outputs on every prefix against the from-scratch rule, least element too
+    streaming = GapParityLearner(lambda e, variant: 2 * e + (variant == "hat") + 1)
+    for _ in range(500):
+        items = _random_text(rng)
+        want = [0]
+        for n in range(1, len(items) + 1):
+            feats = guess_features(items[:n])
+            want.append(2 * feats.min_value + feats.gap % 2 + 1)
+        assert streaming.outputs(items, len(items)) == tuple(want), items
 
 
 def test_registry_backed_learners_share_a_registry():

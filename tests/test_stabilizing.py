@@ -15,7 +15,6 @@ from limitlearn import (
     FiniteSetEnumerator,
     FreshLengthLearner,
     LengthParityLearner,
-    ProfiledFunctionLearner,
     Registry,
     StepFunctionEnumerator,
     base_qualifies,
@@ -24,6 +23,7 @@ from limitlearn import (
 )
 
 from brute_oracle import candidate_strings, check_brute
+from learner_helpers import ProfiledFunctionLearner
 
 
 def test_base_qualifies():

@@ -33,11 +33,11 @@ class _Late(Enumerator):
 def test_text_basics():
     t = Text((4, 0, 4), label="x")
     assert len(t) == 3
-    assert t.prefix(0) == ()
-    assert t.prefix(2) == (4, 0)
+    assert t.content_at(0) == frozenset()
+    assert t.content_at(3) == frozenset({0, 4})
     assert t.content_at(2) == frozenset({0, 4})
     with pytest.raises(ValueError, match="only 3 items"):
-        t.prefix(4)
+        t.content_at(4)
 
 
 def test_canonical_text_of_finite_set():
@@ -80,7 +80,7 @@ def test_run_learner_trace_shape():
 def test_negative_lengths_are_refused():
     t = Text((1, 2, 3))
     with pytest.raises(ValueError, match="negative"):
-        t.prefix(-1)
+        t.content_at(-1)
     with pytest.raises(ValueError, match="negative"):
         run_learner(ConstantLearner(), t, -1)
     reg = Registry()
