@@ -45,13 +45,12 @@ set [e, infinity) gives two diagonal sets, "plain" and "hat"; they are exposed
 as stage-indexed enumerators whose stage-s slice admits x only when a positive
 confirmation exists by stage s that x can never become a marker.
 Confirmations are monotone facts, so the enumerators never retract an
-element. Confirmations go into one log in stage order; an x that must wait
-sits in a heap keyed by the one depth F it waits on, so each x costs O(log n)
-once (see confirmation_stage). The views read slices of the log, found by
-bisecting its stages: ``arrivals(s0, s1)`` reads only the entries that
-stages s0+1..s1 added, each tagged with its stage, and ``at_stage(s)`` takes
-the keys of that read from stage -1, so a caller that needs many stages (a
-canonical text) reads them all at once and pays for each element once.
+element. Each x's confirmation stage is stored once, in one map; an x that
+must wait sits in a heap keyed by the one depth F it waits on, so each x
+costs O(log n) once (see confirmation_stage). Every diagonal read applies one
+entry rule to a range of values (_entries): ``at_stage(s)`` reads e..s,
+``below(bound, s)`` only the values under the bound, and ``arrivals(s0, s1)``
+reads e..s1 and keeps what entered after s0, so no read builds a snapshot.
 """
 
 from __future__ import annotations
@@ -124,13 +123,10 @@ class Construction:
         self._frontier = 0
         # per depth k, failed lengths m -> a larger length to try next
         self._skip: dict[int, dict[int, int]] = {}
-        # log x -> plain confirmation stage through _confirmed; waiting (-F, x)
-        self._conf_at: dict[int, int] = {}
-        # the same log in stage order: _log_x[i] was confirmed at _log_t[i]
-        self._log_x: list[int] = []
-        self._log_t: list[int] = []
+        # x -> plain confirmation stage up to _confirmed (-1: 0, see _entries)
+        self._conf_at: dict[int, int] = {-1: 0}
         self._confirmed = -1
-        self._waiting: list[tuple[float, int]] = []
+        self._waiting: list[tuple[float, int]] = []  # (-F, x)
         self.counters = {
             "stages": 0,
             "searches": 0,
@@ -395,33 +391,28 @@ class Construction:
     # F: x is confirmed at x if none is left, else at the first t > x with
     # _moved[t] <= F. A marked x (and only a marked x, in the limit) never
     # gets that t, so it stays out forever.
-    # Confirmations are final, so one log keeps them in stage order, extended
-    # lazily. Stage t logs each waiting x with F >= _moved[t] (a heap keyed by
-    # F), then logs x = t (F = inf if trivial) or pushes it to wait. Each x is
-    # pushed and popped at most once, O(log n) once; views read log slices.
+    # Confirmations are final, so _conf_at keeps each x's stage once, filled
+    # lazily. Stage t confirms each waiting x with F >= _moved[t] (a heap
+    # keyed by F), then x = t (F = inf if trivial) or pushes it to wait. Each
+    # x is pushed and popped at most once, O(log n) once; views use _entries.
 
     def _confirm_to(self, s: int) -> None:
         self.run_to(s)
         e, defined, moved, waiting = self.e, self._defined, self._moved, self._waiting
         for t in range(self._confirmed + 1, s + 1):
             while waiting and -waiting[0][0] >= moved[t]:
-                self._confirm(heappop(waiting)[1], t)
+                self._conf_at[heappop(waiting)[1]] = t
                 self.counters["conf_cells"] += 1
             if t % 2 == 1 or t <= e + 1:
                 frozen = inf
             else:
                 frozen = max(0, min(t - e - 3, defined[t - 2], moved[t - 1], moved[t]))
             if frozen >= min(defined[t], t - e - 1):
-                self._confirm(t, t)
+                self._conf_at[t] = t
             else:
                 heappush(waiting, (-frozen, t))
             self.counters["conf_cells"] += 1
             self._confirmed = t
-
-    def _confirm(self, x: int, t: int) -> None:
-        self._conf_at[x] = t
-        self._log_x.append(x)
-        self._log_t.append(t)
 
     def confirmation_stage(self, x: int, variant: str = "plain") -> int | None:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -433,40 +424,28 @@ class Construction:
                 f"confirmation for {x} needs the table run to stage {x} first"
             )
         _check_variant(variant)
-        self._confirm_to(self.stage)
-        if variant == "plain":
-            return self._conf_at.get(x)
-        c = 0 if x == 0 else self._conf_at.get(x - 1)
-        return None if c is None else max(c, x)
+        return self._entries(x, x + 1, variant, self.stage).get(x)
 
     def diagonal_at_stage(self, s: int, variant: str = "plain") -> frozenset[int]:
         _check_natural(s, "stage")
         _check_variant(variant)
-        return frozenset(self._entered(-1, s, variant))
+        return frozenset(self._entries(self.e, s + 1, variant, s))
 
-    def _entered(self, s0: int, s1: int, variant: str) -> dict[int, int]:
-        """Diagonal elements that enter at stages s0+1..s1, each mapped to
-        its stage; s0 = -1 reads all.
+    def _entries(self, lo: int, hi: int, variant: str, s: int) -> dict[int, int]:
+        """y -> entry stage, for each y in lo..hi-1 that is in by stage s.
 
-        Reads only the log entries of those stages (and of stage s0 for hat).
+        The one entry rule: plain y enters at conf(y), its confirmation
+        stage. Hat is plain shifted by one: hat y enters at max(conf(y - 1),
+        y), and conf(-1) = 0 puts hat 0 in at stage 0. conf(y) >= y, so no
+        y > s is in by stage s, and no value past s is read.
         """
-        self._confirm_to(s1)
-        e, log_t = self.e, self._log_t
-        hi = bisect_right(log_t, s1)
-        if variant == "plain":
-            lo = bisect_right(log_t, s0)
-            return {x: t for x, t in zip(self._log_x[lo:hi], log_t[lo:hi]) if x >= e}
-        # hat x + 1 enters once plain x is logged at t, but not before stage
-        # x + 1; x <= t, so it enters at t or t + 1, and t = s0 is read too
-        lo = bisect_right(log_t, s0 - 1)
-        hat = {
-            x + 1: u
-            for x, t in zip(self._log_x[lo:hi], log_t[lo:hi])
-            if x + 1 >= e and s0 < (u := t if t > x else x + 1) <= s1
+        self._confirm_to(s)
+        get, shift = self._conf_at.get, 1 if variant == "hat" else 0
+        return {
+            y: u
+            for y in range(lo, min(hi, s + 1))
+            if (t := get(y - shift)) is not None and (u := t if t > y else y) <= s
         }
-        if e == 0 and s0 < 0:
-            hat[0] = 0
-        return hat
 
     # ---------------- derived experiments ----------------
 
@@ -551,6 +530,12 @@ class DiagonalView(Enumerator):
     def at_stage(self, s: int) -> frozenset[int]:
         return self.construction.diagonal_at_stage(s, self.variant)
 
+    def _below(self, bound: int, s: int) -> frozenset[int]:
+        c = self.construction
+        return frozenset(c._entries(c.e, bound, self.variant, s))
+
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
-        """Exactly the elements entering at s0+1..s1, from the log's slice."""
-        return self.construction._entered(s0, s1, self.variant)
+        """Exactly the elements entering at s0+1..s1, from one read of e..s1."""
+        c = self.construction
+        entries = c._entries(c.e, s1 + 1, self.variant, s1)
+        return {y: t for y, t in entries.items() if t > s0}

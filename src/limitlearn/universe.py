@@ -8,13 +8,16 @@ at_stage(t), s0 < t <= s1, holds maps to the least such t, and any other key
 is in at_stage(s0), so a caller that has seen stage s0 drops it. The default
 walks the snapshots of those stages; enumerators that know their stages
 (finite sets, unions, the diagonal views) override ``_arrivals`` and build
-none. The registry assigns natural-number codes to enumerators so learners
-can output hypotheses as plain ints; code 0 is reserved for the empty set.
+none. ``below(bound, s)`` is at_stage(s) under bound: the default filters
+the snapshot, a union joins its parts' reads, and a diagonal view reads only
+the values under the bound. The registry assigns natural-number codes to
+enumerators so learners can output hypotheses as plain ints; code 0 is
+reserved for the empty set.
 
 Determinism: all methods return frozensets (arrivals a fresh dict) and take
-no hidden state; callers that need ordered output must sort. The registry counts every ``at_stage``
-and ``arrivals`` query it forwards, one each, which gives reproducible
-work measurements independent of wall clock.
+no hidden state; callers that need ordered output must sort. The registry
+counts every ``at_stage``, ``arrivals`` and ``below`` query it forwards, one
+each, which gives reproducible work measurements independent of wall clock.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .encodings import _check_natural
 class Enumerator:
     """One set unfolding over stages; subclasses fill in at_stage.
 
-    arrivals checks its stages once and hands them to _arrivals, which a
-    subclass overrides when it knows its stages without snapshots.
+    arrivals and below check their stages and hand them to _arrivals and
+    _below, which a subclass overrides to answer without snapshots.
     """
 
     def at_stage(self, s: int) -> frozenset[int]:
@@ -51,6 +54,15 @@ class Enumerator:
             for x in self.at_stage(t):
                 out.setdefault(x, t)
         return {x: t for x, t in out.items() if t > s0}
+
+    def below(self, bound: int, s: int) -> frozenset[int]:
+        """Elements of at_stage(s) under bound."""
+        _check_natural(s, "stage")
+        return self._below(bound, s)
+
+    def _below(self, bound: int, s: int) -> frozenset[int]:
+        """below for a checked stage: the snapshot, filtered."""
+        return frozenset(x for x in self.at_stage(s) if x < bound)
 
     def stable_below(self, k: int, s: int) -> bool:
         """True only if the part below k provably never changes after stage s.
@@ -115,10 +127,7 @@ class UnionEnumerator(Enumerator):
         self._parts = tuple(parts)
 
     def at_stage(self, s: int) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self._parts:
-            out |= p.at_stage(s)
-        return frozenset(out)
+        return frozenset().union(*(p.at_stage(s) for p in self._parts))
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
         """Each element's least stage over the parts; a key that one part
@@ -129,6 +138,9 @@ class UnionEnumerator(Enumerator):
                 if out.setdefault(x, t) > t:
                     out[x] = t
         return out
+
+    def _below(self, bound: int, s: int) -> frozenset[int]:
+        return frozenset().union(*(p._below(bound, s) for p in self._parts))
 
     def stable_below(self, k: int, s: int) -> bool:
         return all(p.stable_below(k, s) for p in self._parts)
@@ -161,24 +173,26 @@ class Registry:
             raise KeyError(f"unregistered hypothesis code {code!r}")
         return self._table[code]
 
-    def enumerate_to(self, code: int, s: int) -> frozenset[int]:
-        """at_stage(s) of the coded enumerator; counts as one query."""
+    def _query(self, code: int) -> Enumerator:
+        """The coded enumerator, for one counted query."""
         enum = self.get(code)
         self.query_count += 1
-        return enum.at_stage(s)
+        return enum
+
+    def enumerate_to(self, code: int, s: int) -> frozenset[int]:
+        """at_stage(s) of the coded enumerator; counts as one query."""
+        return self._query(code).at_stage(s)
 
     def arrivals(self, code: int, s0: int, s1: int) -> dict[int, int]:
         """arrivals(s0, s1) of the coded enumerator; counts as one query."""
-        enum = self.get(code)
-        self.query_count += 1
-        return enum.arrivals(s0, s1)
+        return self._query(code).arrivals(s0, s1)
 
     def stable_below(self, code: int, k: int, s: int) -> bool:
         return self.get(code).stable_below(k, s)
 
     def below(self, code: int, bound: int, s: int) -> frozenset[int]:
-        """Elements of the coded set below bound at stage s; one query."""
-        return frozenset(x for x in self.enumerate_to(code, s) if x < bound)
+        """below(bound, s) of the coded enumerator; counts as one query."""
+        return self._query(code).below(bound, s)
 
     def sym_diff_below(self, h1: int, h2: int, bound: int, s: int) -> frozenset[int]:
         """Symmetric difference of two coded sets, restricted below bound."""

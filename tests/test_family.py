@@ -1,6 +1,18 @@
 """Family members: diagonal sets padded with canonical finite deltas."""
 
-from limitlearn import Workspace, finite_set_decode
+import pytest
+
+from limitlearn import (
+    Construction,
+    DiagonalView,
+    Workspace,
+    canonical_text,
+    check_txtfex,
+    check_txtfext,
+    finite_set_decode,
+    run_learner,
+    verify_witness,
+)
 
 
 def test_member_is_diagonal_plus_clipped_finite_part():
@@ -64,3 +76,58 @@ def test_workspace_counters_track_tables():
     counts = ws.counters()
     assert "registry_queries" in counts
     assert counts["tables"]["constant_zero/e0"]["stages"] == 10
+
+
+def test_bounded_reads_build_no_snapshot(monkeypatch):
+    ws = Workspace()
+    member = ws.family_member_code("length_parity", 1, 37, "hat")
+    # the text reads snapshots of its first stages, so it comes first
+    text = canonical_text(ws.registry, member, 200)
+    trace = run_learner(ws.gap_parity_learner("length_parity"), text, 200)
+
+    def verdicts():
+        """Both checkers and verify_witness on gap_parity's trace of a hat
+        member (i = 3, j = 2), and Registry.below on that member."""
+        out = []
+        for check in (check_txtfex, check_txtfext):
+            v = check(trace, ws.registry, 3, 2)
+            out.append((v.as_dict(), verify_witness(v, trace, ws.registry, 3, 2)))
+        return out, ws.registry.below(member, 64, 200)
+
+    want = verdicts()
+    # the strict checker fails on a pairwise witness that re-verifies
+    [(fex, fex_ok), (fext, fext_ok)], _ = want
+    assert fex["status"] == "PASS_AT_HORIZON" and not fex_ok
+    assert fext["witness"]["kind"] == "pairwise" and fext_ok
+
+    def refuse(*args):
+        raise AssertionError("a bounded read built a diagonal snapshot")
+
+    monkeypatch.setattr(DiagonalView, "at_stage", refuse)
+    monkeypatch.setattr(Construction, "diagonal_at_stage", refuse)
+    assert verdicts() == want
+
+
+class _CountingGets(dict):
+    """A dict that counts its get calls."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+@pytest.mark.parametrize("variant", ["plain", "hat"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_bounded_read_reads_only_the_values_under_the_bound(e, variant):
+    ws = Workspace()
+    code = ws.diagonal_code("length_parity", e, variant)
+    c = ws.construction("length_parity", e)
+    c.run_to(2000)
+    c._conf_at = counting = _CountingGets(c._conf_at)
+    got = ws.registry.below(code, 64, 2000)
+    assert 0 < counting.gets <= 64 - e
+    assert got == frozenset(x for x in c.diagonal_at_stage(2000, variant) if x < 64)

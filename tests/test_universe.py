@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from limitlearn import (
+    SAMPLE_LEARNERS,
     DiscoveryCursor,
     EmptyEnumerator,
     Enumerator,
@@ -12,6 +13,7 @@ from limitlearn import (
     Registry,
     StepFunctionEnumerator,
     UnionEnumerator,
+    Workspace,
     check_monotone,
 )
 
@@ -198,6 +200,35 @@ def test_new_between_refuses_bad_stages(name):
         enum.arrivals(0, -2)
     with pytest.raises(ValueError, match="stage 2 comes before stage 5"):
         enum.arrivals(5, 2)
+    with pytest.raises(ValueError, match="stage must be a natural number, got -1"):
+        enum.below(5, -1)
+
+
+def _below_cases():
+    """Every contract case (e = 0) and every sample diagonal view, registered."""
+    reg = Registry()
+    cases = {name: (reg, reg.register(enum), 0) for name, enum in _contract_cases().items()}
+    ws = Workspace()
+    for kind in SAMPLE_LEARNERS:
+        for e in (0, 1, 2):
+            for variant in ("plain", "hat"):
+                code = ws.diagonal_code(kind, e, variant)
+                cases[f"{kind}-e{e}-{variant}"] = (ws.registry, code, e)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_below_cases()))
+def test_below_is_the_snapshot_under_the_bound(name):
+    reg, code, e = _below_cases()[name]
+    enum = reg.get(code)
+    for s in range(41):
+        snapshot = enum.at_stage(s)
+        for bound in (0, 1, e, e + 1, s, s + 1, s + 2, 10**6):
+            want = frozenset(x for x in snapshot if x < bound)
+            assert enum.below(bound, s) == want, (s, bound)
+            before = reg.query_count
+            assert reg.below(code, bound, s) == want, (s, bound)
+            assert reg.query_count == before + 1
 
 
 def test_registry_arrivals_counts_one_query_and_checks_its_input():
