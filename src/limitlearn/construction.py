@@ -37,12 +37,12 @@ check, and a brute-force table and a full sweep that store whole strings, as
 oracles).
 
 On top of the table live the observations. A row that has sat unchanged long
-enough yields its even marker value (observed_a) and the odd successor
-(observed_b). Both come from one scan over the rows with a running maximum of
-their settling points; a depth that is not observable makes every deeper one
-unobservable too, so the scan stops there. Dropping the markers from the tail
-set [e, infinity) gives two diagonal sets, "plain" and "hat"; they are exposed
-as stage-indexed enumerators whose stage-s slice admits x only when a positive
+enough yields its even marker value, and the odd successor is one more; both
+lists come from one scan over the rows with a running maximum of their
+settling points (a_values, b_values), which stops at the first depth that is
+not observable. Dropping the markers from the tail set [e, infinity) gives two
+diagonal sets, "plain" and "hat"; they are read only through DiagonalView,
+a stage-indexed enumerator whose stage-s slice admits x only when a positive
 confirmation exists by stage s that x can never become a marker.
 Confirmations are monotone facts, so the enumerators never retract an
 element. Each x's confirmation stage is stored once, in one map; an x that
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappop, heappush
-from itertools import islice, pairwise, repeat, takewhile
+from itertools import pairwise, repeat
 from math import inf
 from typing import Iterator
 
@@ -318,49 +318,34 @@ class Construction:
 
     # ---------------- marker observation ----------------
 
-    def observed_a(self, ell: int, s: int | None = None) -> int | None:
-        """Even marker for depth ell at horizon s, or None if not observable.
+    def a_values(self, s: int | None = None) -> list[int]:
+        """Even marker per depth at horizon s, up to the first unobservable one.
 
-        Requires rows 0..ell all defined at s; the marker is the first even
-        value after both the settling point and the floor e + ell + 1, and
-        must itself fall within the horizon.
+        Depth ell needs rows 0..ell all defined at s; its marker is the first
+        even value after both the rows' settling point and the floor
+        e + ell + 1, and must itself fall within the horizon. One pass with a
+        running maximum of the settling points: once a depth is unobservable
+        every deeper one is too, since it needs one more defined row and its
+        marker is never smaller.
         """
         s = self._checked_stage(s)
-        if ell < 0:
-            raise ValueError(f"depth {ell} is negative")
-        return next(islice(self._markers(s), ell, None), None)
-
-    def _markers(self, s: int) -> Iterator[int]:
-        """observed_a at depths 0, 1, ... up to the first unobservable one.
-
-        One pass with a running maximum of the rows' settling points. Once a
-        depth is unobservable every deeper one is too: a deeper depth needs
-        one more defined row, and its marker is never smaller.
-        """
-        feasible = 0
+        out, feasible = [], 0
         for ell in range(self._defined[s]):
             feasible = max(feasible, self.rows[ell].last_change_at_or_before(s))
             start = max(feasible, self.e + ell + 2)
             a = start + start % 2
             if a > s:
-                return
-            yield a
-
-    def observed_b(self, ell: int, s: int | None = None) -> int | None:
-        s = self._checked_stage(s)
-        a = self.observed_a(ell, s)
-        if a is None or a + 1 > s:
-            return None
-        return a + 1
-
-    def a_values(self, s: int | None = None) -> list[int]:
-        """observed_a per depth, stopping at the first unobservable one."""
-        return list(self._markers(self._checked_stage(s)))
+                break
+            out.append(a)
+        return out
 
     def b_values(self, s: int | None = None) -> list[int]:
-        """observed_b per depth: a + 1 for each even marker a below the horizon."""
+        """Odd marker a + 1 per depth, for each even marker a below the horizon.
+
+        Markers never decrease with depth, so the cut is a prefix.
+        """
         cap = self._checked_stage(s)
-        return [a + 1 for a in takewhile(lambda a: a < cap, self.a_values(cap))]
+        return [a + 1 for a in self.a_values(cap) if a < cap]
 
     def r_prefix(
         self, bound: int, variant: str = "plain", s: int | None = None
@@ -425,11 +410,6 @@ class Construction:
             )
         _check_variant(variant)
         return self._entries(x, x + 1, variant, self.stage).get(x)
-
-    def diagonal_at_stage(self, s: int, variant: str = "plain") -> frozenset[int]:
-        _check_natural(s, "stage")
-        _check_variant(variant)
-        return frozenset(self._entries(self.e, s + 1, variant, s))
 
     def _entries(self, lo: int, hi: int, variant: str, s: int) -> dict[int, int]:
         """y -> entry stage, for each y in lo..hi-1 that is in by stage s.
@@ -528,7 +508,8 @@ class DiagonalView(Enumerator):
         self.variant = variant
 
     def at_stage(self, s: int) -> frozenset[int]:
-        return self.construction.diagonal_at_stage(s, self.variant)
+        _check_natural(s, "stage")
+        return self._below(s + 1, s)
 
     def _below(self, bound: int, s: int) -> frozenset[int]:
         c = self.construction

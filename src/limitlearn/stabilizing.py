@@ -85,12 +85,11 @@ class Survival:
     ) -> tuple[int, int, int] | None:
         """Fold in lengths lo..s and stages up to sigma_len + s.
 
-        The first fold starts at lo = sigma_len. Returns None while both
+        The first fold starts at lo = sigma_len; a settled state is not
+        folded again (its caller stops there). Returns None while both
         conditions hold, else the first failure as (condition, code, t); for
         condition 2 the code is the largest one emitted over lo..s.
         """
-        if self.settled:
-            return None
         codes = learner.length_codes(lo, s)
         # condition 2 first: it needs no per-code state
         top = max(codes)

@@ -114,14 +114,15 @@ def criterion_4(ctx: SuiteContext) -> dict:
     c = ws.construction("constant_zero", 0)
     c.run_to(2000)
     rows_1 = [c.value_at(n, 2000) for n in range(6)]
-    a_1 = [c.observed_a(ell, 2000) for ell in range(6)]
+    a_1 = c.a_values(2000)[:6]
     c.run_to(4000)
     rows_2 = [c.value_at(n, 4000) for n in range(6)]
-    a_2 = [c.observed_a(ell, 4000) for ell in range(6)]
+    a_2 = c.a_values(4000)[:6]
     converged = all(v is not None for v in rows_1) and rows_1 == rows_2
     a_ok = (
-        a_1 == a_2
-        and all(a is not None and a % 2 == 0 and a > ell + 1 for ell, a in enumerate(a_1))
+        len(a_1) == 6
+        and a_1 == a_2
+        and all(a % 2 == 0 and a > ell + 1 for ell, a in enumerate(a_1))
     )
     x_plain = ws.diagonal_code("constant_zero", 0, "plain")
     x_hat = ws.diagonal_code("constant_zero", 0, "hat")

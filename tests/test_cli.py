@@ -522,6 +522,55 @@ def test_family_report(tmp_path):
     assert elements == sorted(elements)
 
 
+# The CI's report commands, each exiting 0, with the sha256 of its report
+# (work block included). A change to these bytes is a change of behaviour:
+# say so and record the new digest. `suite` is left out: its
+# criterion 8 draws with random.randint and random.choice, and Python keeps
+# only random() stable across versions, while CI runs 3.10 to 3.13.
+_PINNED_REPORTS = [
+    (
+        "construct --learner length_parity --horizon 300 --stage-bound 250",
+        "be7d7bde52e00d9f3682105c17116aa08d136a7afeb65a4fae7f9d9fb1a07d45",
+    ),
+    (
+        "construct --learner constant_zero --horizon 300 --bound 50",
+        "bff22410b1ce8c6e161423e26ef70de0a2197d170a132efb4099a7f12c4f87e6",
+    ),
+    (
+        "check --learner fresh_each_step --adversary constant_zero --i '*' --j '*'",
+        "b554b05ab6fd7c7cc5356324db1ffb5ca0185ca0019581434b20f879c479c65e",
+    ),
+    (
+        "family --adversary constant_zero --member-n 13",
+        "0670a18d1300146fadd200177e42a41b0336c8157de199b86a9754f0ecd9cdc3",
+    ),
+    (
+        "learn --learner gap_parity --adversary fresh_each_step --variant hat"
+        " --horizon 2000 --i '*' --j 2",
+        "742d7318a04aa159a08b9de36849f8d723ce591c6489b4237e75fb648c7d6c33",
+    ),
+    (
+        "check --learner gap_parity --adversary constant_zero --text text.json"
+        " --horizon 15 --i '*' --j 2",
+        "d0bf134186d97508b07a546a005bad0ef8eb3e4daa598fd2c4aa681ccd9ea129",
+    ),
+    (
+        "family --adversary length_parity --base-e 1 --variant hat --member-n 13"
+        " --horizon 2000 --bound 3000",
+        "27fa2a67e2b350cba3512a38f4a384e8f40879435e6a0373290597ece74a878b",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, digest", _PINNED_REPORTS)
+def test_ci_reports_keep_their_bytes(command, digest, tmp_path, monkeypatch):
+    # the --text file sits at a relative path, so its file: label is fixed
+    monkeypatch.chdir(tmp_path)
+    Path("text.json").write_text("[4, 0, 7, 2, 0, 9, 2, 4, 0, 7, 2, 4, 0, 9, 7]\n")
+    assert main(shlex.split(command) + ["--out", "r.json"]) == 0
+    assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == digest
+
+
 def test_suite_exit_codes(monkeypatch, capsys, tmp_path):
     fake = {
         "results": {

@@ -25,6 +25,7 @@ from limitlearn import (
     check_stabilizing,
     is_prefix,
 )
+from limitlearn import construction
 from limitlearn.stabilizing import Survival
 
 from brute_oracle import candidate_strings, check_brute
@@ -123,13 +124,9 @@ def test_value_at_replays_history():
         c.value_at(0, 10)
     for read in (
         lambda: c.value_at(5, -1),
-        lambda: c.observed_a(0, -1),
-        lambda: c.observed_b(0, -1),
         lambda: c.a_values(-1),
         lambda: c.b_values(-1),
         lambda: c.value_at(-2, 9),
-        lambda: c.observed_a(-1),
-        lambda: c.observed_b(-1),
         lambda: c.confirmation_stage(-1),
         lambda: c.confirmation_stage(-2),
         lambda: c.defined_rows(-1),
@@ -643,6 +640,31 @@ def test_table_work_is_linear_in_the_horizon(kind):
         assert work["length_checks"] <= work["searches"], (e, work)
 
 
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+def test_reverify_final_hands_each_row_over_once(kind, monkeypatch):
+    # the re-check reads each defined row's string once and nothing more: a
+    # row checked twice, or row n handed rows 0..n joined, breaks the counts
+    handed = {"calls": 0, "values": 0}
+
+    def counting(e, n, sigma, s, learner, registry):
+        handed["calls"] += 1
+        handed["values"] += len(sigma)
+        return check_stabilizing(e, n, sigma, s, learner, registry)
+
+    monkeypatch.setattr(construction, "check_stabilizing", counting)
+    for e in (0, 1, 2):
+        for horizon in (300, 600):
+            c = Workspace().construction(kind, e)
+            c.run_to(horizon)
+            rows = c.rows[: c._defined[horizon]]
+            handed.update(calls=0, values=0)
+            c.reverify_final()
+            assert handed == {
+                "calls": len(rows),
+                "values": sum(row.length for row in rows),
+            }, (e, horizon)
+
+
 # The confirmation scan the closed form replaced: per depth, the earliest
 # proof that x is no marker, from the rows' event lists alone.
 
@@ -778,7 +800,7 @@ def test_diagonal_views_match_the_seed_scan_at_every_stage(case):
                     for x in range(c.e, s + 1)
                     if (t := scan[variant][x]) is not None and t <= s
                 )
-                assert c.diagonal_at_stage(s, variant) == want, (s, variant)
+                assert DiagonalView(c, variant).at_stage(s) == want, (s, variant)
 
 
 # The closed form the confirmation log replaced: frozen depth F, then a scan
@@ -802,7 +824,7 @@ def test_confirmation_work_is_linear_in_the_horizon(kind):
         c = Workspace().construction(kind, e)
         for s in [*range(horizon + 1), *range(horizon, -1, -1)]:
             variant = ("plain", "hat")[s % 2]
-            c.diagonal_at_stage(s, variant)
+            DiagonalView(c, variant).at_stage(s)
             c.confirmation_stage(s, variant)
             # one cell per x logged plus one per x that waited
             assert c.counters["conf_cells"] <= 2 * (c.stage + 1), (e, s)

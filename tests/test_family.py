@@ -3,7 +3,6 @@
 import pytest
 
 from limitlearn import (
-    Construction,
     DiagonalView,
     Workspace,
     canonical_text,
@@ -20,7 +19,7 @@ def test_member_is_diagonal_plus_clipped_finite_part():
     # D_13 = {0, 2, 3}
     code = ws.family_member_code("constant_zero", 0, 13, "plain")
     got = ws.registry.enumerate_to(code, 30)
-    diag = ws.construction("constant_zero", 0).diagonal_at_stage(30, "plain")
+    diag = DiagonalView(ws.construction("constant_zero", 0), "plain").at_stage(30)
     assert diag <= got
     assert got - diag == frozenset({2})
 
@@ -29,7 +28,7 @@ def test_member_finite_part_respects_base_value():
     ws = Workspace()
     code = ws.family_member_code("constant_zero", 1, 13, "plain")
     got = ws.registry.enumerate_to(code, 30)
-    diag = ws.construction("constant_zero", 1).diagonal_at_stage(30, "plain")
+    diag = DiagonalView(ws.construction("constant_zero", 1), "plain").at_stage(30)
     # D_13 clipped to [1, inf) adds {2, 3}, both already diagonal members
     assert got == diag
     assert 0 not in got
@@ -104,7 +103,6 @@ def test_bounded_reads_build_no_snapshot(monkeypatch):
         raise AssertionError("a bounded read built a diagonal snapshot")
 
     monkeypatch.setattr(DiagonalView, "at_stage", refuse)
-    monkeypatch.setattr(Construction, "diagonal_at_stage", refuse)
     assert verdicts() == want
 
 
@@ -130,4 +128,4 @@ def test_bounded_read_reads_only_the_values_under_the_bound(e, variant):
     c._conf_at = counting = _CountingGets(c._conf_at)
     got = ws.registry.below(code, 64, 2000)
     assert 0 < counting.gets <= 64 - e
-    assert got == frozenset(x for x in c.diagonal_at_stage(2000, variant) if x < 64)
+    assert got == frozenset(x for x in DiagonalView(c, variant).at_stage(2000) if x < 64)
