@@ -233,47 +233,33 @@ class Construction:
         """
         if s is None:
             return self.stage
+        if not isinstance(s, int) or isinstance(s, bool):
+            raise ValueError(f"stage must be a natural number, got {s!r}")
         if s > self.stage:
             raise ValueError(f"stage {s} beyond current horizon {self.stage}")
         if s < 0:
             raise ValueError(f"stage {s} is negative")
         return s
 
-    def _strings(self, s: int, stop: int) -> Iterator[list[int]]:
-        """Strings of rows 0..stop-1 at stage s, each built from the one below.
+    def _strings(self, s: int) -> Iterator[list[int]]:
+        """Strings of the rows defined at stage s, row 0 first, built lazily.
 
-        Row n of length m is the first m - 1 values of row n-1 padded with
-        e, then e + n; row 0 is e repeated m times. The strings are built in
-        one list, extended in place and yielded after each row, so a caller
-        that keeps a row copies it. A row not longer than the one below
-        comes out cut short, so it does not extend it.
+        The one place a row's string is built. Row n of length m is the
+        first m - 1 values of row n-1 padded with e, then e + n; row 0 is e
+        repeated m times. The strings are built in one list, extended in
+        place and yielded after each row, so a caller that keeps a row
+        copies it, and a caller that stops early builds no row past it. A
+        row not longer than the one below comes out cut short, so it does
+        not extend it.
         """
         e, out = self.e, []
-        for n in range(stop):
+        for n in range(self._defined[s]):
             m = self.rows[n].length_at(s)
             if m:  # only row 0 at stage 0 is empty
                 del out[m - 1 :]
                 out.extend(repeat(e, m - 1 - len(out)))
                 out.append(e + n)
             yield out
-
-    def value_at(self, n: int, s: int) -> Sequence | None:
-        self._checked_stage(s)
-        if n < 0:
-            raise ValueError(f"row {n} is negative")
-        if n >= self._defined[s]:
-            return None
-        # lengths grow row to row, so row n is e except at the last position
-        # of each row j >= 1, which holds e + j
-        e = self.e
-        out = [e] * self.rows[n].length_at(s)
-        for j, row in enumerate(self.rows[1 : n + 1], 1):
-            out[row.length_at(s) - 1] = e + j
-        return tuple(out)
-
-    def defined_rows(self, s: int | None = None) -> list[tuple[int, Sequence]]:
-        s = self._checked_stage(s)
-        return [(n, tuple(v)) for n, v in enumerate(self._strings(s, self._defined[s]))]
 
     def chain_ok(self, s: int | None = None) -> bool:
         """Each defined row's string must extend the one below it.
@@ -298,14 +284,14 @@ class Construction:
         s = self.stage
         return [
             (n, check_stabilizing(self.e, n, tuple(v), s, self.learner, self.registry))
-            for n, v in enumerate(self._strings(s, self._defined[s]))
+            for n, v in enumerate(self._strings(s))
         ]
 
     def rows_snapshot(self, limit: int | None = None) -> list[dict]:
         if limit is not None and limit < 0:
             raise ValueError(f"row limit {limit} is negative")
         rows = self.rows[:limit]
-        strings = self._strings(self.stage, min(len(rows), self._defined[self.stage]))
+        strings = self._strings(self.stage)
         return [
             {
                 "row": n,

@@ -264,26 +264,34 @@ def verify_witness(
     settle: int | None = None,
     bound: int = 64,
 ) -> bool:
-    """Re-derive a FAIL witness from raw data, trusting nothing cached."""
+    """Re-derive a FAIL witness from raw data, trusting nothing cached.
+
+    The codes a witness names must be the trace's own, output after the
+    settle point, and a pairwise witness must use the checker's early stage.
+    """
     if verdict.status is not Status.FAIL_WITNESSED or verdict.witness is None:
         return False
     w = verdict.witness
     horizon = trace.horizon
     if settle is None:
         settle = horizon // 2
+    if not 0 <= settle < horizon:
+        return False  # check_txtfex finds nothing on a degenerate window
+    tail = set(_window_codes(trace, settle))
     kind = w.get("kind")
     if kind == "cardinality":
-        tail = set(_window_codes(trace, settle))
         return set(w["codes"]) <= tail and j != "*" and len(tail) > j
     if kind == "content":
-        if i == "*":
+        if i == "*" or w["code"] not in tail:
             return False
         target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
         diff = registry.below(w["code"], bound, horizon) ^ target
         return len(diff) > i and sorted(diff) == w["difference"]
     if kind == "pairwise":
         a, b = w["codes"]
-        early = w.get("early_stage", max(1, horizon // 2))
+        early = max(1, horizon // 2)
+        if a == b or not {a, b} <= tail or w.get("early_stage", early) != early:
+            return False
         persistent = (registry.below(a, bound, early) - registry.below(b, bound, horizon)) | (
             registry.below(b, bound, early) - registry.below(a, bound, horizon)
         )

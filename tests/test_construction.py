@@ -5,6 +5,7 @@ order (least string, length first, then lexicographic) and then pinned.
 """
 
 import random
+import re
 import tracemalloc
 from bisect import bisect_right
 from itertools import chain, pairwise
@@ -36,6 +37,26 @@ def _constant(e=0):
     return Construction(ConstantLearner(), e, Registry())
 
 
+def _rows_at(c, s=None):
+    """(row, string) for each row defined at stage s; None means the horizon."""
+    s = c._checked_stage(s)
+    return [(n, tuple(v)) for n, v in enumerate(c._strings(s))]
+
+
+def _positional_value(c, n, s):
+    """Row n's string at stage s, set position by position, apart from _strings.
+
+    Lengths grow row to row, so row n is e except at the last position of
+    each row j >= 1, which holds e + j. None when row n is undefined at s.
+    """
+    if n >= c._defined[s]:
+        return None
+    out = [c.e] * c.rows[n].length_at(s)
+    for j, row in enumerate(c.rows[1 : n + 1], 1):
+        out[row.length_at(s) - 1] = c.e + j
+    return tuple(out)
+
+
 def test_constructor_validation():
     reg = Registry()
     for e in (-1, 1.5, True, "2"):
@@ -49,14 +70,14 @@ def test_constructor_validation():
 def test_stage_zero_seeds_row_zero_with_empty_string():
     c = _constant()
     assert c.stage == 0
-    assert c.value_at(0, 0) == ()
+    assert _rows_at(c, 0) == [(0, ())]
     assert c.rows[0].events == [(0, 0)]
 
 
 def test_constant_rows_grow_one_per_stage():
     c = _constant()
     c.run_to(12)
-    rows = c.defined_rows()
+    rows = _rows_at(c)
     assert rows[0] == (0, (0,))
     assert rows[1] == (1, (0, 1))
     assert rows[5] == (5, (0, 1, 2, 3, 4, 5))
@@ -70,7 +91,7 @@ def test_constant_rows_shift_with_base_value():
     for e in (1, 2):
         c = _constant(e)
         c.run_to(10)
-        for n, v in c.defined_rows():
+        for n, v in _rows_at(c):
             assert v == tuple(range(e, e + n + 1))
 
 
@@ -78,7 +99,7 @@ def test_row_zero_transition_from_empty():
     c = _constant()
     c.run_stage()
     # stage 1: () still qualifies but condition 1 needs 0 in the content
-    assert c.value_at(0, 1) == (0,)
+    assert _rows_at(c, 1)[0] == (0, (0,))
     assert c.rows[0].events[0] == (0, 0)
 
 
@@ -86,7 +107,7 @@ def test_parity_rows_churn_at_the_horizon():
     ws = Workspace()
     c = ws.construction("length_parity", 0)
     c.run_to(30)
-    assert c.value_at(0, 30) == (0, 0)
+    assert _rows_at(c)[0] == (0, (0, 0))
     # row 1 only ever holds a maximal-length string, so it moves every stage
     assert c.rows[1].length == 30
     assert c.rows[2].length is None
@@ -100,7 +121,7 @@ def test_parity_row_one_value_shape():
     c = ws.construction("length_parity", 0)
     c.run_to(8)
     # least length-8 extension of (0, 0) covering {0, 1}: all zeros then a one
-    assert c.value_at(1, 8) == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert _rows_at(c)[1] == (1, (0, 0, 0, 0, 0, 0, 0, 1))
 
 
 def test_fresh_learner_kills_row_zero_at_stage_one():
@@ -110,32 +131,34 @@ def test_fresh_learner_kills_row_zero_at_stage_one():
     assert c.rows[0].length is None
     assert c.rows[0].events == [(0, 0), (1, None)]
     assert len(c.rows) == 1
-    assert c.defined_rows() == []
+    assert _rows_at(c) == []
 
 
-def test_value_at_replays_history():
+def test_rows_replay_history():
     c = _constant()
     c.run_to(9)
-    assert c.value_at(0, 0) == ()
-    assert c.value_at(0, 1) == (0,)
-    assert c.value_at(3, 3) is None
-    assert c.value_at(3, 4) == (0, 1, 2, 3)
-    with pytest.raises(ValueError, match="beyond current horizon"):
-        c.value_at(0, 10)
+    assert _rows_at(c, 0) == [(0, ())]
+    assert _rows_at(c, 1) == [(0, (0,))]
+    assert len(_rows_at(c, 3)) == 3
+    assert _rows_at(c, 4)[3] == (3, (0, 1, 2, 3))
     for read in (
-        lambda: c.value_at(5, -1),
         lambda: c.a_values(-1),
         lambda: c.b_values(-1),
-        lambda: c.value_at(-2, 9),
         lambda: c.confirmation_stage(-1),
         lambda: c.confirmation_stage(-2),
-        lambda: c.defined_rows(-1),
         lambda: c.chain_ok(-1),
     ):
         with pytest.raises(ValueError, match="negative"):
             read()
-    with pytest.raises(ValueError, match="beyond current horizon"):
-        c.defined_rows(10)
+    for stage in (2.5, True, "3"):
+        for read in (
+            c.a_values,
+            c.b_values,
+            lambda s: c.r_prefix(20, "plain", s),
+            c.chain_ok,
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"natural number, got {stage!r}")):
+                read(stage)
 
 
 def test_chain_property_holds_for_samples():
@@ -215,8 +238,7 @@ def test_profile_run_matches_brute_run():
         cb.run_to(5)
         assert len(cp.rows) == len(cb.rows)
         for s in range(6):
-            for n in range(len(cp.rows)):
-                assert cp.value_at(n, s) == cb.value_at(n, s), (s, n)
+            assert _rows_at(cp, s) == cb.defined_rows(s), s
 
 
 def test_sample_learners_profile_matches_brute():
@@ -228,8 +250,7 @@ def test_sample_learners_profile_matches_brute():
         cb.run_to(6)
         assert [r.stages for r in cp.rows] == [r.stages for r in cb.rows]
         for s in range(7):
-            for n in range(len(cb.rows)):
-                assert cp.value_at(n, s) == cb.value_at(n, s), (kind, s, n)
+            assert _rows_at(cp, s) == cb.defined_rows(s), (kind, s)
 
 
 def _never_stable_table(rng):
@@ -266,7 +287,7 @@ def test_resumed_rows_match_from_scratch_checks():
     for c in _profiled_tables():
         for s in range(1, 81):
             c.run_stage()
-            for n, v in c.defined_rows():
+            for n, v in _rows_at(c):
                 where = (c.learner.name, c.e, s, n)
                 assert check_stabilizing(
                     c.e, n, v, s, c.learner, c.registry
@@ -400,10 +421,6 @@ class _SweepOracle(Construction):
         out.extend(left)
         return tuple(out)
 
-    def value_at(self, n, s):
-        self._checked_stage(s)
-        return self.rows[n].value_at(s) if n < len(self.rows) else None
-
     def defined_rows(self, s=None):
         s = self._checked_stage(s)
         return [(row.n, v) for row in self.rows if (v := row.value_at(s)) is not None]
@@ -499,10 +516,11 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
         slow.run_stage()
         # one event per change of a row's string: the oracle compares strings
         assert [r.stages for r in fast.rows] == [r.stages for r in slow.rows], s
-        for n in range(len(slow.rows)):
-            assert fast.value_at(n, s) == slow.value_at(n, s), (s, n)
-        # the readers that build rows one from the next agree with it too
-        assert fast.defined_rows() == slow.defined_rows(), s
+        # the public reader builds each row from the one below; the oracle
+        # stores every string whole
+        assert [r["value"] for r in fast.rows_snapshot()] == [
+            None if r.value is None else list(r.value) for r in slow.rows
+        ], s
         assert [_qstate_fields(r.qstate) for r in fast.rows] == [
             _qstate_fields(r.qstate) for r in slow.rows
         ], s
@@ -537,7 +555,7 @@ def test_each_row_is_the_row_below_then_e_padding_then_e_plus_k(kind):
             # a string is logged only where it stabilizes at depth k, and it
             # is the row below, then e padding, then e + k
             for t, m in row.events[1:]:
-                v = c.value_at(k, t)
+                v = _positional_value(c, k, t)
                 if m is None:
                     assert v is None, (e, k, t)
                     continue
@@ -547,7 +565,7 @@ def test_each_row_is_the_row_below_then_e_padding_then_e_plus_k(kind):
                     k,
                     t,
                 )
-                below = () if k == 0 else c.value_at(k - 1, t)
+                below = () if k == 0 else _positional_value(c, k - 1, t)
                 pad = m - len(below) - 1
                 assert v == below + (e,) * pad + (e + k,), (e, k, t)
 
@@ -589,7 +607,7 @@ def test_chain_ok_sees_corrupted_lengths():
 
 def _chain_by_strings(c, s):
     """chain_ok as first written: build every row's string, compare by prefix."""
-    rows = map(tuple, c._strings(s, c._defined[s]))
+    rows = map(tuple, c._strings(s))
     return all(is_prefix(below, v) for below, v in pairwise(rows))
 
 

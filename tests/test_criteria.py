@@ -94,6 +94,42 @@ def test_pairwise_persistent_difference_fails_strict_only():
     assert verify_witness(strict, tr, reg, "*", 2)
 
 
+def test_forged_witnesses_do_not_verify():
+    reg, a, b, c = _registry()
+    # d agrees with a up to stage 30, then adds 7
+    d = reg.register(StepFunctionEnumerator(lambda s: {0, 1, 7} if s > 30 else {0, 1}))
+    tr = Trace((a, d) * 10, Text((0, 1) * 10), 19)
+    for check in (check_txtfex, check_txtfext):
+        assert check(tr, reg, 0, 2).status is Status.PASS_AT_HORIZON
+
+    def pairwise(codes, elements, early_stage):
+        return {
+            "kind": "pairwise",
+            "codes": codes,
+            "elements": elements,
+            "early_stage": early_stage,
+            "stage": 19,
+        }
+
+    cardinality = {"kind": "cardinality", "codes": [d], "allowed": 0}
+    forged = [
+        # codes the learner never output
+        (pairwise([a, c], [1, 2], 9), {}),
+        ({"kind": "content", "code": c, "difference": [1, 2], "allowed": 0}, {}),
+        # an early stage past the horizon, and a negative one
+        (pairwise([d, a], [7], 40), {}),
+        (pairwise([d, a], [7], -1), {}),
+        # windows where check_txtfex finds nothing
+        (cardinality, {"settle": 19}),
+        (cardinality, {"settle": -1}),
+    ]
+    for witness, window in forged:
+        if window:
+            assert check_txtfex(tr, reg, 0, 0, **window).status is Status.INCONCLUSIVE
+        forgery = Verdict(Status.FAIL_WITNESSED, witness, {})
+        assert verify_witness(forgery, tr, reg, 0, 0 if window else 2, **window) is False, witness
+
+
 def test_degenerate_window_is_inconclusive():
     reg, a, b, c = _registry()
     tr = Trace((a,), Text((5,)), 0)

@@ -35,7 +35,7 @@ def test_separation_needs_a_surviving_base_row():
 
 def _per_length_level(c, stage_bound):
     """separation_level as first written: one length_code per length."""
-    row0 = c.value_at(0, c.stage)
+    row0 = c.rows_snapshot(limit=1)[0]["value"]
     if row0 is None:
         return None
     codes = sorted(
