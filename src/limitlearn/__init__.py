@@ -38,7 +38,6 @@ from .stabilizing import (
 from .suite import SuiteContext, run_battery, run_suite
 from .universe import (
     DiscoveryCursor,
-    EmptyEnumerator,
     Enumerator,
     FiniteSetEnumerator,
     Registry,
@@ -84,7 +83,6 @@ __all__ = [
     "run_battery",
     "run_suite",
     "DiscoveryCursor",
-    "EmptyEnumerator",
     "Enumerator",
     "FiniteSetEnumerator",
     "Registry",

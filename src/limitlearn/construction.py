@@ -139,6 +139,7 @@ class Construction:
     # ---------------- table evolution ----------------
 
     def run_to(self, stage: int) -> None:
+        _check_natural(stage, "stage")
         while self.stage < stage:
             self.run_stage()
 
@@ -233,12 +234,9 @@ class Construction:
         """
         if s is None:
             return self.stage
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ValueError(f"stage must be a natural number, got {s!r}")
+        _check_natural(s, "stage")
         if s > self.stage:
             raise ValueError(f"stage {s} beyond current horizon {self.stage}")
-        if s < 0:
-            raise ValueError(f"stage {s} is negative")
         return s
 
     def _strings(self, s: int) -> Iterator[list[int]]:
@@ -288,8 +286,8 @@ class Construction:
         ]
 
     def rows_snapshot(self, limit: int | None = None) -> list[dict]:
-        if limit is not None and limit < 0:
-            raise ValueError(f"row limit {limit} is negative")
+        if limit is not None:
+            _check_natural(limit, "row limit")
         rows = self.rows[:limit]
         strings = self._strings(self.stage)
         return [
@@ -337,6 +335,7 @@ class Construction:
         self, bound: int, variant: str = "plain", s: int | None = None
     ) -> frozenset[int]:
         """Tail set [e, bound) minus the markers observable at horizon s."""
+        _check_natural(bound, "bound")
         _check_variant(variant)
         if bound - self.e > MAX_PREFIX:
             raise ValueError(f"bound {bound} is over the budget of {MAX_PREFIX} values")
@@ -386,10 +385,7 @@ class Construction:
             self._confirmed = t
 
     def confirmation_stage(self, x: int, variant: str = "plain") -> int | None:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"value must be a natural number, got {x!r}")
-        if x < 0:
-            raise ValueError(f"value {x} is negative")
+        _check_natural(x, "value")
         if x > self.stage:
             raise ValueError(
                 f"confirmation for {x} needs the table run to stage {x} first"
@@ -426,8 +422,7 @@ class Construction:
         a skip map, so a step costs ADVERSARY_WINDOW + 1 learner reads and no
         pass over the text so far.
         """
-        if length < 0:
-            raise ValueError(f"text length {length} is negative")
+        _check_natural(length, "text length")
         e, code = self.e, self.learner.length_code
         t: list[int] = []
         shown: dict[int, int] = {}
@@ -456,8 +451,7 @@ class Construction:
         element over ordered code pairs, elements and stages both capped at
         stage_bound.
         """
-        if stage_bound < 0:
-            raise ValueError(f"stage bound {stage_bound} is negative")
+        _check_natural(stage_bound, "stage bound")
         m0 = self.rows[0].length
         if m0 is None:
             return None

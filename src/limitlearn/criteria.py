@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .encodings import Sequence
+from .encodings import Sequence, _check_natural
 from .learners import Learner, _check_horizon
 from .universe import DiscoveryCursor, Registry
 
@@ -51,8 +51,7 @@ class Text:
 
     def content_at(self, n: int) -> frozenset[int]:
         """The set of the first n items."""
-        if n < 0:
-            raise ValueError(f"prefix length {n} is negative")
+        _check_natural(n, "prefix length")
         if n > len(self.items):
             raise ValueError(f"text has only {len(self.items)} items, wanted {n}")
         return frozenset(self.items[:n])
@@ -78,8 +77,7 @@ def canonical_text(registry: Registry, code: int, length: int) -> Text:
     like ``enumerate_to``), so a text costs s0 + 2 queries and what its set
     enumerates, not a snapshot per position.
     """
-    if length < 0:
-        raise ValueError(f"text length {length} is negative")
+    _check_natural(length, "text length")
     cursor = DiscoveryCursor()
     s0 = 0
     while not cursor.advance(registry.enumerate_to(code, s0)):

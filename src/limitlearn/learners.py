@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .encodings import Sequence, next_free
+from .encodings import Sequence, _check_natural, next_free
 from .universe import FiniteSetEnumerator, Registry
 
 
 def _check_horizon(horizon: int, length: int) -> None:
-    if horizon < 0:
-        raise ValueError(f"horizon {horizon} is negative")
+    _check_natural(horizon, "horizon")
     if horizon > length:
         raise ValueError(f"horizon {horizon} exceeds text length {length}")
 

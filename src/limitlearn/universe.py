@@ -12,7 +12,7 @@ none. ``below(bound, s)`` is at_stage(s) under bound: the default filters
 the snapshot, a union joins its parts' reads, and a diagonal view reads only
 the values under the bound. The registry assigns natural-number codes to
 enumerators so learners can output hypotheses as plain ints; code 0 is
-reserved for the empty set.
+reserved for the empty set, a ``FiniteSetEnumerator`` with no elements.
 
 Determinism: all methods return frozensets (arrivals a fresh dict) and take
 no hidden state; callers that need ordered output must sort. The registry
@@ -72,20 +72,6 @@ class Enumerator:
         return False
 
 
-class EmptyEnumerator(Enumerator):
-    """Never enumerates anything."""
-
-    def at_stage(self, s: int) -> frozenset[int]:
-        _check_natural(s, "stage")
-        return frozenset()
-
-    def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
-        return {}
-
-    def stable_below(self, k: int, s: int) -> bool:
-        return True
-
-
 class FiniteSetEnumerator(Enumerator):
     """Dumps a fixed finite set at stage 1 and never changes again."""
 
@@ -102,7 +88,7 @@ class FiniteSetEnumerator(Enumerator):
         return dict.fromkeys(self._elements, 1) if s0 < 1 <= s1 else {}
 
     def stable_below(self, k: int, s: int) -> bool:
-        return s >= 1
+        return s >= 1 or not self._elements
 
 
 class StepFunctionEnumerator(Enumerator):
@@ -155,7 +141,7 @@ class Registry:
     """
 
     def __init__(self) -> None:
-        self._table: list[Enumerator] = [EmptyEnumerator()]
+        self._table: list[Enumerator] = [FiniteSetEnumerator(())]
         self.query_count = 0
 
     def register(self, enum: Enumerator) -> int:
@@ -166,7 +152,7 @@ class Registry:
         return len(self._table)
 
     def __contains__(self, code: int) -> bool:
-        return isinstance(code, int) and 0 <= code < len(self._table)
+        return type(code) is int and 0 <= code < len(self._table)
 
     def get(self, code: int) -> Enumerator:
         if code not in self:

@@ -7,6 +7,8 @@ memoize; asking twice never registers twice.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .construction import Construction, DiagonalView
 from .encodings import finite_set_decode
 from .learners import (
@@ -46,10 +48,7 @@ class Workspace:
         """The content-reading learner aimed at one adversary's diagonals."""
         if adversary not in self._gap_learners:
             self.sample_learner(adversary)
-
-            def resolve(e: int, variant: str, _kind: str = adversary) -> int:
-                return self.diagonal_code(_kind, e, variant)
-
+            resolve = partial(self.diagonal_code, adversary)
             self._gap_learners[adversary] = GapParityLearner(resolve)
         return self._gap_learners[adversary]
 

@@ -141,23 +141,16 @@ def test_rows_replay_history():
     assert _rows_at(c, 1) == [(0, (0,))]
     assert len(_rows_at(c, 3)) == 3
     assert _rows_at(c, 4)[3] == (3, (0, 1, 2, 3))
-    for read in (
-        lambda: c.a_values(-1),
-        lambda: c.b_values(-1),
-        lambda: c.confirmation_stage(-1),
-        lambda: c.confirmation_stage(-2),
-        lambda: c.chain_ok(-1),
-    ):
-        with pytest.raises(ValueError, match="negative"):
-            read()
-    for stage in (2.5, True, "3"):
-        for read in (
-            c.a_values,
-            c.b_values,
-            lambda s: c.r_prefix(20, "plain", s),
-            c.chain_ok,
+    for stage in (-1, 2.5, True, "3"):
+        for name, read in (
+            ("stage", c.a_values),
+            ("stage", c.b_values),
+            ("stage", lambda s: c.r_prefix(20, "plain", s)),
+            ("stage", c.chain_ok),
+            ("value", c.confirmation_stage),
         ):
-            with pytest.raises(ValueError, match=re.escape(f"natural number, got {stage!r}")):
+            message = f"{name} must be a natural number, got {stage!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 read(stage)
 
 
@@ -188,13 +181,18 @@ def test_reverify_final_confirms_live_rows():
 def test_sizes_must_not_be_negative():
     c = Workspace().construction("constant_zero", 0)
     c.run_to(10)
-    for call in (
-        lambda: c.rows_snapshot(-1),
-        lambda: c.adversarial_text(-1),
-        lambda: c.separation_level(-1),
-    ):
-        with pytest.raises(ValueError, match="negative"):
-            call()
+    for size in (-1, 2.5, True, "3"):
+        for name, call in (
+            ("stage", c.run_to),
+            ("bound", c.r_prefix),
+            ("row limit", c.rows_snapshot),
+            ("text length", c.adversarial_text),
+            ("stage bound", c.separation_level),
+        ):
+            message = f"{name} must be a natural number, got {size!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(size)
+    assert c.stage == 10
 
 
 def test_rows_snapshot_shape():

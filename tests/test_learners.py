@@ -1,6 +1,7 @@
 """Sample learner behaviour, length profiles, and guess feature extraction."""
 
 import random
+import re
 
 import pytest
 
@@ -209,8 +210,10 @@ def test_gap_parity_outputs_equal_per_prefix_decide():
 )
 def test_learner_outputs_refuse_bad_horizons(learner):
     assert len(learner.outputs((5, 6, 7), 2)) == 3
-    with pytest.raises(ValueError, match="horizon -1 is negative"):
-        learner.outputs((5, 6, 7), -1)
+    for horizon in (-1, 2.5, True, "3"):
+        message = f"horizon must be a natural number, got {horizon!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            learner.outputs((5, 6, 7), horizon)
     with pytest.raises(ValueError, match="horizon 4 exceeds text length 3"):
         learner.outputs((5, 6, 7), 4)
 

@@ -7,7 +7,6 @@ import pytest
 from limitlearn import (
     SAMPLE_LEARNERS,
     DiscoveryCursor,
-    EmptyEnumerator,
     Enumerator,
     FiniteSetEnumerator,
     Registry,
@@ -19,7 +18,7 @@ from limitlearn import (
 
 
 def test_empty_enumerator():
-    e = EmptyEnumerator()
+    e = FiniteSetEnumerator(())
     assert e.at_stage(0) == frozenset()
     assert e.at_stage(50) == frozenset()
     assert e.stable_below(10, 0)
@@ -56,7 +55,7 @@ def test_registry_code_zero_is_empty():
 def test_registry_sequential_codes():
     reg = Registry()
     c1 = reg.register(FiniteSetEnumerator({7}))
-    c2 = reg.register(EmptyEnumerator())
+    c2 = reg.register(FiniteSetEnumerator(()))
     assert (c1, c2) == (1, 2)
     assert reg.enumerate_to(c1, 1) == frozenset({7})
 
@@ -65,6 +64,20 @@ def test_registry_unknown_code():
     reg = Registry()
     with pytest.raises(KeyError, match="unregistered hypothesis code 9"):
         reg.get(9)
+    # codes are ints: a bool is no code, though True == 1 and False == 0
+    reg.register(FiniteSetEnumerator({2}))
+    for code in (True, False):
+        assert code not in reg
+        for read in (
+            reg.get,
+            lambda c: reg.enumerate_to(c, 3),
+            lambda c: reg.arrivals(c, 0, 3),
+            lambda c: reg.stable_below(c, 5, 3),
+            lambda c: reg.below(c, 5, 3),
+            lambda c: reg.sym_diff_below(0, c, 5, 3),
+        ):
+            with pytest.raises(KeyError, match=f"unregistered hypothesis code {code}"):
+                read(code)
 
 
 def test_registry_counts_queries():
@@ -127,7 +140,7 @@ def _contract_cases():
         lambda s: {0, 4} | ({1} if s % 3 == 1 else set()) | ({2} if 4 <= s < 7 else set())
     )
     return {
-        "empty": EmptyEnumerator(),
+        "empty": FiniteSetEnumerator(()),
         "finite": FiniteSetEnumerator({3, 1, 8}),
         "finite-empty": FiniteSetEnumerator(()),
         "union": UnionEnumerator((FiniteSetEnumerator({1, 5}), late, FiniteSetEnumerator({5}))),
