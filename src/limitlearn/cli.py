@@ -45,6 +45,9 @@ ALL_LEARNERS = PROFILED + ("gap_parity",)
 # budget the slowest (check --learner fresh_each_step --i '*' --j '*') takes
 # about 18 s and 0.9 GB on a 2-core machine, inside a 2 GB ulimit -v.
 MAX_HORIZON = 500_000
+# Byte budget of a --text file, checked before it is read: the densest file,
+# "[0,0,...]", peaks at 725 MB RSS at the budget, inside a 2 GB ulimit -v.
+MAX_TEXT_BYTES = 16 * 2**20
 
 
 def _check_horizon_budget(value, name: str) -> None:
@@ -215,6 +218,10 @@ def _build_text(p: dict, ws: Workspace) -> tuple[Text, dict]:
     path: the item count and the sha256 of the items' canonical JSON."""
     path, horizon = p["text"], p["horizon"]
     if path:
+        if (size := os.stat(path).st_size) > MAX_TEXT_BYTES:
+            raise ValueError(
+                f"--text file {path} has {size} bytes, over the budget of {MAX_TEXT_BYTES} bytes"
+            )
         items = _read_json(path)
         if not isinstance(items, list):
             raise ValueError("--text file must hold a JSON list of naturals")

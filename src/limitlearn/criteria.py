@@ -18,8 +18,8 @@ prefix content, which can still grow, and is marked revocable in details.
 
 Texts and traces are linear in what they read. canonical_text asks the
 registry once for every element its later stages add, tagged with its stage
-(``arrivals``); run_learner hands the whole text to the learner once
-(``Learner.outputs``) instead of one prefix per step.
+(``arrivals``), and sorts them once; run_learner hands the whole text to
+the learner once (``Learner.outputs``) instead of one prefix per step.
 """
 
 from __future__ import annotations
@@ -69,13 +69,12 @@ class Trace:
 def canonical_text(registry: Registry, code: int, length: int) -> Text:
     """Discovery-order listing of a coded set, padded deterministically.
 
-    Stage 0 onward, new elements enter in sorted order. Position n first
-    refreshes discovery up to stage s0 + n (s0 = first nonempty stage), then
-    emits the next undelivered element, or repeats the least known element
-    when delivery has caught up; late discoveries still surface later.
-    Stages s0 + 1 on come from one ``Registry.arrivals`` read (one query,
-    like ``enumerate_to``), so a text costs s0 + 2 queries and what its set
-    enumerates, not a snapshot per position.
+    Stage 0 onward, new elements enter in sorted order. Position n may deliver
+    what stages up to s0 + n show (s0 = first nonempty stage): the next
+    undelivered element, or, once delivery has caught up, the least element
+    known; late discoveries still surface later. Stages s0 + 1 on come from
+    one ``Registry.arrivals`` read, sorted once by (stage, value) and laid out
+    in one pass, so a text costs s0 + 2 queries and what its set enumerates.
     """
     _check_natural(length, "text length")
     cursor = DiscoveryCursor()
@@ -86,20 +85,22 @@ def canonical_text(registry: Registry, code: int, length: int) -> Text:
                 f"code {code} enumerated nothing by stage {length}; cannot build a text"
             )
         s0 += 1
-    by_stage: dict[int, list[int]] = {}
+    items, least = cursor.order[:length], cursor.order[0]
     if length >= 2:
-        for x, t in registry.arrivals(code, s0, s0 + length - 1).items():
-            by_stage.setdefault(t, []).append(x)
-    items: list[int] = []
-    p = 0
-    for n in range(length):
-        if (new := by_stage.get(s0 + n)) is not None:
-            cursor.advance(frozenset(new))
-        if p < len(cursor.order):
-            items.append(cursor.order[p])
-            p += 1
-        else:
-            items.append(cursor.least)
+        late = registry.arrivals(code, s0, s0 + length - 1)
+        for x in cursor.order:
+            late.pop(x, None)  # a key the opening snapshot already holds
+        # by stage, each stage's elements in sorted order
+        for x in sorted(sorted(late), key=late.__getitem__):
+            n = late[x] - s0  # the first position that may deliver x
+            if len(items) < n:  # delivery caught up: repeat the least so far
+                items += [least] * (n - len(items))
+            elif len(items) == length:
+                break
+            items.append(x)
+            if x < least:
+                least = x
+    items += [least] * (length - len(items))
     return Text(items=tuple(items), label=f"canonical:{code}")
 
 

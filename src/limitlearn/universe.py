@@ -210,23 +210,18 @@ class DiscoveryCursor:
     """Tracks first-appearance order of elements across stages.
 
     Feeding stages in increasing order yields a canonical listing: within one
-    stage, newly seen elements are appended in sorted order. A stage may be
-    fed whole or as what it added (the keys ``arrivals`` tags with it):
-    elements seen before are dropped either way. Used to turn an enumerator
-    into a concrete text deterministically.
+    stage, newly seen elements are appended in sorted order, and elements seen
+    before are dropped. canonical_text feeds it the snapshots of the stages up
+    to the first one that holds an element, and lays out the rest itself.
     """
 
     def __init__(self) -> None:
         self._seen: set[int] = set()
         self.order: list[int] = []
-        self.least: int | None = None  # min(order), kept as order grows
 
     def advance(self, elements: frozenset[int]) -> list[int]:
         """Record a stage snapshot; returns the elements new to this stage."""
         fresh = sorted(elements - self._seen)
-        if fresh:
-            self._seen.update(fresh)
-            self.order.extend(fresh)
-            if self.least is None or fresh[0] < self.least:
-                self.least = fresh[0]
+        self._seen.update(fresh)
+        self.order.extend(fresh)
         return fresh

@@ -285,6 +285,31 @@ def test_text_file_too_short(tmp_path, capsys):
     assert "horizon 9" in capsys.readouterr().err
 
 
+def test_text_file_over_budget_fails_before_it_is_read(tmp_path, capsys, monkeypatch):
+    text = tmp_path / "t.json"
+    text.write_text("[0, 0, 0, 0, 0, 0, 0, 0]")  # 24 bytes
+    argv = ["learn", "--learner", "constant_zero", "--text", str(text), "--horizon", "5"]
+    import limitlearn.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_TEXT_BYTES", 23)
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_json", unread)
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --text file {text} has 24 bytes, over the budget of 23 bytes"
+    ]
+    # a file of exactly the budget is read as before
+    monkeypatch.setattr(cli, "MAX_TEXT_BYTES", 24)
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert _load(tmp_path / "r.json")["results"]["text_items"] == 8
+
+
 def test_missing_text_source(capsys):
     rc = main(["learn", "--learner", "constant_zero", "--horizon", "5"])
     assert rc == 1
@@ -558,6 +583,12 @@ _PINNED_REPORTS = [
         "family --adversary length_parity --base-e 1 --variant hat --member-n 13"
         " --horizon 2000 --bound 3000",
         "27fa2a67e2b350cba3512a38f4a384e8f40879435e6a0373290597ece74a878b",
+    ),
+    (
+        # the text's least element drops from 5 to 2 at its seventh item
+        "learn --learner gap_parity --adversary length_parity --base-e 2 --variant plain"
+        " --member-n 4000 --horizon 3000 --i '*' --j 2",
+        "f4eb27809f5bdd23b51cbb8e2ab7313a9bd075e7d769d3edbde6639dc08f7099",
     ),
 ]
 

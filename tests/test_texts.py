@@ -1,6 +1,8 @@
 """Text objects, canonical texts from enumerators, and learner traces."""
 
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from limitlearn import (
     Registry,
     StepFunctionEnumerator,
     Text,
+    UnionEnumerator,
     Workspace,
     canonical_text,
     run_learner,
@@ -183,6 +186,97 @@ def test_canonical_text_matches_snapshots_on_family_members(kind, e):
         _assert_same_text(make, length)
 
 
+def test_canonical_text_matches_snapshots_when_the_least_element_drops():
+    # the least element goes from 5 to 2 at the seventh item, and the
+    # positions where delivery has caught up repeat the new least
+    def make():
+        ws = Workspace()
+        return ws.registry, ws.family_member_code("length_parity", 2, 4000, "plain")
+
+    reg, code = make()
+    assert canonical_text(reg, code, 300).items[:10] == (5, 7, 8, 9, 10, 11, 2, 3, 6, 2)
+    _assert_same_text(make, 300)
+
+
+# ---------------- randomized: unions of finite, step and flickering parts ----------------
+
+
+def _random_parts(rng):
+    """One to three parts over the values 0..11, so parts share values: finite
+    sets (all at stage 1), step functions that keep a value from its first
+    stage on, and flickering ones that show a value at three random stages."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("finite", "step", "step", "flicker"))
+        values = rng.sample(range(12), rng.randint(0, 5))
+        if kind == "finite":
+            parts.append(FiniteSetEnumerator(values))
+        elif kind == "step":
+            first = {x: rng.randint(0, 12) for x in values}
+            parts.append(
+                StepFunctionEnumerator(lambda s, f=first: {x for x, t in f.items() if t <= s})
+            )
+        else:
+            shown = {x: set(rng.sample(range(14), 3)) for x in values}
+            parts.append(
+                StepFunctionEnumerator(lambda s, w=shown: {x for x, t in w.items() if s in t})
+            )
+    return parts
+
+
+def _features(parts, enum, length, items):
+    """The cases of canonical_text's layout that one text reaches."""
+    s0 = next(s for s in range(length + 1) if enum.at_stage(s))
+    last = s0 + length - 1
+    first = {}  # value -> first stage showing it, by the text's last stage
+    for s in range(s0, last + 1):
+        for x in enum.at_stage(s):
+            first.setdefault(x, s)
+    feats = {f"length {length}"} if length <= 2 else set()
+    if length >= 2 and set(enum.arrivals(s0, last)) & enum.at_stage(s0):
+        feats.add("an arrivals key in the opening snapshot")
+    source = {x: {i for i, p in enumerate(parts) if x in p.at_stage(t)} for x, t in first.items()}
+    for x, t in first.items():
+        if t == s0:
+            continue
+        if any(u == t and not source[x] & source[y] for y, u in first.items()):
+            feats.add("one stage, values from different parts")
+        if x < min(y for y, u in first.items() if u < t) and items.count(x) > 1:
+            feats.add("a late value below the least, then repeated")
+    return feats
+
+
+def test_canonical_text_matches_snapshots_on_random_unions():
+    rng = random.Random(21)
+    reached = Counter()
+    for _ in range(300):
+        parts = _random_parts(rng)
+        enum = parts[0] if len(parts) == 1 else UnionEnumerator(parts)
+        length = rng.randint(0, 2) if rng.random() < 0.3 else rng.randint(3, 20)
+
+        def make(enum=enum):
+            return _registered(enum)
+
+        if not any(enum.at_stage(s) for s in range(length + 1)):
+            for build in (canonical_text, _canonical_text_by_snapshots):
+                with pytest.raises(ValueError, match=f"enumerated nothing by stage {length}"):
+                    build(*make(), length)
+            reached["empty by its length"] += 1
+            continue
+        _assert_same_text(make, length)
+        reached.update(_features(parts, enum, length, canonical_text(*make(), length).items))
+    cases = [
+        "length 0",
+        "length 1",
+        "length 2",
+        "an arrivals key in the opening snapshot",
+        "one stage, values from different parts",
+        "a late value below the least, then repeated",
+        "empty by its length",
+    ]
+    assert all(reached[case] >= 5 for case in cases), reached
+
+
 # ---------------- cost gate: a text reads each element about once ----------------
 
 
@@ -237,6 +331,30 @@ def test_text_queries_do_not_grow_with_its_length(variant):
     # a text is s0 + 1 snapshots and one range read, however long it is
     queries = {length: _counted_member_text(variant, length)[1] for length in (500, 1000)}
     assert queries[500] == queries[1000] == 2, queries
+
+
+def test_text_feeds_the_cursor_only_its_opening_snapshots(monkeypatch):
+    # the stages after s0 are laid out from one sorted list, not fed to the
+    # cursor stage by stage
+    calls = []
+    advance = DiscoveryCursor.advance
+
+    def counted(self, elements):
+        calls.append(elements)
+        return advance(self, elements)
+
+    monkeypatch.setattr(DiscoveryCursor, "advance", counted)
+    late = Registry()
+    late_code = late.register(_Late())  # s0 = 3
+    for length in (500, 1000):
+        for variant in ("plain", "hat"):
+            calls.clear()
+            counting, _ = _counted_member_text(variant, length)
+            s0 = len(counting.reads) - 2  # s0 + 1 snapshots and one range read
+            assert len(calls) <= s0 + 1, (variant, length, len(calls))
+        calls.clear()
+        canonical_text(late, late_code, length)
+        assert len(calls) <= 3 + 1, (length, len(calls))
 
 
 # ---------------- edge lengths: no range read below length 2 ----------------

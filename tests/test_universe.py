@@ -121,15 +121,6 @@ def test_discovery_cursor():
     assert cur.order == [1, 3, 0, 5]
 
 
-def test_discovery_cursor_keeps_its_least_element():
-    cur = DiscoveryCursor()
-    assert cur.least is None
-    for elements in ({7, 9}, {8}, set(), {3, 12}, {5}, {3}):
-        cur.advance(elements)
-        assert cur.least == min(cur.order)
-    assert cur.least == 3
-
-
 # ---------------- arrivals: each new element with its first stage ----------------
 
 
