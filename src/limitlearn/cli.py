@@ -149,13 +149,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: str):
-    """The JSON value held in a file; nesting too deep to decode is a ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+def _over_budget(flag: str, path: str, size: int | str) -> ValueError:
+    budget = f"over the budget of {MAX_TEXT_BYTES} bytes"
+    return ValueError(f"{flag} file {path} has {size} bytes, {budget}")
+
+
+def _read_json(path: str, flag: str):
+    """The JSON value held in a file, read with one byte over the budget to spare
+    (a device or a FIFO has size 0); nesting too deep to decode is a ValueError."""
+    with open(path, "rb") as fh:
+        if len(blob := fh.read(MAX_TEXT_BYTES + 1)) > MAX_TEXT_BYTES:
+            raise _over_budget(flag, path, f"at least {len(blob)}")
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def resolve(args: argparse.Namespace) -> dict:
@@ -167,7 +175,7 @@ def resolve(args: argparse.Namespace) -> dict:
     params = PARAMS[args.cmd]
     cfg = {}
     if args.config:
-        cfg = _read_json(args.config)
+        cfg = _read_json(args.config, "--config")
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
         allowed = [name for name, param in params.items() if not param.required]
@@ -219,10 +227,8 @@ def _build_text(p: dict, ws: Workspace) -> tuple[Text, dict]:
     path, horizon = p["text"], p["horizon"]
     if path:
         if (size := os.stat(path).st_size) > MAX_TEXT_BYTES:
-            raise ValueError(
-                f"--text file {path} has {size} bytes, over the budget of {MAX_TEXT_BYTES} bytes"
-            )
-        items = _read_json(path)
+            raise _over_budget("--text", path, size)
+        items = _read_json(path, "--text")
         if not isinstance(items, list):
             raise ValueError("--text file must hold a JSON list of naturals")
         for x in items:

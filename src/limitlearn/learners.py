@@ -14,9 +14,9 @@ the learner can emit. With them the stabilization check reasons about all
 extensions of a string at once instead of enumerating them. The gap-parity
 learner is the other kind, with no length profile: it reads the content of
 its input and answers with a diagonal hypothesis, and is the one expected to
-actually succeed on the constructed families. One scan carries its least
-element and first gap from one prefix to the next; decide and outputs both
-read it."""
+actually succeed on the constructed families. Its trace is one pass that
+calls the resolver once per distinct (least element, variant); decide calls
+it once, for its input's last."""
 
 from __future__ import annotations
 
@@ -148,31 +148,34 @@ class GapParityLearner(Learner):
         self._resolver = resolver
 
     def decide(self, seq: Sequence) -> int:
-        """The last answer of one scan over seq, resolved alone."""
-        last = self._scan(seq, len(seq), lambda *found: found)[-1]
-        return self._resolve(*last) if seq else 0
-
-    def _resolve(self, min_value: int, gap: int) -> int:
-        return self._resolver(min_value, "plain" if gap % 2 == 0 else "hat")
+        """One resolver call, for min(seq) and the first gap above it."""
+        if not seq:
+            return 0
+        low = min(seq)
+        gap = next_free({x: x + 1 for x in seq}, low + 1)
+        return self._resolver(low, ("plain", "hat")[gap % 2])
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
-        """decide on every prefix in one pass, calling the resolver as decide
-        would."""
+        """decide on every prefix in one pass, O(1) amortized per item: only a
+        new item below the least element, or at the gap, moves a feature; the
+        gap restarts above it in a path-compressed skip map of seen values. The
+        least only falls, so codes holds the plain and hat answers under the
+        current one: each is resolved once, where per-prefix decide first asks."""
         _check_horizon(horizon, len(items))
-        return tuple(self._scan(items, horizon, self._resolve))
-
-    @staticmethod
-    def _scan(items: Sequence, horizon: int, answer: Callable) -> list:
-        """[0], then answer(least element, first gap above it) for each
-        nonempty prefix of items[:horizon]. Seen values are keys of a
-        path-compressed skip map, so a gap that falls back below earlier
-        content never rescans it."""
         out = [0]
         seen: dict[int, int] = {}
-        low = None
+        low, gap, code = float("inf"), None, 0
         for x in items[:horizon]:
-            seen.setdefault(x, x + 1)
-            if low is None or x < low:
-                low = x
-            out.append(answer(low, next_free(seen, low + 1)))
-        return out
+            if x not in seen:
+                seen[x] = x + 1
+                if x < low or x == gap:
+                    if x < low:
+                        low, codes = x, [None, None]
+                    gap = x + 1
+                    if gap in seen:
+                        gap = next_free(seen, gap)
+                    code = codes[gap % 2]
+                    if code is None:
+                        code = codes[gap % 2] = self._resolver(low, ("plain", "hat")[gap % 2])
+            out.append(code)
+        return tuple(out)

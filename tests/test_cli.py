@@ -310,6 +310,28 @@ def test_text_file_over_budget_fails_before_it_is_read(tmp_path, capsys, monkeyp
     assert _load(tmp_path / "r.json")["results"]["text_items"] == 8
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "--learner", "constant_zero", "--text", "/dev/zero", "--horizon", "200",
+          "--i", "*", "--j", "2"], "--text"),
+        (["suite", "--config", "/dev/zero"], "--config"),
+    ],
+)
+def test_endless_input_file_is_read_only_to_the_budget(argv, flag, capsys, monkeypatch):
+    # a device's size reads 0, so only a bounded read stops it
+    import limitlearn.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_TEXT_BYTES", 64)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {flag} file /dev/zero has at least 65 bytes, over the budget of 64 bytes"
+    ]
+
+
 def test_missing_text_source(capsys):
     rc = main(["learn", "--learner", "constant_zero", "--horizon", "5"])
     assert rc == 1
@@ -590,7 +612,19 @@ _PINNED_REPORTS = [
         " --member-n 4000 --horizon 3000 --i '*' --j 2",
         "f4eb27809f5bdd23b51cbb8e2ab7313a9bd075e7d769d3edbde6639dc08f7099",
     ),
+    (
+        # the least element falls from 40 to 30, 20, 10 and 0, and the gap's
+        # parity flips under each: ten diagonal codes, registered as first met
+        "check --learner gap_parity --adversary length_parity --text drops.json"
+        " --i '*' --j 2",
+        "d36bf1c1db9422d00ab5d57b1ba2a0a6567d93f06bc25bf45186f82824887296",
+    ),
 ]
+
+# the drops.json text: five runs of ten from falling starts, then repeats and
+# new items above the gap, which change no answer
+_DROPS = [x for low in (40, 30, 20, 10, 0) for x in range(low, low + 10)]
+_DROPS += list(range(50)) * 2 + list(range(100, 150))
 
 
 @pytest.mark.parametrize("command, digest", _PINNED_REPORTS)
@@ -598,6 +632,7 @@ def test_ci_reports_keep_their_bytes(command, digest, tmp_path, monkeypatch):
     # the --text file sits at a relative path, so its file: label is fixed
     monkeypatch.chdir(tmp_path)
     Path("text.json").write_text("[4, 0, 7, 2, 0, 9, 2, 4, 0, 7, 2, 4, 0, 9, 7]\n")
+    Path("drops.json").write_text(json.dumps(_DROPS) + "\n")
     assert main(shlex.split(command) + ["--out", "r.json"]) == 0
     assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == digest
 

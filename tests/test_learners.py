@@ -198,11 +198,35 @@ def test_gap_parity_outputs_equal_per_prefix_decide():
         want = tuple(per_prefix.decide(items[:n]) for n in range(horizon + 1))
         streaming = GapParityLearner(resolver_for(calls["outputs"]))
         assert streaming.outputs(items, horizon) == want, (items, horizon)
-        # the resolver registers codes lazily: same calls, same order
-        assert calls["outputs"] == calls["decide"]
+        # the resolver registers codes lazily: same first calls, same order
+        assert calls["outputs"] == list(dict.fromkeys(calls["decide"]))
         mins = [min(items[:n]) for n in range(1, horizon + 1)]
         drops += sum(b < a - 1 for a, b in zip(mins, mins[1:]))
     assert drops > 500  # the least element fell by 2 or more that often
+
+
+def test_gap_parity_trace_resolves_each_least_and_variant_once():
+    calls = []
+
+    def resolver(e, variant):
+        calls.append((e, variant))
+        return 2 * e + (variant == "hat") + 1
+
+    learner = GapParityLearner(resolver)
+    # the gap's parity flips at every item, under one least element
+    assert learner.outputs(tuple(range(1000)), 1000)[-2:] == (2, 1)
+    assert calls == [(0, "hat"), (0, "plain")]
+    rng = random.Random(22)
+    for _ in range(300):
+        items = _random_text(rng)
+        calls.clear()
+        for n in range(len(items) + 1):
+            learner.decide(items[:n])
+            assert len(calls) == n  # one call per nonempty prefix
+        first = list(dict.fromkeys(calls))
+        calls.clear()
+        learner.outputs(items, len(items))
+        assert calls == first, items
 
 
 @pytest.mark.parametrize(
