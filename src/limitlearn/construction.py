@@ -55,9 +55,9 @@ reads e..s1 and keeps what entered after s0, so no read builds a snapshot.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import pairwise, repeat
+from itertools import pairwise, permutations, repeat
 from math import inf
 from typing import Iterator
 
@@ -78,29 +78,22 @@ def _check_variant(variant: str) -> None:
 
 
 class _Row:
-    """Event-sourced row lengths: (stage, length) pairs, None meaning undefined."""
+    """A row's history: (stage, length) events, oldest first; None is undefined."""
 
-    __slots__ = ("n", "events", "stages", "qstate")
+    __slots__ = ("events", "qstate")
 
-    def __init__(self, n: int, seed: int | None):
-        self.n = n
+    def __init__(self, seed: int | None):
         self.events: list[tuple[int, int | None]] = [(0, seed)]
-        self.stages = [0]
         self.qstate: Survival | None = None
 
-    @property
-    def length(self) -> int | None:
-        return self.events[-1][1]
+    def at(self, s: int) -> tuple[int, int | None]:
+        """The event in force at stage s: the last one logged at or before s.
 
-    def log(self, stage: int, length: int | None) -> None:
-        self.events.append((stage, length))
-        self.stages.append(stage)
-
-    def length_at(self, s: int) -> int | None:
-        return self.events[bisect_right(self.stages, s) - 1][1]
-
-    def last_change_at_or_before(self, s: int) -> int:
-        return self.stages[bisect_right(self.stages, s) - 1]
+        The probe (s + 1,) sorts before every event of stage s + 1 and after
+        every earlier one, and a tie on the stage is settled by tuple length,
+        so no length is ever compared (a None length never meets an int).
+        """
+        return self.events[bisect_left(self.events, (s + 1,)) - 1]
 
 
 class Construction:
@@ -114,7 +107,7 @@ class Construction:
         self.e = e
         self.registry = registry
         self.stage = 0
-        self.rows: list[_Row] = [_Row(0, 0)]
+        self.rows: list[_Row] = [_Row(0)]
         # per stage: how many leading rows are defined, and the lowest row
         # that logged an event (inf if none did)
         self._defined: list[int] = [1]
@@ -154,18 +147,18 @@ class Construction:
         while n < len(self.rows):
             self.counters["rows_visited"] += 1
             row = self.rows[n]
-            old = row.length
+            old = row.events[-1][1]
             if not lower_defined:
                 if old is None:
                     break  # every row above an undefined row is undefined
-                self._log(row, s, None)
+                self._log(n, s, None)
                 row.qstate = None
                 n += 1
                 continue
             if old is not None and not lower_changed and self._survives(row, s):
                 new, changed = old, False
             else:
-                base = 0 if n == 0 else self.rows[n - 1].length
+                base = 0 if n == 0 else self.rows[n - 1].events[-1][1]
                 found = self._search_least(n, base, s)
                 new, row.qstate = (None, None) if found is None else found
                 # the string changed iff the length did or, from row 2 on,
@@ -173,7 +166,7 @@ class Construction:
                 # whatever row 0's length
                 changed = new != old or (new is not None and below_changed)
                 if changed:
-                    self._log(row, s, new)
+                    self._log(n, s, new)
             if new is None:
                 lower_defined = False
                 self._defined.append(n)
@@ -181,15 +174,15 @@ class Construction:
                 lower_changed = True
             below_changed = changed and n > 0
             if new is not None and n == len(self.rows) - 1:
-                self.rows.append(_Row(n + 1, None))
+                self.rows.append(_Row(None))
             n += 1
         self.stage = s
         while (qs := self.rows[self._frontier].qstate) is not None and qs.settled:
             self._frontier += 1
 
-    def _log(self, row: _Row, stage: int, length: int | None) -> None:
-        row.log(stage, length)
-        self._moved[stage] = min(self._moved[stage], row.n)
+    def _log(self, n: int, stage: int, length: int | None) -> None:
+        self.rows[n].events.append((stage, length))
+        self._moved[stage] = min(self._moved[stage], n)
 
     def _survives(self, row: _Row, s: int) -> bool:
         qs = row.qstate
@@ -252,7 +245,7 @@ class Construction:
         """
         e, out = self.e, []
         for n in range(self._defined[s]):
-            m = self.rows[n].length_at(s)
+            m = self.rows[n].at(s)[1]
             if m:  # only row 0 at stage 0 is empty
                 del out[m - 1 :]
                 out.extend(repeat(e, m - 1 - len(out)))
@@ -269,7 +262,7 @@ class Construction:
         hold at that position, so it does not.
         """
         s = self._checked_stage(s)
-        lengths = (row.length_at(s) for row in self.rows[: self._defined[s]])
+        lengths = (row.at(s)[1] for row in self.rows[: self._defined[s]])
         return all(a < b for a, b in pairwise(lengths))
 
     def reverify_final(self) -> list[tuple[int, StabWitness | None]]:
@@ -288,16 +281,15 @@ class Construction:
     def rows_snapshot(self, limit: int | None = None) -> list[dict]:
         if limit is not None:
             _check_natural(limit, "row limit")
-        rows = self.rows[:limit]
         strings = self._strings(self.stage)
         return [
             {
                 "row": n,
-                "value": None if row.length is None else list(next(strings)),
-                "since": row.stages[-1],
+                "value": None if row.events[-1][1] is None else list(next(strings)),
+                "since": row.events[-1][0],
                 "changes": len(row.events) - 1,
             }
-            for n, row in enumerate(rows)
+            for n, row in enumerate(self.rows[:limit])
         ]
 
     # ---------------- marker observation ----------------
@@ -315,7 +307,7 @@ class Construction:
         s = self._checked_stage(s)
         out, feasible = [], 0
         for ell in range(self._defined[s]):
-            feasible = max(feasible, self.rows[ell].last_change_at_or_before(s))
+            feasible = max(feasible, self.rows[ell].at(s)[0])
             start = max(feasible, self.e + ell + 2)
             a = start + start % 2
             if a > s:
@@ -418,14 +410,15 @@ class Construction:
         code that visibly differs (symmetric difference below a small bound,
         at a matching stage), pad straight to that length; otherwise feed the
         least tail element not yet shown. Deterministic by construction. The
-        learner is read by length only, and the values shown are the keys of
-        a skip map, so a step costs ADVERSARY_WINDOW + 1 learner reads and no
-        pass over the text so far.
+        values shown are always an interval [e, fresh), so one integer, the
+        next unshown value, tracks them, and padding with e lifts it to at
+        least e + 1. The learner is read by length only, so a step costs
+        ADVERSARY_WINDOW + 1 learner reads and no pass over the text so far.
         """
         _check_natural(length, "text length")
         e, code = self.e, self.learner.length_code
         t: list[int] = []
-        shown: dict[int, int] = {}
+        fresh = e
         while len(t) < length:
             m0 = len(t)
             prev = code(m0)
@@ -434,12 +427,11 @@ class Construction:
                 c = code(m)
                 if c != prev and self.registry.sym_diff_below(prev, c, bound, bound):
                     t.extend(repeat(e, m - m0))
-                    shown.setdefault(e, e + 1)
+                    fresh = max(fresh, e + 1)
                     break
             else:
-                x = next_free(shown, e)
-                shown[x] = x + 1
-                t.append(x)
+                t.append(fresh)
+                fresh += 1
         return tuple(t[:length])
 
     def separation_level(self, stage_bound: int) -> int | None:
@@ -452,7 +444,7 @@ class Construction:
         stage_bound.
         """
         _check_natural(stage_bound, "stage bound")
-        m0 = self.rows[0].length
+        m0 = self.rows[0].events[-1][1]
         if m0 is None:
             return None
         if m0 > stage_bound:
@@ -460,18 +452,9 @@ class Construction:
         codes = sorted(self.learner.length_codes(m0, stage_bound))
         if len(codes) <= 1:
             return 0
-        sets = {c: self.registry.below(c, stage_bound, stage_bound) for c in codes}
-        best = None
-        for ci in codes:
-            for cj in codes:
-                if ci == cj:
-                    continue
-                only = sets[ci] - sets[cj]
-                if only:
-                    first = min(only)
-                    if best is None or first > best:
-                        best = first
-        return 0 if best is None else best + 1
+        sets = [self.registry.below(c, stage_bound, stage_bound) for c in codes]
+        firsts = (min(only) for a, b in permutations(sets, 2) if (only := a - b))
+        return max(firsts, default=-1) + 1
 
 
 class DiagonalView(Enumerator):

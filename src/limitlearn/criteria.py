@@ -134,6 +134,21 @@ def _check_ij(value, name: str) -> None:
     raise ValueError(f"{name} must be a natural number or '*', got {value!r}")
 
 
+def _settle_point(i, j, settle, bound, horizon: int) -> int:
+    """Check the checkers' arguments; returns settle, horizon // 2 for None.
+
+    A negative settle is returned as it is: it is a degenerate window.
+    """
+    _check_ij(i, "i")
+    _check_ij(j, "j")
+    _check_natural(bound, "bound")
+    if settle is None:
+        return horizon // 2
+    if not isinstance(settle, int) or isinstance(settle, bool):
+        raise ValueError(f"settle must be an integer or None, got {settle!r}")
+    return settle
+
+
 def _window_codes(trace: Trace, settle: int) -> list[int]:
     """Distinct codes in outputs[settle..horizon], in first-seen order."""
     return list(dict.fromkeys(trace.outputs[settle:]))
@@ -153,11 +168,8 @@ def check_txtfex(
     finite i additionally bounds, per tail code, the symmetric difference
     below `bound` between the coded set and the text's prefix content.
     """
-    _check_ij(i, "i")
-    _check_ij(j, "j")
     horizon = trace.horizon
-    if settle is None:
-        settle = horizon // 2
+    settle = _settle_point(i, j, settle, bound, horizon)
     if horizon < 1 or settle < 0 or settle >= horizon:
         return Verdict(
             Status.INCONCLUSIVE,
@@ -267,32 +279,42 @@ def verify_witness(
 
     The codes a witness names must be the trace's own, output after the
     settle point, and a pairwise witness must use the checker's early stage.
+    A malformed witness (not a dict, or a field missing or of the wrong
+    shape) does not verify.
     """
-    if verdict.status is not Status.FAIL_WITNESSED or verdict.witness is None:
-        return False
-    w = verdict.witness
     horizon = trace.horizon
-    if settle is None:
-        settle = horizon // 2
+    settle = _settle_point(i, j, settle, bound, horizon)
+    w = verdict.witness
+    if verdict.status is not Status.FAIL_WITNESSED or not isinstance(w, dict):
+        return False
     if not 0 <= settle < horizon:
         return False  # check_txtfex finds nothing on a degenerate window
     tail = set(_window_codes(trace, settle))
     kind = w.get("kind")
+    early = max(1, horizon // 2)
+    try:  # the witness's own fields; a missing or misshapen one does not verify
+        if kind == "cardinality" and j != "*":
+            named = set(w["codes"])
+        elif kind == "content" and i != "*":
+            code, difference = w["code"], w["difference"]
+            named = {code}
+        elif kind == "pairwise" and w.get("early_stage", early) == early:
+            (a, b), elements = w["codes"], set(w["elements"])
+            named = {a, b}
+        else:
+            return False
+    except (KeyError, TypeError, ValueError):
+        return False
+    # a code is an int: True or 1.0 equals a code of the tail but names none
+    if not named <= tail or any(type(c) is not int for c in named):
+        return False
     if kind == "cardinality":
-        return set(w["codes"]) <= tail and j != "*" and len(tail) > j
+        return len(tail) > j
     if kind == "content":
-        if i == "*" or w["code"] not in tail:
-            return False
         target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
-        diff = registry.below(w["code"], bound, horizon) ^ target
-        return len(diff) > i and sorted(diff) == w["difference"]
-    if kind == "pairwise":
-        a, b = w["codes"]
-        early = max(1, horizon // 2)
-        if a == b or not {a, b} <= tail or w.get("early_stage", early) != early:
-            return False
-        persistent = (registry.below(a, bound, early) - registry.below(b, bound, horizon)) | (
-            registry.below(b, bound, early) - registry.below(a, bound, horizon)
-        )
-        return bool(persistent) and set(w["elements"]) == persistent
-    return False
+        diff = registry.below(code, bound, horizon) ^ target
+        return len(diff) > i and sorted(diff) == difference
+    persistent = (registry.below(a, bound, early) - registry.below(b, bound, horizon)) | (
+        registry.below(b, bound, early) - registry.below(a, bound, horizon)
+    )
+    return a != b and bool(persistent) and elements == persistent

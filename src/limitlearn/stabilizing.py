@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encodings import Sequence, content, is_prefix
+from .encodings import Sequence, _check_natural, content, is_prefix
 from .learners import Learner, ProfiledLearner
 from .universe import Registry
 
@@ -122,6 +122,12 @@ class Survival:
         return None
 
 
+def _check_instance(e: int, k: int, s: int) -> None:
+    _check_natural(e, "base value e")
+    _check_natural(k, "depth k")
+    _check_natural(s, "stage budget s")
+
+
 def check_stabilizing(
     e: int,
     k: int,
@@ -131,6 +137,7 @@ def check_stabilizing(
     registry: Registry,
 ) -> StabWitness | None:
     """None if sigma stabilizes the learner at budget s, else a witness."""
+    _check_instance(e, k, s)
     c = content(sigma)  # the one read of sigma; the rest scans lengths
     if not _covers_required(e, k, c):
         return StabWitness(tau=sigma, t=0, violated_condition=1)
@@ -161,6 +168,7 @@ def stab_witness_valid(
     registry: Registry,
 ) -> bool:
     """Independently confirm a witness without trusting its producer."""
+    _check_instance(e, k, s)
     if witness.violated_condition == 1:
         return witness.tau == sigma and not _covers_required(e, k, content(sigma))
     tau = witness.tau

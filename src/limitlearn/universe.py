@@ -194,6 +194,7 @@ def check_monotone(
     present, at ``stage + 1`` it was gone. Empty list means all clean up to
     s_max. Cost is one query per (code, stage) pair, so keep s_max modest.
     """
+    _check_natural(s_max, "stage bound s_max")
     violations: list[tuple[int, int, int]] = []
     for code in codes:
         prev = registry.enumerate_to(code, 0)

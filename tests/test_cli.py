@@ -619,6 +619,11 @@ _PINNED_REPORTS = [
         " --i '*' --j 2",
         "d36bf1c1db9422d00ab5d57b1ba2a0a6567d93f06bc25bf45186f82824887296",
     ),
+    (
+        # row 0 is undefined from stage 1: its since and changes are pinned
+        "construct --learner fresh_each_step --horizon 300 --stage-bound 250",
+        "4c64bf840505e6fe5663fe34a71c64fb09dac146a5f7d65a42b37ce3be767343",
+    ),
 ]
 
 # the drops.json text: five runs of ten from falling starts, then repeats and

@@ -7,7 +7,7 @@ order (least string, length first, then lexicographic) and then pinned.
 import random
 import re
 import tracemalloc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain, pairwise
 from math import inf
 
@@ -43,6 +43,11 @@ def _rows_at(c, s=None):
     return [(n, tuple(v)) for n, v in enumerate(c._strings(s))]
 
 
+def _stages(row):
+    """The stages at which a table row logged an event, oldest first."""
+    return [t for t, _ in row.events]
+
+
 def _positional_value(c, n, s):
     """Row n's string at stage s, set position by position, apart from _strings.
 
@@ -51,9 +56,9 @@ def _positional_value(c, n, s):
     """
     if n >= c._defined[s]:
         return None
-    out = [c.e] * c.rows[n].length_at(s)
+    out = [c.e] * c.rows[n].at(s)[1]
     for j, row in enumerate(c.rows[1 : n + 1], 1):
-        out[row.length_at(s) - 1] = c.e + j
+        out[row.at(s)[1] - 1] = c.e + j
     return tuple(out)
 
 
@@ -109,11 +114,11 @@ def test_parity_rows_churn_at_the_horizon():
     c.run_to(30)
     assert _rows_at(c)[0] == (0, (0, 0))
     # row 1 only ever holds a maximal-length string, so it moves every stage
-    assert c.rows[1].length == 30
-    assert c.rows[2].length is None
+    assert c.rows[1].events[-1][1] == 30
+    assert c.rows[2].events[-1][1] is None
     assert len(c.rows) == 3
     c.run_to(31)
-    assert c.rows[1].length == 31
+    assert c.rows[1].events[-1][1] == 31
 
 
 def test_parity_row_one_value_shape():
@@ -128,7 +133,7 @@ def test_fresh_learner_kills_row_zero_at_stage_one():
     ws = Workspace()
     c = ws.construction("fresh_each_step", 0)
     c.run_to(25)
-    assert c.rows[0].length is None
+    assert c.rows[0].events[-1][1] is None
     assert c.rows[0].events == [(0, 0), (1, None)]
     assert len(c.rows) == 1
     assert _rows_at(c) == []
@@ -246,7 +251,7 @@ def test_sample_learners_profile_matches_brute():
         cb = _BruteTable(ws.sample_learner(kind), e, ws.registry)
         cp.run_to(6)
         cb.run_to(6)
-        assert [r.stages for r in cp.rows] == [r.stages for r in cb.rows]
+        assert [_stages(r) for r in cp.rows] == [r.stages for r in cb.rows]
         for s in range(7):
             assert _rows_at(cp, s) == cb.defined_rows(s), (kind, s)
 
@@ -354,7 +359,7 @@ class _SweepOracle(Construction):
             if not lower_defined:
                 new = None
                 if old is not None:
-                    self._log(row, s, None)
+                    row.log(s, None)
                 row.qstate = None
             else:
                 keep = old is not None and not lower_changed and self._survives(row, s)
@@ -367,11 +372,11 @@ class _SweepOracle(Construction):
                         new = None
                         row.qstate = None
                         if old is not None:
-                            self._log(row, s, None)
+                            row.log(s, None)
                     else:
                         new, row.qstate = found
                         if new != old:
-                            self._log(row, s, new)
+                            row.log(s, new)
             if new is None:
                 lower_defined = False
             elif new != old:
@@ -386,9 +391,6 @@ class _SweepOracle(Construction):
         self._moved.append(
             min((row.n for row in self.rows if row.stages[-1] == s), default=inf)
         )
-
-    def _log(self, row, stage, value):
-        row.log(stage, value)  # the per-stage records are recounted instead
 
     def _search_least(self, k, base, s):
         self.counters["searches"] += 1
@@ -513,7 +515,7 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
         fast.run_stage()
         slow.run_stage()
         # one event per change of a row's string: the oracle compares strings
-        assert [r.stages for r in fast.rows] == [r.stages for r in slow.rows], s
+        assert [_stages(r) for r in fast.rows] == [r.stages for r in slow.rows], s
         # the public reader builds each row from the one below; the oracle
         # stores every string whole
         assert [r["value"] for r in fast.rows_snapshot()] == [
@@ -536,6 +538,21 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
         assert fast.r_prefix(60, "hat") == tail - set(b_values), s
 
 
+@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
+def test_row_reader_matches_a_scan_of_the_events(case):
+    # the 9 sample tables and the random ones; the scan reads the log in order
+    c = _ORACLE_PAIRS[case]()[0]
+    c.run_to(300)
+    logged_at_s = set()
+    for row in c.rows:
+        for s in range(301):
+            want = [ev for ev in row.events if ev[0] <= s][-1]
+            assert row.at(s) == want, (s, row.events)
+            logged_at_s.add(want[0] == s)
+    # events read at their own stage and at later ones both occur
+    assert logged_at_s == {True, False}
+
+
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
 def test_each_row_is_the_row_below_then_e_padding_then_e_plus_k(kind):
     for e in (0, 1, 2):
@@ -543,13 +560,13 @@ def test_each_row_is_the_row_below_then_e_padding_then_e_plus_k(kind):
         c.run_to(2000)
         for k, row in enumerate(c.rows):
             # a row is longer than the row below at every stage either one logs
-            stages = set(row.stages)
+            stages = set(_stages(row))
             if k:
-                stages |= set(c.rows[k - 1].stages)
+                stages |= set(_stages(c.rows[k - 1]))
             for t in sorted(stages):
-                m = row.length_at(t)
+                m = row.at(t)[1]
                 if k and m is not None:
-                    assert m > c.rows[k - 1].length_at(t), (e, k, t)
+                    assert m > c.rows[k - 1].at(t)[1], (e, k, t)
             # a string is logged only where it stabilizes at depth k, and it
             # is the row below, then e padding, then e + k
             for t, m in row.events[1:]:
@@ -572,8 +589,8 @@ def test_each_row_is_the_row_below_then_e_padding_then_e_plus_k(kind):
 def test_rows_store_lengths_not_strings(kind):
     c = Workspace().construction(kind, 1)
     c.run_to(500)
-    for row in c.rows:
-        assert all(m is None or type(m) is int for _, m in row.events), row.n
+    for n, row in enumerate(c.rows):
+        assert all(m is None or type(m) is int for _, m in row.events), n
 
 
 def _table_bytes(horizon):
@@ -597,10 +614,10 @@ def test_chain_ok_sees_corrupted_lengths():
     assert c.chain_ok()
     # row 3 no longer than row 2: its string cannot extend row 2's
     row = c.rows[3]
-    for m in (c.rows[2].length, c.rows[2].length - 1):
-        row.events[-1] = (row.stages[-1], m)
+    for m in (c.rows[2].events[-1][1], c.rows[2].events[-1][1] - 1):
+        row.events[-1] = (row.events[-1][0], m)
         assert not c.chain_ok(), m
-        assert c.chain_ok(row.stages[-1] - 1)
+        assert c.chain_ok(row.events[-1][0] - 1)
 
 
 def _chain_by_strings(c, s):
@@ -628,8 +645,8 @@ def test_chain_ok_matches_the_string_chain_on_corrupted_lengths():
     c = _constant()
     c.run_to(20)
     row, s = c.rows[3], c.stage
-    for m in range(1, c.rows[4].length + 2):
-        row.events[-1] = (row.stages[-1], m)
+    for m in range(1, c.rows[4].events[-1][1] + 2):
+        row.events[-1] = (row.events[-1][0], m)
         assert c.chain_ok(s) == _chain_by_strings(c, s), m
 
 
@@ -677,7 +694,7 @@ def test_reverify_final_hands_each_row_over_once(kind, monkeypatch):
             c.reverify_final()
             assert handed == {
                 "calls": len(rows),
-                "values": sum(row.length for row in rows),
+                "values": sum(row.events[-1][1] for row in rows),
             }, (e, horizon)
 
 
@@ -689,10 +706,9 @@ def _first_event_after(c, ell, y):
     """Least event stage > y of row ell, if any (rows off-table have none)."""
     if ell >= len(c.rows):
         return None
-    stages = c.rows[ell].stages
-    if stages[-1] <= y:
-        return None
-    return stages[bisect_right(stages, y)]
+    events = c.rows[ell].events
+    i = bisect_left(events, (y + 1,))  # the first event past stage y
+    return events[i][0] if i < len(events) else None
 
 
 def _first_undefined_from(c, ell, x):
@@ -702,12 +718,13 @@ def _first_undefined_from(c, ell, x):
     if ell >= len(c.rows):
         return x
     row = c.rows[ell]
-    i = bisect_right(row.stages, x) - 1
+    i = bisect_left(row.events, (x + 1,)) - 1
     for j in range(i, len(row.events)):
-        if row.stages[j] > c.stage:
+        t, m = row.events[j]
+        if t > c.stage:
             break
-        if row.events[j][1] is None:
-            return max(x, row.stages[j])
+        if m is None:
+            return max(x, t)
     return None
 
 
@@ -719,7 +736,7 @@ def _conf_cell(c, x, ell, ev_after_x, ev_after_w):
     if (
         x >= c.e + ell + 4
         and ell < len(c.rows)
-        and c.rows[ell].length_at(x - 2) is not None
+        and c.rows[ell].at(x - 2)[1] is not None
         and (ev_after_w is None or ev_after_w > x)
     ):
         best = x

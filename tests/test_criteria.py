@@ -5,6 +5,7 @@ and the strict notion can never pass where the loose one fails.
 """
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -187,6 +188,80 @@ def test_bad_index_arguments():
         check_txtfex(tr, reg, "**", 2)
     with pytest.raises(ValueError, match="natural number or '\\*'"):
         check_txtfex(tr, reg, "*", -1)
+
+
+def _fail_verdict(reg, tr):
+    """A FAIL that verify_witness accepts, so every refusal is its arguments'."""
+    v = check_txtfex(tr, reg, "*", 1)
+    assert verify_witness(v, tr, reg, "*", 1)
+    return v
+
+
+def test_bound_and_settle_must_be_well_formed():
+    reg, a, b, c = _registry()
+    tr = _trace((0,) * 5 + (a, b) * 7 + (a,))
+    v = _fail_verdict(reg, tr)
+    calls = (
+        lambda **kw: check_txtfex(tr, reg, "*", 1, **kw),
+        lambda **kw: check_txtfext(tr, reg, "*", 1, **kw),
+        lambda **kw: verify_witness(v, tr, reg, "*", 1, **kw),
+    )
+    for call in calls:
+        for bad in (-1, 2.5, True, "3"):
+            message = f"bound must be a natural number, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(bound=bad)
+        for bad in (2.5, True, "3"):
+            message = f"settle must be an integer or None, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(settle=bad)
+    # a negative int settle is still a degenerate window, not a refusal
+    assert check_txtfex(tr, reg, "*", 1, settle=-1).status is Status.INCONCLUSIVE
+    assert check_txtfext(tr, reg, "*", 1, settle=-1).status is Status.INCONCLUSIVE
+    assert verify_witness(v, tr, reg, "*", 1, settle=-1) is False
+
+
+def test_malformed_witnesses_do_not_verify():
+    reg, a, b, c = _registry()
+    tr = _trace((a, c) * 10)  # a and c differ for good: pairwise and content FAIL
+    malformed = [
+        "x",
+        [a, c],
+        {"kind": "cardinality"},
+        {"kind": "cardinality", "codes": 5},
+        {"kind": "cardinality", "codes": [[a]]},
+        {"kind": "content", "code": [a]},
+        {"kind": "content", "code": c},
+        {"kind": "pairwise", "codes": [a]},
+        {"kind": "pairwise", "codes": None},
+        {"kind": "pairwise", "codes": [[a], c]},
+        {"kind": "pairwise", "codes": [a, c]},
+        {"kind": "pairwise", "codes": [a, c], "elements": 3},
+        {"kind": ["pairwise"], "codes": [a, c]},
+        # True and 1.0 equal codes of the tail but are no codes
+        {"kind": "cardinality", "codes": [True]},
+        {"kind": "content", "code": True, "difference": [1]},
+        {"kind": "pairwise", "codes": [True, float(c)], "elements": [1, 2]},
+    ]
+    for witness in malformed:
+        forgery = Verdict(Status.FAIL_WITNESSED, witness, {})
+        for i in ("*", 0):
+            assert verify_witness(forgery, tr, reg, i, 1) is False, (witness, i)
+    # the well-formed witnesses of the same trace still verify
+    for check, i in ((check_txtfext, "*"), (check_txtfex, 0)):
+        v = check(tr, reg, i, 2)
+        assert v.status is Status.FAIL_WITNESSED
+        assert verify_witness(v, tr, reg, i, 2), v.witness
+
+
+def test_pairwise_witness_needs_two_codes():
+    reg, a, b, c = _registry()
+    # a code that drops 5 after stage 11 differs from itself across stages
+    gone = reg.register(StepFunctionEnumerator(lambda s: {5} if s < 12 else set()))
+    tr = _trace((a, gone) * 10)
+    witness = {"kind": "pairwise", "codes": [gone, gone], "elements": [5]}
+    forgery = Verdict(Status.FAIL_WITNESSED, witness, {})
+    assert verify_witness(forgery, tr, reg, "*", 2) is False
 
 
 def _random_scenario(rng, reg, codes):

@@ -6,6 +6,7 @@ brute cost is exponential in s.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -180,6 +181,24 @@ def test_invalid_witness_is_rejected():
     assert w is not None
     # the same witness transplanted onto a passing instance must not validate
     assert not stab_witness_valid(w, 0, 0, (0,), 3, m, reg)
+
+
+def test_instance_arguments_must_be_natural():
+    reg = Registry()
+    m = LengthParityLearner(reg)
+    w = check_stabilizing(0, 1, (0, 1), 5, m, reg)
+    assert stab_witness_valid(w, 0, 1, (0, 1), 5, m, reg)
+    names = ("base value e", "depth k", "stage budget s")
+    for bad in (-1, 2.5, True, "3"):
+        for place, name in enumerate(names):
+            eks = [0, 1, 5]
+            eks[place] = bad
+            e, k, s = eks
+            message = f"{name} must be a natural number, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_stabilizing(e, k, (0, 1), s, m, reg)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                stab_witness_valid(w, e, k, (0, 1), s, m, reg)
 
 
 def _late_disagreement():

@@ -1,5 +1,6 @@
 """Stage-indexed enumerators, the hypothesis registry, and monotonicity checks."""
 
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -111,6 +112,14 @@ def test_check_monotone_catches_injected_fault():
     violations = check_monotone(reg, [bad], 10)
     # reported at the last stage the element was still present
     assert violations == [(bad, 5, 4)]
+
+
+def test_check_monotone_refuses_a_bad_stage_bound():
+    reg = Registry()
+    for bad in (-1, 2.5, True, "3"):
+        message = f"stage bound s_max must be a natural number, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_monotone(reg, [0], bad)
 
 
 def test_discovery_cursor():
