@@ -41,10 +41,17 @@ from .workspace import SAMPLE_LEARNERS, Workspace
 
 PROFILED = tuple(SAMPLE_LEARNERS)
 ALL_LEARNERS = PROFILED + ("gap_parity",)
-# Work budget of --horizon. Every command is linear in the horizon: at the
-# budget the slowest (check --learner fresh_each_step --i '*' --j '*') takes
-# about 18 s and 0.9 GB on a 2-core machine, inside a 2 GB ulimit -v.
+# Work budget of --horizon. Every command is linear in the horizon but two:
+# a check reads each stage table its trace met up to the horizon, and
+# construct --stage-bound has its own budget (construction.MAX_CODE_LENGTHS).
+# At the budget the slowest (check --learner fresh_each_step --i '*' --j '*')
+# takes about 18 s and 0.9 GB on a 2-core machine, inside a 2 GB ulimit -v.
 MAX_HORIZON = 500_000
+# Work budget of a check, in tables x horizon: a gap_parity trace on a text
+# whose least element keeps falling meets one diagonal table per value. At
+# the budget, two tables read to MAX_HORIZON take about 17 s and 1.0 GB, and
+# 1000 tables read to horizon 1000 about 5 s and 0.4 GB.
+MAX_TABLE_STAGES = 2 * MAX_HORIZON
 # Byte budget of a --text file, checked before it is read: the densest file,
 # "[0,0,...]", peaks at 725 MB RSS at the budget, inside a 2 GB ulimit -v.
 MAX_TEXT_BYTES = 16 * 2**20
@@ -273,6 +280,12 @@ def _cmd_learn(command: str, p: dict) -> tuple[dict, int]:
     }
     failed = False
     if i is not None:
+        tables = len(ws.counters()["tables"])
+        if tables * p["horizon"] > MAX_TABLE_STAGES:
+            raise ValueError(
+                f"the checkers would read {tables} stage tables to horizon"
+                f" {p['horizon']}, over the budget of {MAX_TABLE_STAGES} table stages"
+            )
         window = {"settle": p["settle"], "bound": p["bound"]}
         fex = check_txtfex(trace, ws.registry, i, j, **window)
         fext = check_txtfext(trace, ws.registry, i, j, **window)

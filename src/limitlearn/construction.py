@@ -68,6 +68,11 @@ from .universe import Enumerator, Registry
 
 # Report-size budget of r_prefix: the widest [e, bound) it may list.
 MAX_PREFIX = 1_000_000
+# Work budget of separation_level for a learner with no finite code set: the
+# most lengths whose codes it registers and compares pairwise, quadratic in
+# the count. At the budget, fresh_each_step takes about 11 s on a 2-core
+# machine (16 s at 6000 lengths).
+MAX_CODE_LENGTHS = 5_000
 # adversarial_text looks this many lengths ahead for a switch to adopt.
 ADVERSARY_WINDOW = 8
 
@@ -441,7 +446,8 @@ class Construction:
         to extend. 0 when at most one distinct code (or no one-sided
         difference) shows up; otherwise one past the largest first-difference
         element over ordered code pairs, elements and stages both capped at
-        stage_bound.
+        stage_bound. A learner with no finite code set registers a code per
+        length, so past MAX_CODE_LENGTHS lengths this raises ValueError.
         """
         _check_natural(stage_bound, "stage bound")
         m0 = self.rows[0].events[-1][1]
@@ -449,6 +455,12 @@ class Construction:
             return None
         if m0 > stage_bound:
             return 0  # no length to read a code at
+        lengths = stage_bound - m0 + 1
+        if self.learner.finite_codes() is None and lengths > MAX_CODE_LENGTHS:
+            raise ValueError(
+                f"stage bound {stage_bound} reads the codes of {lengths} lengths,"
+                f" over the budget of {MAX_CODE_LENGTHS}"
+            )
         codes = sorted(self.learner.length_codes(m0, stage_bound))
         if len(codes) <= 1:
             return 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from limitlearn import Workspace
+from limitlearn import Workspace, construction
 
 
 def test_constant_learner_has_no_vacillation():
@@ -61,3 +61,16 @@ def test_separation_level_matches_the_per_length_scan(kind):
             assert fast.separation_level(bound) == want, (e, bound)
         # the same code sets are read, so the registry sees the same queries
         assert fast_ws.registry.query_count == slow_ws.registry.query_count, e
+
+
+def test_separation_budget_counts_lengths(monkeypatch):
+    # fresh_each_step has no finite code set: each length registers a code
+    monkeypatch.setattr(construction, "MAX_CODE_LENGTHS", 10)
+    c = Workspace().construction("fresh_each_step", 0)
+    assert c.rows_snapshot(limit=1)[0]["value"] == []
+    assert c.separation_level(9) == _per_length_level(c, 9)
+    with pytest.raises(ValueError, match="codes of 11 lengths, over the budget of 10$"):
+        c.separation_level(10)
+    # a learner with a finite code set reads one code set, whatever the bound
+    lp = Workspace().construction("length_parity", 0)
+    assert lp.separation_level(100) == 2
