@@ -64,7 +64,7 @@ def _check_horizon_budget(value, name: str) -> None:
 
 
 def _check_path(value, name: str) -> None:
-    if not isinstance(value, str):
+    if not isinstance(value, str) or not value:
         raise ValueError(f"{name} must be a file path, got {value!r}")
 
 
@@ -181,7 +181,8 @@ def resolve(args: argparse.Namespace) -> dict:
     """
     params = PARAMS[args.cmd]
     cfg = {}
-    if args.config:
+    if args.config is not None:
+        _check_path(args.config, "config")
         cfg = _read_json(args.config, "--config")
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")

@@ -11,10 +11,16 @@ unchanged value; otherwise it is recomputed from scratch, or left undefined
 when no admissible string qualifies yet.
 
 Because each stabilization failure is witnessed by facts about fixed stages
-that never mutate afterwards, failures are permanent: a (depth, length) pair
-that failed once is skipped forever, through a per-depth map from failed
-lengths to the next length worth trying, path-compressed so the skips cost
-amortized O(1). A surviving row only needs an incremental check per stage:
+that never mutate afterwards, failures are permanent: a length that failed
+at a depth never passes there again. The lengths a search has refuted above a
+row's base (the length of the row below) always form one unbroken run, so
+each depth keeps one number, its untried length: the least length past that
+run. A search starts there or just above the base, whichever is larger. Why,
+by induction on depth: row 0's base is always 0. A row's length is the least
+unrefuted length above its base, and refutations are permanent, so while its
+base never decreases, neither does its own length. So no base ever
+decreases, and the refuted run above a base goes from base + 1 to just below
+the untried one. A surviving row only needs an incremental check per stage:
 the row keeps the ``stabilizing.Survival`` kernel state that admitted its
 string, the same kernel the standalone check runs, and resumes it one stage
 at a time. Once that state is settled the row can only move if a lower row
@@ -61,7 +67,7 @@ from itertools import pairwise, permutations, repeat
 from math import inf
 from typing import Iterator
 
-from .encodings import Sequence, _check_natural, next_free
+from .encodings import Sequence, _check_natural
 from .learners import ProfiledLearner
 from .stabilizing import StabWitness, Survival, check_stabilizing
 from .universe import Enumerator, Registry
@@ -83,13 +89,17 @@ def _check_variant(variant: str) -> None:
 
 
 class _Row:
-    """A row's history: (stage, length) events, oldest first; None is undefined."""
+    """A row's history: (stage, length) events, oldest first; None is undefined.
 
-    __slots__ = ("events", "qstate")
+    Beside it, its kernel state and its untried length (see the module docstring).
+    """
+
+    __slots__ = ("events", "qstate", "untried")
 
     def __init__(self, seed: int | None):
         self.events: list[tuple[int, int | None]] = [(0, seed)]
         self.qstate: Survival | None = None
+        self.untried = 0
 
     def at(self, s: int) -> tuple[int, int | None]:
         """The event in force at stage s: the last one logged at or before s.
@@ -119,8 +129,6 @@ class Construction:
         self._moved: list[float] = [0]
         # leading rows that are defined and settled: they never move again
         self._frontier = 0
-        # per depth k, failed lengths m -> a larger length to try next
-        self._skip: dict[int, dict[int, int]] = {}
         # x -> plain confirmation stage up to _confirmed (-1: 0, see _entries)
         self._conf_at: dict[int, int] = {-1: 0}
         self._confirmed = -1
@@ -206,20 +214,23 @@ class Construction:
         Base is row k-1's length (0 for row 0). Row k-1 holds only values in
         [e, e+k), so the least extension of length m is row k-1, then e up
         to length m - 1, then e+k; only m is searched for, and no string is
-        built.
+        built. Every length from base + 1 up to row k's untried length, that
+        one excluded, has failed (see the module docstring), so the search
+        starts at the larger of the two. It leaves untried at the length that
+        survives, which a later search must try again, or at s + 1 when no
+        length up to s does.
         """
         self.counters["searches"] += 1
         if self.e + k > s:
             return None
-        skip = self._skip.setdefault(k, {})
-        m = next_free(skip, base + 1)
-        while m <= s:
+        row = self.rows[k]
+        for m in range(max(row.untried, base + 1), s + 1):
             self.counters["length_checks"] += 1
             qs = Survival(m, k)
             if qs.fold(self.learner, self.registry, m, s) is None:
+                row.untried = m
                 return m, qs
-            skip[m] = m + 1
-            m = next_free(skip, m + 1)
+        row.untried = s + 1
         return None
 
     # ---------------- row access ----------------

@@ -4,8 +4,8 @@ Everything downstream speaks naturals. Pairing is the classic Cantor diagonal,
 finite sets are bit vectors (element i present iff bit i of the index is set),
 and sequences are plain tuples.
 Python ints are arbitrary precision, so none of these can overflow. One
-search helper lives here too, because the table and the gap-parity learner
-both need it: the least natural not yet taken, with path-compressed skips.
+search helper lives here too, for the gap-parity learner: the least natural
+not yet taken, with path-compressed skips.
 """
 
 from __future__ import annotations

@@ -470,6 +470,8 @@ _FAULTS = {
         (["family"], {"variant": "wide"}),
         (["learn"], {"text": 5}),
         (["family"], {"out": 1}),
+        (["learn"], {"text": ""}),
+        (["family"], {"out": ""}),
     ],
 )
 def test_construct_rejects_bad_parameters(
@@ -811,6 +813,19 @@ def test_bad_out_path_fails_before_the_run(tmp_path, monkeypatch, capsys, argv, 
     assert captured.err.splitlines() == [
         f"error: --out {out!r} must name a file in an existing directory"
     ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["text", "out", "config"])
+def test_empty_path_flags_are_refused(tmp_path, monkeypatch, capsys, name):
+    # an empty path is no path, not "none given": that would build the text
+    # from the adversary, print the report to stdout or skip the config
+    monkeypatch.chdir(tmp_path)
+    argv = ["learn", *_REQUIRED["learn"], "--horizon", "5", f"--{name}", ""]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {name} must be a file path, got ''"]
     assert list(tmp_path.iterdir()) == []
 
 

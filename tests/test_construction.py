@@ -539,6 +539,21 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
+def test_row_lengths_never_decrease(case):
+    # A search keeps one untried length per depth because no row's length
+    # ever falls: then no base falls, and the lengths refuted above a base
+    # stay one unbroken run. The oracle remembers every failed length, so it
+    # checks the premise apart from the search that relies on it.
+    fast, slow = _ORACLE_PAIRS[case]()
+    fast.run_to(300)
+    slow.run_to(300)
+    for rows, length in ((fast.rows, int), (slow.rows, len)):
+        for n, row in enumerate(rows):
+            lengths = [length(v) for _, v in row.events if v is not None]
+            assert lengths == sorted(lengths), (n, row.events)
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
 def test_row_reader_matches_a_scan_of_the_events(case):
     # the 9 sample tables and the random ones; the scan reads the log in order
     c = _ORACLE_PAIRS[case]()[0]
