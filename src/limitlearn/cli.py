@@ -44,8 +44,9 @@ ALL_LEARNERS = PROFILED + ("gap_parity",)
 # Work budget of --horizon. Every command is linear in the horizon but two:
 # a check reads each stage table its trace met up to the horizon, and
 # construct --stage-bound has its own budget (construction.MAX_CODE_LENGTHS).
-# At the budget the slowest (check --learner fresh_each_step --i '*' --j '*')
-# takes about 18 s and 0.9 GB on a 2-core machine, inside a 2 GB ulimit -v.
+# At the budget the slowest (check --learner fresh_each_step --adversary
+# constant_zero --i '*' --j '*') takes about 10 s and 720 MB peak RSS on a
+# 2-core machine, inside a 2 GB ulimit -v.
 MAX_HORIZON = 500_000
 # Work budget of a check, in tables x horizon: a gap_parity trace on a text
 # whose least element keeps falling meets one diagonal table per value. At

@@ -102,6 +102,10 @@ class LengthParityLearner(ProfiledLearner):
     def length_code(self, m: int) -> int:
         return self.code_even if m % 2 == 0 else self.code_odd
 
+    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        _check_horizon(horizon, len(items))
+        return ((self.code_even, self.code_odd) * (horizon // 2 + 1))[: horizon + 1]
+
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
         if lo == hi:
             return frozenset({self.length_code(lo)})
@@ -131,6 +135,11 @@ class FreshLengthLearner(ProfiledLearner):
             n = len(self._codes)
             self._codes.append(self._registry.register(FiniteSetEnumerator({n})))
         return self._codes[m]
+
+    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        _check_horizon(horizon, len(items))
+        self.length_code(horizon)  # registers every length up to the horizon
+        return tuple(self._codes[: horizon + 1])
 
 
 class GapParityLearner(Learner):

@@ -20,7 +20,7 @@ from .criteria import (
     run_learner,
     verify_witness,
 )
-from .encodings import finite_set_decode, finite_set_encode, pair, unpair
+from .encodings import _check_natural, finite_set_decode, finite_set_encode, pair, unpair
 from .reports import canonical_json, make_report
 from .universe import Registry, StepFunctionEnumerator, check_monotone
 from .workspace import Workspace
@@ -293,6 +293,7 @@ def run_battery(seed: int) -> dict:
 
 def run_suite(seed: int = 0) -> tuple[dict, bool]:
     """Run the battery twice and demand byte-identical canonical reports."""
+    _check_natural(seed, "seed")
     first = run_battery(seed)
     second = run_battery(seed)
     b1 = canonical_json(first)

@@ -9,10 +9,18 @@ is in at_stage(s0), so a caller that has seen stage s0 drops it. The default
 walks the snapshots of those stages; enumerators that know their stages
 (finite sets, unions, the diagonal views) override ``_arrivals`` and build
 none. ``below(bound, s)`` is at_stage(s) under bound: the default filters
-the snapshot, a union joins its parts' reads, and a diagonal view reads only
-the values under the bound. The registry assigns natural-number codes to
-enumerators so learners can output hypotheses as plain ints; code 0 is
-reserved for the empty set, a ``FiniteSetEnumerator`` with no elements.
+the snapshot, a finite set answers from its least and greatest element, a
+union joins its parts' reads, and a diagonal view reads only the values
+under the bound. The registry assigns natural-number codes to enumerators
+so learners can output hypotheses as plain ints; code 0 is reserved for the
+empty set, a ``FiniteSetEnumerator`` with no elements.
+
+Public reads check their arguments once. ``Enumerator.arrivals`` and
+``below`` check the stage; ``Registry.below``, ``sym_diff_below`` and
+``stable_below`` check the code, then the bound or depth, then the stage,
+and go straight to the unchecked ``_below`` or ``stable_below``. The
+``_below`` and ``_arrivals`` hooks take checked values and are called only
+by the registry and by enumerators.
 
 Determinism: all methods return frozensets (arrivals a fresh dict) and take
 no hidden state; callers that need ordered output must sort. The registry
@@ -33,6 +41,8 @@ class Enumerator:
     arrivals and below check their stages and hand them to _arrivals and
     _below, which a subclass overrides to answer without snapshots.
     """
+
+    __slots__ = ()
 
     def at_stage(self, s: int) -> frozenset[int]:
         """Elements enumerated by stage s. Must be monotone in s."""
@@ -75,14 +85,27 @@ class Enumerator:
 class FiniteSetEnumerator(Enumerator):
     """Dumps a fixed finite set at stage 1 and never changes again."""
 
+    __slots__ = ("_elements", "_least", "_greatest")
+
     def __init__(self, elements: Iterable[int]):
         self._elements = frozenset(elements)
         for x in self._elements:
             _check_natural(x, "element")
+        # an empty set's greatest, -1, is under every bound: below reads it whole
+        self._least = min(self._elements, default=0)
+        self._greatest = max(self._elements, default=-1)
 
     def at_stage(self, s: int) -> frozenset[int]:
         _check_natural(s, "stage")
         return self._elements if s >= 1 else frozenset()
+
+    def _below(self, bound: int, s: int) -> frozenset[int]:
+        """The set's ends settle most reads: all of it, or nothing."""
+        if s < 1 or self._least >= bound:
+            return frozenset()
+        if self._greatest < bound:
+            return self._elements
+        return frozenset(x for x in self._elements if x < bound)
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
         return dict.fromkeys(self._elements, 1) if s0 < 1 <= s1 else {}
@@ -173,15 +196,32 @@ class Registry:
         """arrivals(s0, s1) of the coded enumerator; counts as one query."""
         return self._query(code).arrivals(s0, s1)
 
+    def _checked(self, code: int, n: int, name: str, s: int) -> Enumerator:
+        """The coded enumerator, after checking code, n and stage s. A plain
+        int passes the inline tests; anything else goes to _check_natural,
+        for its message and its rule on int subclasses."""
+        table = self._table
+        if not (type(code) is int and 0 <= code < len(table)):
+            raise KeyError(f"unregistered hypothesis code {code!r}")
+        if not (type(n) is int and n >= 0):
+            _check_natural(n, name)
+        if not (type(s) is int and s >= 0):
+            _check_natural(s, "stage")
+        return table[code]
+
     def stable_below(self, code: int, k: int, s: int) -> bool:
-        return self.get(code).stable_below(k, s)
+        """stable_below(k, s) of the coded enumerator; not counted."""
+        return self._checked(code, k, "depth", s).stable_below(k, s)
 
     def below(self, code: int, bound: int, s: int) -> frozenset[int]:
         """below(bound, s) of the coded enumerator; counts as one query."""
-        return self._query(code).below(bound, s)
+        enum = self._checked(code, bound, "bound", s)
+        self.query_count += 1
+        return enum._below(bound, s)
 
     def sym_diff_below(self, h1: int, h2: int, bound: int, s: int) -> frozenset[int]:
-        """Symmetric difference of two coded sets, restricted below bound."""
+        """Symmetric difference of two coded sets, restricted below bound;
+        counts as two queries."""
         return self.below(h1, bound, s) ^ self.below(h2, bound, s)
 
 

@@ -7,6 +7,7 @@ replays the entire battery twice and must stay within twice the single-run
 cost, so it reuses the timings collected here when available.
 """
 
+import re
 import time
 
 import pytest
@@ -101,3 +102,10 @@ def test_criterion_9_deterministic_replay(capsys):
     assert all_pass, [c for c in criteria if c["status"] != "PASS"]
     assert replay["details"]["identical"] is True
     assert elapsed < budget, f"replay took {elapsed:.2f}s, budget {budget:.2f}s"
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_run_suite_refuses_a_seed_that_is_no_natural_number(seed):
+    message = f"seed must be a natural number, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(seed)

@@ -674,6 +674,13 @@ _PINNED_REPORTS = [
         "construct --learner fresh_each_step --horizon 300 --stage-bound 250",
         "4c64bf840505e6fe5663fe34a71c64fb09dac146a5f7d65a42b37ce3be767343",
     ),
+    (
+        # finite i: the content clause reads each tail code below the bound,
+        # beside the tables' per-stage symmetric differences
+        "learn --learner gap_parity --adversary length_parity --variant plain"
+        " --horizon 2000 --i 0 --j 2",
+        "ce329a6b92fc900d5c481927df3c5cf33ec682ab16a177f4d386cbe7617caafc",
+    ),
 ]
 
 # the drops.json text: five runs of ten from falling starts, then repeats and

@@ -261,9 +261,10 @@ def test_profiled_outputs_equal_per_prefix_decide(kind):
         horizon = rng.randint(0, len(items))
         want = tuple(slow.decide(items[:n]) for n in range(horizon + 1))
         assert fast.outputs(items, horizon) == want, (items, horizon)
-        # codes registered lazily come in the order decide would ask for them
+        # codes registered lazily come in the order decide would ask for them,
+        # each naming the same set: stage 1 shows a finite set whole
         assert len(streaming) == len(per_prefix)
-        assert [streaming.get(c).at_stage(0) for c in range(len(streaming))] == [
-            per_prefix.get(c).at_stage(0) for c in range(len(per_prefix))
+        assert [streaming.get(c).at_stage(1) for c in range(len(streaming))] == [
+            per_prefix.get(c).at_stage(1) for c in range(len(per_prefix))
         ]
         assert streaming.query_count == per_prefix.query_count

@@ -1,6 +1,8 @@
 """Stage-indexed enumerators, the hypothesis registry, and monotonicity checks."""
 
+import random
 import re
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -10,11 +12,15 @@ from limitlearn import (
     DiscoveryCursor,
     Enumerator,
     FiniteSetEnumerator,
+    FreshLengthLearner,
     Registry,
     StepFunctionEnumerator,
+    Text,
     UnionEnumerator,
     Workspace,
     check_monotone,
+    check_txtfext,
+    run_learner,
 )
 
 
@@ -88,6 +94,34 @@ def test_registry_counts_queries():
     reg.enumerate_to(c, 3)
     reg.enumerate_to(0, 3)
     assert reg.query_count == before + 2
+
+
+def test_registry_reads_refuse_what_is_no_natural_number():
+    reg = Registry()
+    c = reg.register(FiniteSetEnumerator({0, 3}))
+    cases = [
+        (lambda: reg.below(c, -1, 5), "bound", -1),
+        (lambda: reg.below(c, 2.5, 5), "bound", 2.5),
+        (lambda: reg.below(c, "x", 5), "bound", "x"),
+        (lambda: reg.below(c, 5, -1), "stage", -1),
+        (lambda: reg.sym_diff_below(c, c, True, 5), "bound", True),
+        (lambda: reg.sym_diff_below(c, c, 5, 1.0), "stage", 1.0),
+        (lambda: reg.stable_below(0, -1, -1), "depth", -1),
+        (lambda: reg.stable_below(c, 5, -1), "stage", -1),
+    ]
+    for read, name, bad in cases:
+        message = f"{name} must be a natural number, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read()
+    assert reg.query_count == 0
+
+    # an int subclass other than bool is a natural number, as _check_natural has it
+    class Nat(int):
+        pass
+
+    assert reg.below(c, Nat(1), Nat(1)) == frozenset({0})
+    assert reg.stable_below(c, Nat(1), Nat(1))
+    assert reg.query_count == 1
 
 
 def test_sym_diff_below():
@@ -242,6 +276,74 @@ def test_below_is_the_snapshot_under_the_bound(name):
             before = reg.query_count
             assert reg.below(code, bound, s) == want, (s, bound)
             assert reg.query_count == before + 1
+
+
+def test_finite_set_below_matches_the_snapshot_filter():
+    rng = random.Random(26)
+    sets = [set()]
+    sets += [{rng.randrange(300)} for _ in range(10)]
+    for _ in range(10):
+        low = rng.randrange(100)
+        sets.append(set(rng.sample(range(low, low + 200), rng.randint(2, 60))))
+    reg = Registry()
+    for elements in sets:
+        enum = FiniteSetEnumerator(elements)
+        code = reg.register(enum)
+        for s in range(4):
+            snapshot = enum.at_stage(s)
+            for bound in range(max(elements, default=0) + 3):
+                want = frozenset(x for x in snapshot if x < bound)
+                assert enum.below(bound, s) == want, (sorted(elements), s, bound)
+                before = reg.query_count
+                assert reg.below(code, bound, s) == want, (sorted(elements), s, bound)
+                assert reg.query_count == before + 1
+
+
+def _counting_check_natural(monkeypatch) -> list[int]:
+    """Count the _check_natural calls of every limitlearn module that imports it."""
+    calls = [0]
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "limitlearn" and hasattr(module, "_check_natural"):
+
+            def counting(value, what="value", check=module._check_natural):
+                calls[0] += 1
+                return check(value, what)
+
+            monkeypatch.setattr(module, "_check_natural", counting)
+    return calls
+
+
+def test_strict_checker_checks_arguments_once_however_long_its_tail(monkeypatch):
+    # the checker checks its bound once; its registry reads check only
+    # inline, so the count does not grow with the tail it reads
+    calls = _counting_check_natural(monkeypatch)
+    made = {}
+    for horizon in (100, 400):
+        reg = Registry()
+        trace = run_learner(FreshLengthLearner(reg), Text(tuple(range(horizon))), horizon)
+        before = reg.query_count
+        calls[0] = 0
+        verdict = check_txtfext(trace, reg, "*", "*")
+        made[horizon] = calls[0]
+        tail = len(verdict.details["tail_codes"])
+        assert tail == horizon - horizon // 2 + 1
+        assert reg.query_count - before == 2 * tail
+    assert made[100] == made[400], made
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+def test_table_checks_arguments_in_constant_work_per_stage(kind, monkeypatch):
+    # the kernel's per-stage sym_diff_below and stable_below reads check
+    # inline; fresh_each_step checks the one element of each new length's set
+    calls = _counting_check_natural(monkeypatch)
+    made = {}
+    for horizon in (1000, 2000):
+        c = Workspace().construction(kind, 0)
+        calls[0] = 0
+        c.run_to(horizon)
+        made[horizon] = calls[0]
+        assert made[horizon] <= horizon + 2, (horizon, made)
+    assert made[2000] <= 2.2 * made[1000], made
 
 
 def test_registry_arrivals_counts_one_query_and_checks_its_input():
