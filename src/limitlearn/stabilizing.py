@@ -11,14 +11,16 @@ when three things hold:
      as sigma's own output, at every stage |sigma| + t with t <= s.
 
 check_stabilizing returns None on success or a concrete witness against the
-first failing condition. It takes learners whose output depends only on
-input length: admissible extensions of a length-m string realize exactly the
-lengths m..s, so both quantifiers collapse to a scan over lengths. That scan
-is the resumable Survival kernel, which the stage table also keeps per row
-and advances one stage at a time. The tests keep a brute-force check that
-enumerates every admissible extension as the oracle; the two agree on the
-verdict everywhere, and witnesses are always checkable via
-stab_witness_valid.
+first failing condition. Condition 1 is decided by count: with nothing below
+e and nothing above e+k, the content lies inside [e, e+k] and covers it iff
+it holds k+1 values, so sigma is read as one set and two scans. The check
+takes learners whose output depends only on input length: admissible
+extensions of a length-m string realize exactly the lengths m..s, so both
+quantifiers collapse to a scan over lengths. That scan is the resumable
+Survival kernel, which the stage table also keeps per row and advances one
+stage at a time. The tests keep a brute-force check that enumerates every
+admissible extension as the oracle; the two agree on the verdict everywhere,
+and witnesses are always checkable via stab_witness_valid.
 """
 
 from __future__ import annotations
@@ -51,9 +53,17 @@ def base_qualifies(base: Sequence, s: int, e: int) -> bool:
     return len(base) <= s and (not base or e <= min(base) and max(base) <= s)
 
 
-def _covers_required(e: int, k: int, c: frozenset[int]) -> bool:
-    """Condition 1 on a string's content c: e..e+k all occur, nothing below e."""
-    return min(c, default=e) >= e and c.issuperset(range(e, e + k + 1))
+def _covers_required(e: int, k: int, sigma: Sequence) -> int | None:
+    """Condition 1 on sigma: sigma's greatest value hi if it holds, else None.
+
+    With nothing below e, a string with hi <= e+k covers [e, e+k] iff it holds
+    k+1 values; only a string reaching past e+k is read value by value.
+    """
+    if not sigma or min(sigma) < e:
+        return None  # e must occur, and nothing may lie below it
+    hi, c = max(sigma), content(sigma)
+    covered = len(c) == k + 1 if hi <= e + k else c.issuperset(range(e, e + k + 1))
+    return hi if covered else None
 
 
 class Survival:
@@ -138,13 +148,13 @@ def check_stabilizing(
 ) -> StabWitness | None:
     """None if sigma stabilizes the learner at budget s, else a witness."""
     _check_instance(e, k, s)
-    c = content(sigma)  # the one read of sigma; the rest scans lengths
-    if not _covers_required(e, k, c):
+    hi = _covers_required(e, k, sigma)  # sigma's one read; the rest scans lengths
+    if hi is None:
         return StabWitness(tau=sigma, t=0, violated_condition=1)
     if not isinstance(learner, ProfiledLearner):
         raise ValueError("the stabilization check requires a length-profiled learner")
     # not admissible itself: condition 1 already put every value at or above e
-    if len(sigma) > s or (c and max(c) > s):
+    if len(sigma) > s or hi > s:
         return None
     m0 = len(sigma)
     failure = Survival(m0, k).fold(learner, registry, m0, s)
@@ -170,7 +180,7 @@ def stab_witness_valid(
     """Independently confirm a witness without trusting its producer."""
     _check_instance(e, k, s)
     if witness.violated_condition == 1:
-        return witness.tau == sigma and not _covers_required(e, k, content(sigma))
+        return witness.tau == sigma and _covers_required(e, k, sigma) is None
     tau = witness.tau
     if not (is_prefix(sigma, tau) and base_qualifies(tau, s, e)):
         return False

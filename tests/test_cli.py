@@ -6,6 +6,7 @@ import io
 import json
 import re
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from limitlearn import canonical_json
 from limitlearn.cli import (
     MAX_HORIZON,
     MAX_TABLE_STAGES,
+    MAX_TEXT_BYTES,
     PARAMS,
     build_parser,
     main,
@@ -834,6 +836,94 @@ def test_empty_path_flags_are_refused(tmp_path, monkeypatch, capsys, name):
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {name} must be a file path, got ''"]
     assert list(tmp_path.iterdir()) == []
+
+
+# The boundary sweep's corpus: values each kind of parameter must refuse,
+# given in a --config file, and the flag texts argparse passes on to the check.
+_SWEEP_CONFIG = {
+    "natural": [-1, -12, 2.5, True, False, "3", "", [], {}],
+    "choice": ["wide", "", 1, True, []],
+    "path": ["", 5, True, [], {}],
+    "ij": [-1, 2.5, True, "x", "", []],
+}
+_SWEEP_FLAGS = {"natural": ["-1", "-12"], "path": [""], "ij": ["-1", "x", "**"]}
+_SWEEP_KINDS = {
+    "base_e": "natural", "member_n": "natural", "horizon": "natural",
+    "settle": "natural", "bound": "natural", "stage_bound": "natural",
+    "adversary": "choice", "variant": "choice",
+    "text": "path", "out": "path", "i": "ij", "j": "ij",
+}
+# --text contents no run at horizon 3 may accept.
+_SWEEP_TEXTS = [
+    b"[0, 1, true]", b"[0, -3, 2]", b"[0, 1.5, 2]", b'[0, "7", 2]', b"[[1], 0, 2]",
+    b"[0, null, 1]", b'{"items": [0, 1, 2]}', b"12", b"[0, 1,", b"", b"\xff\xfe[0]",
+    b"[" * 100_000, b"[0, 1]",
+]
+
+
+def _sweep_cases(rng):
+    """Seeded draws of one bad value each, plus the fixed corpus of files."""
+    cases = []
+    for _ in range(150):
+        cmd = rng.choice(["construct", "learn", "check", "family"])
+        given = _REQUIRED[cmd][::2]  # flags win, so leave out what they set
+        name = rng.choice([n for n in PARAMS[cmd] if n in _SWEEP_KINDS
+                           and f"--{n}" not in given])
+        kind = _SWEEP_KINDS[name]
+        flags = _SWEEP_FLAGS.get(kind, [])
+        if name == "horizon":
+            flags = flags + [str(MAX_HORIZON + 1)]
+        if flags and rng.random() < 0.5:
+            flag = "--" + name.replace("_", "-")
+            cases.append(([cmd, flag, rng.choice(flags)], None))
+        else:
+            cases.append(([cmd], {name: rng.choice(_SWEEP_CONFIG[kind])}))
+    cases.append((["suite", "--seed", "-1"], None))
+    cases.append((["suite"], {"seed": "0"}))
+    cases.append((["family"], {"adversary": "constant_zero"}))  # a required flag
+    for config in (b"[1, 2]", b"7", b"{", b"\xff", b"[" * 100_000):
+        cases.append((["construct"], config))
+    return cases
+
+
+def test_seeded_boundary_sweep_is_one_error_line_each(tmp_path, monkeypatch, capsys):
+    # every case exits 1 with exactly one "error:" line on stderr, nothing on
+    # stdout, and no traceback, however the bad value arrived
+    monkeypatch.chdir(tmp_path)
+    huge = tmp_path / "huge.json"  # a valid JSON object over the byte budget
+    huge.write_bytes(b"{}" + b" " * MAX_TEXT_BYTES)
+    cases = _sweep_cases(random.Random(20261019))
+    cases.append((["family", "--config", str(huge)], None))
+    cases.append((["learn", "--text", str(huge), "--horizon", "3"], None))
+    cases.append((["learn", "--text", str(tmp_path / "missing.json")], None))
+    cases.append((["learn", "--config", str(tmp_path / "missing.json")], None))
+    for n, blob in enumerate(_SWEEP_TEXTS):
+        (tmp_path / f"t{n}.json").write_bytes(blob)
+        cases.append((["learn", "--text", f"t{n}.json", "--horizon", "3"], None))
+        cases.append((["check", "--text", f"t{n}.json", "--horizon", "3",
+                       "--i", "1", "--j", "2"], None))
+    started = time.monotonic()
+    for argv, config in cases:
+        cmd, flags = argv[0], argv[1:]
+        argv = [cmd, *_REQUIRED[cmd], *flags]
+        if config is not None:
+            if not isinstance(config, bytes):
+                config = json.dumps(config).encode()
+            (tmp_path / "cfg.json").write_bytes(config)
+            argv += ["--config", "cfg.json"]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("usage", exc.code)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert (rc, captured.out) == (1, ""), (argv, config)
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, config, err)
+        assert "Traceback" not in captured.err, (argv, config)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["cfg.json", "huge.json", *(f"t{n}.json" for n in range(len(_SWEEP_TEXTS)))]
+    )
+    assert time.monotonic() - started < 2
 
 
 def test_python_m_runs_the_console_entry_point(tmp_path):

@@ -1,8 +1,12 @@
 """Vacillation-depth estimates over extensions of the surviving base row."""
 
+import random
+from itertools import permutations
+
 import pytest
 
 from limitlearn import Workspace, construction
+from limitlearn.construction import MAX_CODE_LENGTHS, _first_difference_top
 
 
 def test_constant_learner_has_no_vacillation():
@@ -43,9 +47,14 @@ def _per_length_level(c, stage_bound):
     )
     if len(codes) <= 1:
         return 0
-    sets = {x: c.registry.below(x, stage_bound, stage_bound) for x in codes}
-    firsts = [min(sets[a] - sets[b]) for a in codes for b in codes if sets[a] - sets[b]]
-    return max(firsts) + 1 if firsts else 0
+    sets = [c.registry.below(x, stage_bound, stage_bound) for x in codes]
+    return _all_pairs_top(sets) + 1
+
+
+def _all_pairs_top(sets):
+    """_first_difference_top as first written: every ordered pair of places."""
+    firsts = (min(only) for a, b in permutations(sets, 2) if (only := a - b))
+    return max(firsts, default=-1)
 
 
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
@@ -74,3 +83,41 @@ def test_separation_budget_counts_lengths(monkeypatch):
     # a learner with a finite code set reads one code set, whatever the bound
     lp = Workspace().construction("length_parity", 0)
     assert lp.separation_level(100) == 2
+
+
+def test_pruned_scan_matches_all_pairs_on_random_families():
+    rng = random.Random(41)
+    for _ in range(3000):
+        width = rng.randint(1, 12)
+        pool = [frozenset(rng.sample(range(width), rng.randint(0, width)))
+                for _ in range(rng.randint(1, 4))]
+        # duplicates and empty sets come from drawing a small pool repeatedly
+        sets = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        sets += [frozenset()] * rng.randint(0, 1)
+        rng.shuffle(sets)
+        assert _first_difference_top(sets) == _all_pairs_top(sets), sets
+
+
+class _CountedSet(frozenset):
+    """A code set that counts the differences taken with it on the left."""
+
+    differences = 0
+
+    def __sub__(self, other):
+        _CountedSet.differences += 1
+        return frozenset(self) - other
+
+
+def test_separation_compares_at_most_one_pair_per_code(monkeypatch):
+    c = Workspace().construction("fresh_each_step", 0)
+    below = c.registry.below
+    monkeypatch.setattr(c.registry, "below", lambda *a: _CountedSet(below(*a)))
+    monkeypatch.setattr(_CountedSet, "differences", 0)
+    # length m's set is {m}, read below the bound, so {bound} reads empty
+    assert c.separation_level(40) == 40 == _per_length_level(c, 40)
+    # the oracle takes a difference for every ordered pair of the 41 sets
+    assert _CountedSet.differences == 1 + 41 * 40
+    _CountedSet.differences = 0
+    bound = MAX_CODE_LENGTHS - 1  # lengths 0..bound: the whole budget
+    assert c.separation_level(bound) == bound
+    assert _CountedSet.differences <= MAX_CODE_LENGTHS

@@ -17,7 +17,9 @@ from limitlearn import (
     FreshLengthLearner,
     LengthParityLearner,
     Registry,
+    StabWitness,
     StepFunctionEnumerator,
+    Workspace,
     base_qualifies,
     check_stabilizing,
     stab_witness_valid,
@@ -35,6 +37,11 @@ def test_base_qualifies():
     assert not base_qualifies((0,), 2, 1)           # 0 below the base value
 
 
+def _scan_covers(e, k, sigma):
+    """Condition 1 by a scan of every value: nothing below e, e..e+k all met."""
+    return all(x >= e for x in sigma) and set(range(e, e + k + 1)) <= set(sigma)
+
+
 def test_base_qualifies_and_condition_one_match_a_scan_of_every_value():
     rng = random.Random(3)
     learner, reg = ConstantLearner(), Registry()
@@ -43,10 +50,62 @@ def test_base_qualifies_and_condition_one_match_a_scan_of_every_value():
         sigma = tuple(rng.randint(0, 7) for _ in range(rng.randint(0, 7)))
         want = len(sigma) <= s and all(e <= x <= s for x in sigma)
         assert base_qualifies(sigma, s, e) == want, (sigma, s, e)
-        low_ok = all(x >= e for x in sigma)
-        covers = low_ok and set(range(e, e + k + 1)) <= set(sigma)
         w = check_stabilizing(e, k, sigma, s, learner, reg)
-        assert (w is not None and w.violated_condition == 1) == (not covers)
+        assert (w is not None and w.violated_condition == 1) == (
+            not _scan_covers(e, k, sigma)
+        )
+
+
+def _random_condition_one_cases(rng):
+    """Strings around e..e+k: shuffled covers with duplicates, a value dropped,
+    values below e, above e+k and above s mixed in, and the empty string."""
+    for _ in range(1500):
+        e, k = rng.randint(0, 3), rng.randint(0, 40)
+        s = rng.randint(0, e + k + 20)
+        sigma = list(range(e, e + k + 1))
+        if rng.random() < 0.4:
+            sigma.remove(rng.randint(e, e + k))
+        sigma += rng.choices(range(e, e + k + 1), k=rng.randint(0, 300 - len(sigma)))
+        if rng.random() < 0.3 and e:
+            sigma.append(rng.randrange(e))
+        if rng.random() < 0.4:
+            sigma.append(e + k + rng.randint(1, 3))
+        if rng.random() < 0.3:
+            sigma.append(s + rng.randint(1, 3))
+        rng.shuffle(sigma)
+        yield e, k, tuple(sigma[: rng.randint(0, 300)]), s
+    for e in range(3):
+        for k in range(3):
+            yield e, k, (), 5
+
+
+def _table_condition_one_cases():
+    """Every row string of two sample tables up to stage 200, at nearby depths."""
+    for kind in ("constant_zero", "length_parity"):
+        for e in (0, 1, 2):
+            c = Workspace().construction(kind, e)
+            c.run_to(200)
+            rows = set()
+            for s in range(201):
+                rows.update((n, tuple(v)) for n, v in enumerate(c._strings(s)))
+            for n, sigma in sorted(rows):
+                for k in {0, max(n - 1, 0), n, n + 1}:
+                    yield e, k, sigma, 200
+
+
+def test_condition_one_by_count_matches_the_scan():
+    learner, reg = ConstantLearner(), Registry()
+    cases = [*_random_condition_one_cases(random.Random(29))]
+    cases += _table_condition_one_cases()
+    verdicts = set()
+    for e, k, sigma, s in cases:
+        covers = _scan_covers(e, k, sigma)
+        verdicts.add(covers)
+        w = check_stabilizing(e, k, sigma, s, learner, reg)
+        assert (w is not None and w.violated_condition == 1) == (not covers), (e, k, s)
+        claim = StabWitness(tau=sigma, t=0, violated_condition=1)
+        assert stab_witness_valid(claim, e, k, sigma, s, learner, reg) == (not covers)
+    assert verdicts == {True, False}
 
 
 def test_candidate_strings_enumeration_order():
