@@ -54,9 +54,10 @@ Confirmations are monotone facts, so the enumerators never retract an
 element. Each x's confirmation stage is stored once, in one map; an x that
 must wait sits in a heap keyed by the one depth F it waits on, so each x
 costs O(log n) once (see confirmation_stage). Every diagonal read applies one
-entry rule to a range of values (_entries): ``at_stage(s)`` reads e..s,
-``below(bound, s)`` only the values under the bound, and ``arrivals(s0, s1)``
-reads e..s1 and keeps what entered after s0, so no read builds a snapshot.
+entry rule to a range of values (_entries): ``_below(bound, s)`` reads only
+the values of e..s under the bound, so ``at_stage(s)`` reads e..s, and
+``arrivals(s0, s1)`` reads e..s1 and keeps what entered after s0, so no read
+builds a snapshot.
 """
 
 from __future__ import annotations
@@ -513,11 +514,7 @@ class DiagonalView(Enumerator):
         self.construction = construction
         self.variant = variant
 
-    def at_stage(self, s: int) -> frozenset[int]:
-        _check_natural(s, "stage")
-        return self._below(s + 1, s)
-
-    def _below(self, bound: int, s: int) -> frozenset[int]:
+    def _below(self, bound: float, s: int) -> frozenset[int]:
         c = self.construction
         return frozenset(c._entries(c.e, bound, self.variant, s))
 

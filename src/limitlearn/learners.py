@@ -76,10 +76,12 @@ class ConstantLearner(ProfiledLearner):
     name = "constant_zero"
 
     def length_code(self, m: int) -> int:
+        if not (type(m) is int and m >= 0):
+            _check_natural(m, "length")
         return 0
 
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
-        return frozenset({0})
+        return frozenset({self.length_code(lo)}) if lo <= hi else frozenset()
 
     def finite_codes(self) -> frozenset[int] | None:
         return frozenset({0})
@@ -100,6 +102,8 @@ class LengthParityLearner(ProfiledLearner):
         self.code_odd = registry.register(FiniteSetEnumerator({1}))
 
     def length_code(self, m: int) -> int:
+        if not (type(m) is int and m >= 0):
+            _check_natural(m, "length")
         return self.code_even if m % 2 == 0 else self.code_odd
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
@@ -107,9 +111,10 @@ class LengthParityLearner(ProfiledLearner):
         return ((self.code_even, self.code_odd) * (horizon // 2 + 1))[: horizon + 1]
 
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
-        if lo == hi:
-            return frozenset({self.length_code(lo)})
-        return frozenset({self.code_even, self.code_odd})
+        """Two lengths in a row show both parities."""
+        if lo < hi:
+            return frozenset({self.length_code(lo), self.length_code(lo + 1)})
+        return frozenset({self.length_code(lo)}) if lo == hi else frozenset()
 
     def finite_codes(self) -> frozenset[int] | None:
         return frozenset({self.code_even, self.code_odd})
@@ -131,6 +136,8 @@ class FreshLengthLearner(ProfiledLearner):
         self._codes: list[int] = []
 
     def length_code(self, m: int) -> int:
+        if not (type(m) is int and m >= 0):
+            _check_natural(m, "length")
         while len(self._codes) <= m:
             n = len(self._codes)
             self._codes.append(self._registry.register(FiniteSetEnumerator({n})))

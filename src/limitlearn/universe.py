@@ -2,21 +2,22 @@
 
 An enumerator models a set being listed over discrete stages: ``at_stage(s)``
 is the finite portion visible by stage s, and it must never lose elements as
-s grows. ``arrivals(s0, s1)`` reads in one call what stages s0+1..s1 added,
-each element tagged with its stage: an x outside at_stage(s0) that some
-at_stage(t), s0 < t <= s1, holds maps to the least such t, and any other key
-is in at_stage(s0), so a caller that has seen stage s0 drops it. The default
-walks the snapshots of those stages; enumerators that know their stages
-(finite sets, unions, the diagonal views) override ``_arrivals`` and build
-none. ``below(bound, s)`` is at_stage(s) under bound: the default filters
-the snapshot, a finite set answers from its least and greatest element, a
-union joins its parts' reads, and a diagonal view reads only the values
-under the bound. The registry assigns natural-number codes to enumerators
-so learners can output hypotheses as plain ints; code 0 is reserved for the
-empty set, a ``FiniteSetEnumerator`` with no elements.
+s grows. Each enumerator states its set once, as ``_below(bound, s)``: the
+elements of at_stage(s) under bound. A finite set answers from its least and
+greatest element, a union joins its parts' reads, and a diagonal view reads
+only the values under the bound; ``at_stage(s)`` is ``_below`` with no bound,
+written once in the base class. ``arrivals(s0, s1)`` reads in one call what
+stages s0+1..s1 added, each element tagged with its stage: an x outside
+at_stage(s0) that some at_stage(t), s0 < t <= s1, holds maps to the least
+such t, and any other key is in at_stage(s0), so a caller that has seen
+stage s0 drops it. The default walks the snapshots of those stages;
+enumerators that know their stages (finite sets, unions, the diagonal views)
+override ``_arrivals`` and build none. The registry assigns natural-number
+codes to enumerators so learners can output hypotheses as plain ints; code 0
+is reserved for the empty set, a ``FiniteSetEnumerator`` with no elements.
 
-Public reads check their arguments once. ``Enumerator.arrivals`` and
-``below`` check the stage; ``Registry.below``, ``sym_diff_below`` and
+Public reads check their arguments once. ``Enumerator.at_stage`` and
+``arrivals`` check the stage; ``Registry.below``, ``sym_diff_below`` and
 ``stable_below`` check the code, then the bound or depth, then the stage,
 and go straight to the unchecked ``_below`` or ``stable_below``. The
 ``_below`` and ``_arrivals`` hooks take checked values and are called only
@@ -31,21 +32,27 @@ each, which gives reproducible work measurements independent of wall clock.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from math import inf
 
 from .encodings import _check_natural
 
 
 class Enumerator:
-    """One set unfolding over stages; subclasses fill in at_stage.
+    """One set unfolding over stages; subclasses fill in _below.
 
-    arrivals and below check their stages and hand them to _arrivals and
-    _below, which a subclass overrides to answer without snapshots.
+    at_stage and arrivals check their stages; at_stage is _below with no
+    bound, and a subclass overrides _arrivals to answer without snapshots.
     """
 
     __slots__ = ()
 
     def at_stage(self, s: int) -> frozenset[int]:
         """Elements enumerated by stage s. Must be monotone in s."""
+        _check_natural(s, "stage")
+        return self._below(inf, s)
+
+    def _below(self, bound: float, s: int) -> frozenset[int]:
+        """Elements of at_stage(s) under bound, for a checked stage."""
         raise NotImplementedError
 
     def arrivals(self, s0: int, s1: int) -> dict[int, int]:
@@ -65,15 +72,6 @@ class Enumerator:
                 out.setdefault(x, t)
         return {x: t for x, t in out.items() if t > s0}
 
-    def below(self, bound: int, s: int) -> frozenset[int]:
-        """Elements of at_stage(s) under bound."""
-        _check_natural(s, "stage")
-        return self._below(bound, s)
-
-    def _below(self, bound: int, s: int) -> frozenset[int]:
-        """below for a checked stage: the snapshot, filtered."""
-        return frozenset(x for x in self.at_stage(s) if x < bound)
-
     def stable_below(self, k: int, s: int) -> bool:
         """True only if the part below k provably never changes after stage s.
 
@@ -91,15 +89,11 @@ class FiniteSetEnumerator(Enumerator):
         self._elements = frozenset(elements)
         for x in self._elements:
             _check_natural(x, "element")
-        # an empty set's greatest, -1, is under every bound: below reads it whole
+        # an empty set's greatest, -1, is under every bound: _below reads it whole
         self._least = min(self._elements, default=0)
         self._greatest = max(self._elements, default=-1)
 
-    def at_stage(self, s: int) -> frozenset[int]:
-        _check_natural(s, "stage")
-        return self._elements if s >= 1 else frozenset()
-
-    def _below(self, bound: int, s: int) -> frozenset[int]:
+    def _below(self, bound: float, s: int) -> frozenset[int]:
         """The set's ends settle most reads: all of it, or nothing."""
         if s < 1 or self._least >= bound:
             return frozenset()
@@ -124,9 +118,8 @@ class StepFunctionEnumerator(Enumerator):
     def __init__(self, fn: Callable[[int], Iterable[int]]):
         self._fn = fn
 
-    def at_stage(self, s: int) -> frozenset[int]:
-        _check_natural(s, "stage")
-        return frozenset(self._fn(s))
+    def _below(self, bound: float, s: int) -> frozenset[int]:
+        return frozenset(x for x in self._fn(s) if x < bound)
 
 
 class UnionEnumerator(Enumerator):
@@ -134,9 +127,6 @@ class UnionEnumerator(Enumerator):
 
     def __init__(self, parts: Iterable[Enumerator]):
         self._parts = tuple(parts)
-
-    def at_stage(self, s: int) -> frozenset[int]:
-        return frozenset().union(*(p.at_stage(s) for p in self._parts))
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
         """Each element's least stage over the parts; a key that one part
@@ -148,7 +138,7 @@ class UnionEnumerator(Enumerator):
                     out[x] = t
         return out
 
-    def _below(self, bound: int, s: int) -> frozenset[int]:
+    def _below(self, bound: float, s: int) -> frozenset[int]:
         return frozenset().union(*(p._below(bound, s) for p in self._parts))
 
     def stable_below(self, k: int, s: int) -> bool:

@@ -56,6 +56,37 @@ def test_length_parity_o1_overrides_match_scan_defaults():
             assert m.length_codes(lo, hi) == scan_all
 
 
+def test_length_codes_overrides_equal_the_base_definition():
+    # empty ranges included: lo > hi lists no length, so no code
+    reg = Registry()
+    for m in (ConstantLearner(), LengthParityLearner(reg), FreshLengthLearner(reg)):
+        for lo in range(13):
+            for hi in range(13):
+                want = ProfiledLearner.length_codes(m, lo, hi)
+                assert m.length_codes(lo, hi) == want, (m.name, lo, hi)
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 2.5, True, "3"])
+def test_length_reads_refuse_a_non_natural_length(bad):
+    reg = Registry()
+    registered = FreshLengthLearner(reg)
+    for m in range(4):
+        registered.length_code(m)
+    learners = (
+        ConstantLearner(),
+        LengthParityLearner(reg),
+        registered,
+        FreshLengthLearner(Registry()),
+    )
+    message = re.escape(f"length must be a natural number, got {bad!r}")
+    for m in learners:
+        with pytest.raises(ValueError, match=message):
+            m.length_code(bad)
+        if bad in (-1, -4):
+            with pytest.raises(ValueError, match=message):
+                m.length_codes(bad, 5)
+
+
 def test_fresh_learner_codes_exceed_length():
     reg = Registry()
     m = FreshLengthLearner(reg)

@@ -247,8 +247,12 @@ def test_new_between_refuses_bad_stages(name):
         enum.arrivals(0, -2)
     with pytest.raises(ValueError, match="stage 2 comes before stage 5"):
         enum.arrivals(5, 2)
+    # at_stage is checked once, in the base class, for every enumerator
     with pytest.raises(ValueError, match="stage must be a natural number, got -1"):
-        enum.below(5, -1)
+        enum.at_stage(-1)
+    reg = Registry()
+    with pytest.raises(ValueError, match="stage must be a natural number, got -1"):
+        reg.enumerate_to(reg.register(enum), -1)
 
 
 def _below_cases():
@@ -272,7 +276,7 @@ def test_below_is_the_snapshot_under_the_bound(name):
         snapshot = enum.at_stage(s)
         for bound in (0, 1, e, e + 1, s, s + 1, s + 2, 10**6):
             want = frozenset(x for x in snapshot if x < bound)
-            assert enum.below(bound, s) == want, (s, bound)
+            assert enum._below(bound, s) == want, (s, bound)
             before = reg.query_count
             assert reg.below(code, bound, s) == want, (s, bound)
             assert reg.query_count == before + 1
@@ -293,7 +297,7 @@ def test_finite_set_below_matches_the_snapshot_filter():
             snapshot = enum.at_stage(s)
             for bound in range(max(elements, default=0) + 3):
                 want = frozenset(x for x in snapshot if x < bound)
-                assert enum.below(bound, s) == want, (sorted(elements), s, bound)
+                assert enum._below(bound, s) == want, (sorted(elements), s, bound)
                 before = reg.query_count
                 assert reg.below(code, bound, s) == want, (sorted(elements), s, bound)
                 assert reg.query_count == before + 1
