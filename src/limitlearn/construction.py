@@ -70,7 +70,7 @@ from typing import Iterator
 
 from .encodings import Sequence, _check_natural
 from .learners import ProfiledLearner
-from .stabilizing import StabWitness, Survival, check_stabilizing
+from .stabilizing import StabWitness, Survival, _check_read
 from .universe import Enumerator, Registry
 
 # Report-size budget of r_prefix: the widest [e, bound) it may list.
@@ -286,16 +286,26 @@ class Construction:
     def reverify_final(self) -> list[tuple[int, StabWitness | None]]:
         """Re-run the standalone stabilization check on every surviving row.
 
-        Each string is built afresh, one row at a time, and read as one set
-        plus two scans (its least and greatest values): the cost is linear
-        in the strings' total length (H^2 / 2 for constant_zero at horizon
-        H), not in the horizon.
+        One pass up the rows: condition 1 reads a running least value,
+        greatest value and content, to which each row adds only its values
+        past the row below's length. A row no longer than the one below is
+        cut short (see _strings), so it is read afresh. Each row then goes
+        through check_stabilizing's own check, whose conditions 2 and 3 run
+        a fresh Survival kernel, so the table's kernel states are not
+        trusted. On a chained table the values read total the deepest row's
+        length, not the strings' total length (H^2 / 2 for constant_zero at
+        horizon H).
         """
-        s = self.stage
-        return [
-            (n, check_stabilizing(self.e, n, tuple(v), s, self.learner, self.registry))
-            for n, v in enumerate(self._strings(s))
-        ]
+        s, out = self.stage, []
+        for n, v in enumerate(self._strings(s)):
+            if n == 0 or len(v) <= upto:  # row 0, or cut short: read v afresh
+                lo, hi, c, upto = inf, -1, set(), 0
+            if tail := v[upto:]:  # only row 0 at stage 0 is empty
+                c.update(tail)
+                lo, hi, upto = min(lo, min(tail)), max(hi, max(tail)), len(v)
+            w = _check_read(self.e, n, v, (lo, hi, c), s, self.learner, self.registry)
+            out.append((n, w))
+        return out
 
     def rows_snapshot(self, limit: int | None = None) -> list[dict]:
         if limit is not None:

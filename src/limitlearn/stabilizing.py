@@ -11,9 +11,13 @@ when three things hold:
      as sigma's own output, at every stage |sigma| + t with t <= s.
 
 check_stabilizing returns None on success or a concrete witness against the
-first failing condition. Condition 1 is decided by count: with nothing below
-e and nothing above e+k, the content lies inside [e, e+k] and covers it iff
-it holds k+1 values, so sigma is read as one set and two scans. The check
+first failing condition. Condition 1 is a rule over sigma's least value,
+greatest value and content (_covers_required), decided by count: with
+nothing below e and nothing above e+k, the content lies inside [e, e+k] and
+covers it iff it holds k+1 values. The public face reads sigma once into
+those three, checking each distinct value is a natural number; the stage
+table's re-check keeps them as running values up its chain of rows instead
+(Construction.reverify_final), and both hand them to one check. The check
 takes learners whose output depends only on input length: admissible
 extensions of a length-m string realize exactly the lengths m..s, so both
 quantifiers collapse to a scan over lengths. That scan is the resumable
@@ -25,6 +29,7 @@ and witnesses are always checkable via stab_witness_valid.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .encodings import Sequence, _check_natural, content, is_prefix
@@ -53,17 +58,27 @@ def base_qualifies(base: Sequence, s: int, e: int) -> bool:
     return len(base) <= s and (not base or e <= min(base) and max(base) <= s)
 
 
-def _covers_required(e: int, k: int, sigma: Sequence) -> int | None:
-    """Condition 1 on sigma: sigma's greatest value hi if it holds, else None.
+def _read(sigma: Sequence) -> tuple[int, int, frozenset[int]]:
+    """Sigma's least value, greatest value and content; each distinct value checked.
+
+    A value equal to a natural number already in sigma (True beside 1) is
+    read as that number, as a set reads it.
+    """
+    c = content(sigma)
+    for x in c:
+        _check_natural(x, "sigma value")
+    return min(c, default=0), max(c, default=0), c
+
+
+def _covers_required(e: int, k: int, lo: int, hi: int, c: Set[int]) -> bool:
+    """Condition 1 on a string with least value lo, greatest hi and content c.
 
     With nothing below e, a string with hi <= e+k covers [e, e+k] iff it holds
     k+1 values; only a string reaching past e+k is read value by value.
     """
-    if not sigma or min(sigma) < e:
-        return None  # e must occur, and nothing may lie below it
-    hi, c = max(sigma), content(sigma)
-    covered = len(c) == k + 1 if hi <= e + k else c.issuperset(range(e, e + k + 1))
-    return hi if covered else None
+    if not c or lo < e:
+        return False  # e must occur, and nothing may lie below it
+    return len(c) == k + 1 if hi <= e + k else c.issuperset(range(e, e + k + 1))
 
 
 class Survival:
@@ -148,15 +163,30 @@ def check_stabilizing(
 ) -> StabWitness | None:
     """None if sigma stabilizes the learner at budget s, else a witness."""
     _check_instance(e, k, s)
-    hi = _covers_required(e, k, sigma)  # sigma's one read; the rest scans lengths
-    if hi is None:
-        return StabWitness(tau=sigma, t=0, violated_condition=1)
+    return _check_read(e, k, sigma, _read(sigma), s, learner, registry)
+
+
+def _check_read(
+    e: int,
+    k: int,
+    sigma: Sequence,
+    read: tuple[int, int, Set[int]],
+    s: int,
+    learner: ProfiledLearner,
+    registry: Registry,
+) -> StabWitness | None:
+    """check_stabilizing on checked arguments and sigma's read (lo, hi, content).
+
+    Sigma itself is not read again: only a witness copies it, into a tuple.
+    """
+    if not _covers_required(e, k, *read):
+        return StabWitness(tau=tuple(sigma), t=0, violated_condition=1)
     if not isinstance(learner, ProfiledLearner):
         raise ValueError("the stabilization check requires a length-profiled learner")
-    # not admissible itself: condition 1 already put every value at or above e
-    if len(sigma) > s or hi > s:
-        return None
     m0 = len(sigma)
+    # not admissible itself: condition 1 already put every value at or above e
+    if m0 > s or read[1] > s:
+        return None
     failure = Survival(m0, k).fold(learner, registry, m0, s)
     if failure is None:
         return None
@@ -165,7 +195,8 @@ def check_stabilizing(
     # length-m extension exists for every m in m0..s (pad with e)
     realizes = (lambda c: c > m0) if condition == 2 else (lambda c: c == code)
     m = next(m for m in range(m0, s + 1) if realizes(learner.length_code(m)))
-    return StabWitness(tau=sigma + (e,) * (m - m0), t=t, violated_condition=condition)
+    tau = tuple(sigma) + (e,) * (m - m0)
+    return StabWitness(tau=tau, t=t, violated_condition=condition)
 
 
 def stab_witness_valid(
@@ -179,9 +210,10 @@ def stab_witness_valid(
 ) -> bool:
     """Independently confirm a witness without trusting its producer."""
     _check_instance(e, k, s)
+    read, sigma = _read(sigma), tuple(sigma)
     if witness.violated_condition == 1:
-        return witness.tau == sigma and _covers_required(e, k, sigma) is None
-    tau = witness.tau
+        return tuple(witness.tau) == sigma and not _covers_required(e, k, *read)
+    tau = tuple(witness.tau)
     if not (is_prefix(sigma, tau) and base_qualifies(tau, s, e)):
         return False
     if witness.violated_condition == 2:

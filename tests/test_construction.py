@@ -26,7 +26,6 @@ from limitlearn import (
     check_stabilizing,
     is_prefix,
 )
-from limitlearn import construction
 from limitlearn.stabilizing import Survival
 
 from brute_oracle import candidate_strings, check_brute
@@ -688,29 +687,94 @@ def test_table_work_is_linear_in_the_horizon(kind):
         assert work["length_checks"] <= work["searches"], (e, work)
 
 
+def _reverify_per_row(c):
+    """reverify_final as first written: each row's whole string checked afresh."""
+    s = c.stage
+    return [
+        (n, check_stabilizing(c.e, n, tuple(v), s, c.learner, c.registry))
+        for n, v in enumerate(c._strings(s))
+    ]
+
+
+def _cut_tables():
+    """Tables at stage 40 with one row's stored length edited, row by row and
+    length by length: a row no longer than the one below comes out cut short,
+    and a longer one cuts the row above it."""
+    tables = [_constant(), Workspace().construction("length_parity", 1)]
+    tables += [_paired_constructions(random.Random(seed))[0] for seed in (23, 31)]
+    for c in tables:
+        c.run_to(40)
+        for n in range(min(c._defined[40] - 1, 6)):
+            row, above = c.rows[n], c.rows[n + 1].events[-1][1]
+            kept = row.events[-1]
+            for m in range(1, above + 2):
+                row.events[-1] = (kept[0], m)
+                yield c
+            row.events[-1] = kept
+
+
+def test_reverify_final_matches_the_per_row_check():
+    # conditions 2 and 3 cost cubic time in the horizon on the random tables'
+    # learners, so those stop at stage 80, as the resumed-row test does
+    conditions = set()
+    for c in _profiled_tables():
+        horizon = 80 if c.learner.name == "profiled_function" else 300
+        for s in range(horizon + 1):
+            if s:
+                c.run_stage()
+            got = c.reverify_final()
+            assert got == _reverify_per_row(c), (c.learner.name, c.e, s)
+            conditions.update(w and w.violated_condition for _, w in got)
+    for c in _cut_tables():
+        got = c.reverify_final()
+        assert got == _reverify_per_row(c), (c.learner.name, c.e)
+        conditions.update(w and w.violated_condition for _, w in got)
+    assert conditions == {None, 1, 2, 3}
+
+
+class _CountedString:
+    """A row string that counts the values a reader takes from it."""
+
+    def __init__(self, v, tally):
+        self.v, self.tally = v, tally
+
+    def __len__(self):
+        return len(self.v)
+
+    def __getitem__(self, i):
+        got = self.v[i]
+        self.tally["values"] += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        self.tally["values"] += len(self.v)
+        return iter(self.v)
+
+
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
-def test_reverify_final_hands_each_row_over_once(kind, monkeypatch):
-    # the re-check reads each defined row's string once and nothing more: a
-    # row checked twice, or row n handed rows 0..n joined, breaks the counts
-    handed = {"calls": 0, "values": 0}
-
-    def counting(e, n, sigma, s, learner, registry):
-        handed["calls"] += 1
-        handed["values"] += len(sigma)
-        return check_stabilizing(e, n, sigma, s, learner, registry)
-
-    monkeypatch.setattr(construction, "check_stabilizing", counting)
+def test_reverify_final_reads_each_value_once(kind, monkeypatch):
+    # one verdict per defined row, and on a chained table each row is read
+    # only past the row below: the values read total the deepest row's
+    # length, where reading every row whole totals all their lengths
+    tally = {"values": 0}
+    strings = Construction._strings
+    monkeypatch.setattr(
+        Construction,
+        "_strings",
+        lambda c, s: (_CountedString(v, tally) for v in strings(c, s)),
+    )
     for e in (0, 1, 2):
+        c = Workspace().construction(kind, e)
         for horizon in (300, 600):
-            c = Workspace().construction(kind, e)
             c.run_to(horizon)
-            rows = c.rows[: c._defined[horizon]]
-            handed.update(calls=0, values=0)
-            c.reverify_final()
-            assert handed == {
-                "calls": len(rows),
-                "values": sum(row.events[-1][1] for row in rows),
-            }, (e, horizon)
+            defined = c._defined[horizon]
+            assert c.chain_ok()
+            tally["values"] = 0
+            got = c.reverify_final()
+            assert [n for n, _ in got] == list(range(defined)), (e, horizon)
+            assert all(w is None for _, w in got), (e, horizon)
+            deepest = c.rows[defined - 1].events[-1][1] if defined else 0
+            assert tally["values"] == deepest, (e, horizon)
 
 
 # The confirmation scan the closed form replaced: per depth, the earliest

@@ -258,6 +258,14 @@ def test_instance_arguments_must_be_natural():
                 check_stabilizing(e, k, (0, 1), s, m, reg)
             with pytest.raises(ValueError, match=re.escape(message)):
                 stab_witness_valid(w, e, k, (0, 1), s, m, reg)
+    # sigma's values are checked once, on its content: True is no 1 here
+    for sigma, bad in (((0, True), True), (("a",), "a"), ((0, -1), -1)):
+        message = f"sigma value must be a natural number, got {bad!r}"
+        for form in (sigma, list(sigma)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_stabilizing(0, 1, form, 5, m, reg)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                stab_witness_valid(w, 0, 1, form, 5, m, reg)
 
 
 def _late_disagreement():
@@ -273,22 +281,25 @@ def _fresh_registry(make):
     return reg, make(reg)
 
 
-@pytest.mark.parametrize(
-    "setup, e, k, sigma, s, witness, queries",
-    [
-        (LengthParityLearner, 0, 1, (0, 1), 5, ([0, 1, 0], 0, 3), 2),
-        (LengthParityLearner, 1, 1, (1, 2), 5, ([1, 2, 1], 0, 3), 2),
-        (LengthParityLearner, 0, 0, (0,), 3, ([0], 0, 2), 0),
-        (LengthParityLearner, 0, 2, (0, 1, 2), 6, ([0, 1, 2, 0], 0, 3), 2),
-        # depth 0 makes condition 3 vacuous, so no registry query is needed
-        (LengthParityLearner, 0, 0, (0, 0), 6, None, 0),
-        (FreshLengthLearner, 0, 0, (0,), 3, ([0], 0, 2), 0),
-        (FreshLengthLearner, 1, 1, (1, 2, 1), 7, ([1, 2, 1], 0, 2), 0),
-        (lambda reg: ConstantLearner(), 0, 1, (0, 1), 4, None, 0),
-        ("late", 0, 2, (0, 1, 2), 6, ([0, 1, 2, 0], 1, 3), 4),
-        ("late", 0, 2, (0, 1, 2), 3, None, 0),
-    ],
-)
+_PINNED_WITNESSES = [
+    (LengthParityLearner, 0, 1, (0, 1), 5, ([0, 1, 0], 0, 3), 2),
+    (LengthParityLearner, 1, 1, (1, 2), 5, ([1, 2, 1], 0, 3), 2),
+    (LengthParityLearner, 0, 0, (0,), 3, ([0], 0, 2), 0),
+    (LengthParityLearner, 0, 2, (0, 1, 2), 6, ([0, 1, 2, 0], 0, 3), 2),
+    # depth 0 makes condition 3 vacuous, so no registry query is needed
+    (LengthParityLearner, 0, 0, (0, 0), 6, None, 0),
+    (FreshLengthLearner, 0, 0, (0,), 3, ([0], 0, 2), 0),
+    (FreshLengthLearner, 1, 1, (1, 2, 1), 7, ([1, 2, 1], 0, 2), 0),
+    (lambda reg: ConstantLearner(), 0, 1, (0, 1), 4, None, 0),
+    ("late", 0, 2, (0, 1, 2), 6, ([0, 1, 2, 0], 1, 3), 4),
+    ("late", 0, 2, (0, 1, 2), 3, None, 0),
+    # condition 1 reads sigma alone: e missing, then a value below e
+    (LengthParityLearner, 0, 1, (0,), 4, ([0], 0, 1), 0),
+    (LengthParityLearner, 2, 0, (2, 1), 4, ([2, 1], 0, 1), 0),
+]
+
+
+@pytest.mark.parametrize("setup, e, k, sigma, s, witness, queries", _PINNED_WITNESSES)
 def test_profile_witnesses_are_pinned(setup, e, k, sigma, s, witness, queries):
     reg, learner = _late_disagreement() if setup == "late" else _fresh_registry(setup)
     w = check_stabilizing(e, k, sigma, s, learner, reg)
@@ -299,3 +310,19 @@ def test_profile_witnesses_are_pinned(setup, e, k, sigma, s, witness, queries):
         tau, t, condition = witness
         assert w.as_dict() == {"tau": tau, "t": t, "violated_condition": condition}
         assert stab_witness_valid(w, e, k, sigma, s, learner, reg)
+
+
+def test_list_and_tuple_sigma_agree_on_every_condition():
+    # a witness's tau is a tuple whatever sigma's type, and either form of
+    # sigma confirms it
+    conditions = set()
+    for setup, e, k, sigma, s, _, _ in _PINNED_WITNESSES:
+        reg, learner = _late_disagreement() if setup == "late" else _fresh_registry(setup)
+        w = check_stabilizing(e, k, sigma, s, learner, reg)
+        assert check_stabilizing(e, k, list(sigma), s, learner, reg) == w
+        if w is not None:
+            assert type(w.tau) is tuple
+            for form in (sigma, list(sigma)):
+                assert stab_witness_valid(w, e, k, form, s, learner, reg)
+        conditions.add(w and w.violated_condition)
+    assert conditions == {None, 1, 2, 3}
