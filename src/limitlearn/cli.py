@@ -242,10 +242,6 @@ def _build_text(p: dict, ws: Workspace) -> tuple[Text, dict]:
             raise ValueError("--text file must hold a JSON list of naturals")
         for x in items:
             _check_natural(x, "--text item")
-        if len(items) < horizon:
-            raise ValueError(
-                f"text file has {len(items)} items, horizon {horizon} needs that many"
-            )
         digest = hashlib.sha256(canonical_json(items).encode()).hexdigest()
         source = {"text_items": len(items), "text_sha256": digest}
         return Text(items=tuple(items), label=f"file:{path}"), source

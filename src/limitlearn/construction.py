@@ -333,24 +333,26 @@ class Construction:
         every deeper one is too, since it needs one more defined row and its
         marker is never smaller.
         """
-        s = self._checked_stage(s)
-        out, feasible = [], 0
-        for ell in range(self._defined[s]):
-            feasible = max(feasible, self.rows[ell].at(s)[0])
-            start = max(feasible, self.e + ell + 2)
-            a = start + start % 2
-            if a > s:
-                break
-            out.append(a)
-        return out
+        return self._markers(self._checked_stage(s), 0)
 
     def b_values(self, s: int | None = None) -> list[int]:
         """Odd marker a + 1 per depth, for each even marker a below the horizon.
 
         Markers never decrease with depth, so the cut is a prefix.
         """
-        cap = self._checked_stage(s)
-        return [a + 1 for a in self.a_values(cap) if a < cap]
+        return self._markers(self._checked_stage(s), 1)
+
+    def _markers(self, s: int, shift: int) -> list[int]:
+        """a_values (shift 0) or b_values (shift 1) at a checked stage s."""
+        out, feasible = [], 0
+        for ell in range(self._defined[s]):
+            feasible = max(feasible, self.rows[ell].at(s)[0])
+            start = max(feasible, self.e + ell + 2)
+            a = start + start % 2 + shift
+            if a > s:
+                break
+            out.append(a)
+        return out
 
     def r_prefix(
         self, bound: int, variant: str = "plain", s: int | None = None
@@ -360,7 +362,7 @@ class Construction:
         _check_variant(variant)
         if bound - self.e > MAX_PREFIX:
             raise ValueError(f"bound {bound} is over the budget of {MAX_PREFIX} values")
-        excluded = set(self.a_values(s) if variant == "plain" else self.b_values(s))
+        excluded = set(self._markers(self._checked_stage(s), 1 if variant == "hat" else 0))
         return frozenset(x for x in range(self.e, bound) if x not in excluded)
 
     # ---------------- confirmed diagonal enumeration ----------------
@@ -388,7 +390,8 @@ class Construction:
     # x is pushed and popped at most once, O(log n) once; views use _entries.
 
     def _confirm_to(self, s: int) -> None:
-        self.run_to(s)
+        while self.stage < s:
+            self.run_stage()
         e, defined, moved, waiting = self.e, self._defined, self._moved, self._waiting
         for t in range(self._confirmed + 1, s + 1):
             while waiting and -waiting[0][0] >= moved[t]:
@@ -445,7 +448,7 @@ class Construction:
         ADVERSARY_WINDOW + 1 learner reads and no pass over the text so far.
         """
         _check_natural(length, "text length")
-        e, code = self.e, self.learner.length_code
+        e, code = self.e, self.learner._code
         t: list[int] = []
         fresh = e
         while len(t) < length:
@@ -485,7 +488,7 @@ class Construction:
                 f"stage bound {stage_bound} reads the codes of {lengths} lengths,"
                 f" over the budget of {MAX_CODE_LENGTHS}"
             )
-        codes = sorted(self.learner.length_codes(m0, stage_bound))
+        codes = sorted(self.learner._codes(m0, stage_bound))
         if len(codes) <= 1:
             return 0
         sets = [self.registry.below(c, stage_bound, stage_bound) for c in codes]

@@ -65,6 +65,13 @@ class Trace:
     text: Text
     horizon: int
 
+    def __post_init__(self) -> None:
+        """horizon + 1 outputs, at a horizon within the text; O(1)."""
+        if not (type(self.horizon) is int and 0 <= self.horizon <= len(self.text)):
+            _check_horizon(self.horizon, len(self.text))
+        if len(self.outputs) != self.horizon + 1:
+            raise ValueError(f"horizon {self.horizon} needs {self.horizon + 1} outputs")
+
 
 def canonical_text(registry: Registry, code: int, length: int) -> Text:
     """Discovery-order listing of a coded set, padded deterministically.
@@ -105,11 +112,9 @@ def canonical_text(registry: Registry, code: int, length: int) -> Text:
 
 
 def run_learner(learner: Learner, text: Text, horizon: int) -> Trace:
-    """Feed prefixes of lengths 0..horizon (``Learner.outputs``); horizon+1
-    outputs total."""
-    _check_horizon(horizon, len(text))
-    outputs = learner.outputs(text.items, horizon)
-    return Trace(outputs=outputs, text=text, horizon=horizon)
+    """Feed prefixes of lengths 0..horizon (``Learner.outputs``, which checks
+    the horizon); horizon+1 outputs total."""
+    return Trace(outputs=learner.outputs(text.items, horizon), text=text, horizon=horizon)
 
 
 @dataclass(frozen=True)

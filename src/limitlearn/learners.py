@@ -1,16 +1,20 @@
 """Learners: total maps from finite sequences to hypothesis codes.
 
-Every learner supplies two methods: decide(seq) for one input, and
-outputs(items, horizon), the answers on every prefix of one text. A trace
-reads outputs, so each learner answers all prefixes in one pass.
+Every learner answers decide(seq) for one input and outputs(items, horizon),
+the answers on every prefix of one text. A trace reads outputs, so each
+learner answers all prefixes in one pass. Public reads check their arguments
+once, in the base class: outputs checks the horizon, length_code the length,
+length_codes both ends of its range. A subclass supplies only unchecked
+hooks (_outputs, _code, _codes), and the package's own callers, which hold
+checked values, read the hooks.
 
 Two families live here. The sample learners (constant, length-parity, fresh-
 length) exist to drive the diagonal construction; each of their outputs
 depends only on the input's length, so each is a ProfiledLearner, which
-derives decide and outputs from one hook: length_code for one length. Two more
-give cheaper answers: length_codes for the distinct codes over a range of
-lengths, whose max is condition 2's top code, and finite_codes for every code
-the learner can emit. With them the stabilization check reasons about all
+derives decide and outputs from one hook: _code for one length. Two more
+give cheaper answers: _codes for the distinct codes over a range of lengths,
+whose max is condition 2's top code, and finite_codes for every code the
+learner can emit. With them the stabilization check reasons about all
 extensions of a string at once instead of enumerating them. The gap-parity
 learner is the other kind, with no length profile: it reads the content of
 its input and answers with a diagonal hypothesis, and is the one expected to
@@ -33,7 +37,10 @@ def _check_horizon(horizon: int, length: int) -> None:
 
 
 class Learner:
-    """Base interface: decide and outputs, both total and deterministic."""
+    """Base interface: decide and outputs, both total and deterministic.
+
+    outputs checks its horizon here; a subclass supplies decide and _outputs.
+    """
 
     name = "learner"
 
@@ -42,28 +49,43 @@ class Learner:
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide(items[:n]) for n = 0..horizon; horizon + 1 outputs."""
+        _check_horizon(horizon, len(items))
+        return self._outputs(items, horizon)
+
+    def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        """outputs for a horizon already checked against the text."""
         raise NotImplementedError
 
 
 class ProfiledLearner(Learner):
-    """Output depends on the input's length only: subclasses supply
-    length_code, and decide and outputs read it, never the content."""
+    """Output depends on the input's length only: subclasses supply _code,
+    and decide and outputs read it, never the content."""
 
     def decide(self, seq: Sequence) -> int:
-        return self.length_code(len(seq))
+        return self._code(len(seq))
 
-    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
-        """length_code(n) for n = 0..horizon: no prefix to slice."""
-        _check_horizon(horizon, len(items))
-        return tuple(map(self.length_code, range(horizon + 1)))
+    def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        """_code(n) for n = 0..horizon: no prefix to slice."""
+        return tuple(map(self._code, range(horizon + 1)))
 
     def length_code(self, m: int) -> int:
         """Code output on every sequence of length m."""
+        _check_natural(m, "length")
+        return self._code(m)
+
+    def _code(self, m: int) -> int:
+        """length_code for a checked length."""
         raise NotImplementedError
 
     def length_codes(self, lo: int, hi: int) -> frozenset[int]:
         """Distinct codes emitted across lengths lo..hi inclusive."""
-        return frozenset(self.length_code(m) for m in range(lo, hi + 1))
+        _check_natural(lo, "length")
+        _check_natural(hi, "length")
+        return self._codes(lo, hi)
+
+    def _codes(self, lo: int, hi: int) -> frozenset[int]:
+        """length_codes for checked lengths; empty when lo > hi."""
+        return frozenset(map(self._code, range(lo, hi + 1)))
 
     def finite_codes(self) -> frozenset[int] | None:
         """Every code this learner can ever emit, if finite and known."""
@@ -75,13 +97,11 @@ class ConstantLearner(ProfiledLearner):
 
     name = "constant_zero"
 
-    def length_code(self, m: int) -> int:
-        if not (type(m) is int and m >= 0):
-            _check_natural(m, "length")
+    def _code(self, m: int) -> int:
         return 0
 
-    def length_codes(self, lo: int, hi: int) -> frozenset[int]:
-        return frozenset({self.length_code(lo)}) if lo <= hi else frozenset()
+    def _codes(self, lo: int, hi: int) -> frozenset[int]:
+        return frozenset({0}) if lo <= hi else frozenset()
 
     def finite_codes(self) -> frozenset[int] | None:
         return frozenset({0})
@@ -101,20 +121,17 @@ class LengthParityLearner(ProfiledLearner):
         self.code_even = registry.register(FiniteSetEnumerator({0}))
         self.code_odd = registry.register(FiniteSetEnumerator({1}))
 
-    def length_code(self, m: int) -> int:
-        if not (type(m) is int and m >= 0):
-            _check_natural(m, "length")
+    def _code(self, m: int) -> int:
         return self.code_even if m % 2 == 0 else self.code_odd
 
-    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
-        _check_horizon(horizon, len(items))
+    def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         return ((self.code_even, self.code_odd) * (horizon // 2 + 1))[: horizon + 1]
 
-    def length_codes(self, lo: int, hi: int) -> frozenset[int]:
+    def _codes(self, lo: int, hi: int) -> frozenset[int]:
         """Two lengths in a row show both parities."""
         if lo < hi:
-            return frozenset({self.length_code(lo), self.length_code(lo + 1)})
-        return frozenset({self.length_code(lo)}) if lo == hi else frozenset()
+            return frozenset({self.code_even, self.code_odd})
+        return frozenset({self._code(lo)}) if lo == hi else frozenset()
 
     def finite_codes(self) -> frozenset[int] | None:
         return frozenset({self.code_even, self.code_odd})
@@ -133,20 +150,17 @@ class FreshLengthLearner(ProfiledLearner):
 
     def __init__(self, registry: Registry):
         self._registry = registry
-        self._codes: list[int] = []
+        self._by_length: list[int] = []
 
-    def length_code(self, m: int) -> int:
-        if not (type(m) is int and m >= 0):
-            _check_natural(m, "length")
-        while len(self._codes) <= m:
-            n = len(self._codes)
-            self._codes.append(self._registry.register(FiniteSetEnumerator({n})))
-        return self._codes[m]
+    def _code(self, m: int) -> int:
+        codes = self._by_length
+        while len(codes) <= m:
+            codes.append(self._registry.register(FiniteSetEnumerator({len(codes)})))
+        return codes[m]
 
-    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
-        _check_horizon(horizon, len(items))
-        self.length_code(horizon)  # registers every length up to the horizon
-        return tuple(self._codes[: horizon + 1])
+    def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+        self._code(horizon)  # registers every length up to the horizon
+        return tuple(self._by_length[: horizon + 1])
 
 
 class GapParityLearner(Learner):
@@ -171,13 +185,12 @@ class GapParityLearner(Learner):
         gap = next_free({x: x + 1 for x in seq}, low + 1)
         return self._resolver(low, ("plain", "hat")[gap % 2])
 
-    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+    def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide on every prefix in one pass, O(1) amortized per item: only a
         new item below the least element, or at the gap, moves a feature; the
         gap restarts above it in a path-compressed skip map of seen values. The
         least only falls, so codes holds the plain and hat answers under the
         current one: each is resolved once, where per-prefix decide first asks."""
-        _check_horizon(horizon, len(items))
         out = [0]
         seen: dict[int, int] = {}
         low, gap, code = float("inf"), None, 0

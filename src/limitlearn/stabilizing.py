@@ -115,13 +115,13 @@ class Survival:
         conditions hold, else the first failure as (condition, code, t); for
         condition 2 the code is the largest one emitted over lo..s.
         """
-        codes = learner.length_codes(lo, s)
+        codes = learner._codes(lo, s)
         # condition 2 first: it needs no per-code state
         top = max(codes)
         if top > self.sigma_len:
             return 2, top, 0
         if self.c0 is None:
-            self.c0 = learner.length_code(self.sigma_len)
+            self.c0 = learner._code(self.sigma_len)
             self.checked.add(self.c0)
         if self.k == 0:
             # condition 3 is vacuous below depth 0
@@ -194,7 +194,7 @@ def _check_read(
     # condition 1 guarantees e occurs in sigma, hence e <= s here, hence a
     # length-m extension exists for every m in m0..s (pad with e)
     realizes = (lambda c: c > m0) if condition == 2 else (lambda c: c == code)
-    m = next(m for m in range(m0, s + 1) if realizes(learner.length_code(m)))
+    m = next(m for m in range(m0, s + 1) if realizes(learner._code(m)))
     tau = tuple(sigma) + (e,) * (m - m0)
     return StabWitness(tau=tau, t=t, violated_condition=condition)
 

@@ -16,17 +16,20 @@ override ``_arrivals`` and build none. The registry assigns natural-number
 codes to enumerators so learners can output hypotheses as plain ints; code 0
 is reserved for the empty set, a ``FiniteSetEnumerator`` with no elements.
 
-Public reads check their arguments once. ``Enumerator.at_stage`` and
-``arrivals`` check the stage; ``Registry.below``, ``sym_diff_below`` and
-``stable_below`` check the code, then the bound or depth, then the stage,
-and go straight to the unchecked ``_below`` or ``stable_below``. The
-``_below`` and ``_arrivals`` hooks take checked values and are called only
-by the registry and by enumerators.
+Public reads check their arguments once, in the base class, and no read
+calls another public read. ``Enumerator.at_stage`` and ``arrivals`` check
+the stage or stages; every ``Registry`` read (``enumerate_to``,
+``arrivals``, ``below``, ``sym_diff_below``, ``stable_below``) checks the
+code, then the bound, depth or stages and their order, in one place, and
+goes straight to the unchecked ``_below``, ``_arrivals`` or
+``stable_below``. A subclass supplies only those hooks; they take checked
+values and are called only by the registry and by enumerators.
 
 Determinism: all methods return frozensets (arrivals a fresh dict) and take
 no hidden state; callers that need ordered output must sort. The registry
-counts every ``at_stage``, ``arrivals`` and ``below`` query it forwards, one
-each, which gives reproducible work measurements independent of wall clock.
+counts every ``enumerate_to``, ``arrivals`` and ``below`` read, one each,
+in that one place, which gives reproducible work measurements independent
+of wall clock.
 """
 
 from __future__ import annotations
@@ -66,9 +69,9 @@ class Enumerator:
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
         """arrivals for stages already checked; exact even if not monotone."""
-        out = dict.fromkeys(self.at_stage(s0), s0)
+        out = dict.fromkeys(self._below(inf, s0), s0)
         for t in range(s0 + 1, s1 + 1):
-            for x in self.at_stage(t):
+            for x in self._below(inf, t):
                 out.setdefault(x, t)
         return {x: t for x, t in out.items() if t > s0}
 
@@ -168,51 +171,48 @@ class Registry:
         return type(code) is int and 0 <= code < len(self._table)
 
     def get(self, code: int) -> Enumerator:
+        """The coded enumerator; a lookup, not a query, so not counted."""
+        return self._checked(code, 0, count=0)
+
+    def _checked(
+        self, code: int, s: int, n: int = 0, name: str = "stage", count: int = 1
+    ) -> Enumerator:
+        """The coded enumerator, after checking code, then n, then stage s;
+        counts `count` queries. A stage n (arrivals' s0) must not come after
+        s. A plain int passes the inline tests; anything else goes to
+        _check_natural, for its message and its rule on int subclasses."""
         if code not in self:
-            raise KeyError(f"unregistered hypothesis code {code!r}")
-        return self._table[code]
-
-    def _query(self, code: int) -> Enumerator:
-        """The coded enumerator, for one counted query."""
-        enum = self.get(code)
-        self.query_count += 1
-        return enum
-
-    def enumerate_to(self, code: int, s: int) -> frozenset[int]:
-        """at_stage(s) of the coded enumerator; counts as one query."""
-        return self._query(code).at_stage(s)
-
-    def arrivals(self, code: int, s0: int, s1: int) -> dict[int, int]:
-        """arrivals(s0, s1) of the coded enumerator; counts as one query."""
-        return self._query(code).arrivals(s0, s1)
-
-    def _checked(self, code: int, n: int, name: str, s: int) -> Enumerator:
-        """The coded enumerator, after checking code, n and stage s. A plain
-        int passes the inline tests; anything else goes to _check_natural,
-        for its message and its rule on int subclasses."""
-        table = self._table
-        if not (type(code) is int and 0 <= code < len(table)):
             raise KeyError(f"unregistered hypothesis code {code!r}")
         if not (type(n) is int and n >= 0):
             _check_natural(n, name)
         if not (type(s) is int and s >= 0):
             _check_natural(s, "stage")
-        return table[code]
+        if s < n and name == "stage":
+            raise ValueError(f"stage {s} comes before stage {n}")
+        self.query_count += count
+        return self._table[code]
+
+    def enumerate_to(self, code: int, s: int) -> frozenset[int]:
+        """at_stage(s) of the coded enumerator; counts as one query."""
+        return self._checked(code, s)._below(inf, s)
+
+    def arrivals(self, code: int, s0: int, s1: int) -> dict[int, int]:
+        """arrivals(s0, s1) of the coded enumerator; counts as one query."""
+        return self._checked(code, s1, s0)._arrivals(s0, s1)
 
     def stable_below(self, code: int, k: int, s: int) -> bool:
         """stable_below(k, s) of the coded enumerator; not counted."""
-        return self._checked(code, k, "depth", s).stable_below(k, s)
+        return self._checked(code, s, k, "depth", 0).stable_below(k, s)
 
     def below(self, code: int, bound: int, s: int) -> frozenset[int]:
         """below(bound, s) of the coded enumerator; counts as one query."""
-        enum = self._checked(code, bound, "bound", s)
-        self.query_count += 1
-        return enum._below(bound, s)
+        return self._checked(code, s, bound, "bound")._below(bound, s)
 
     def sym_diff_below(self, h1: int, h2: int, bound: int, s: int) -> frozenset[int]:
         """Symmetric difference of two coded sets, restricted below bound;
         counts as two queries."""
-        return self.below(h1, bound, s) ^ self.below(h2, bound, s)
+        a = self._checked(h1, s, bound, "bound", 0)  # both counted once h2 passes too
+        return a._below(bound, s) ^ self._checked(h2, s, bound, "bound", 2)._below(bound, s)
 
 
 def check_monotone(

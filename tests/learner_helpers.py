@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from limitlearn.encodings import Sequence
-from limitlearn.learners import Learner, ProfiledLearner, _check_horizon
+from limitlearn.learners import Learner, ProfiledLearner
 
 
 class ProfiledFunctionLearner(ProfiledLearner):
@@ -31,7 +31,7 @@ class ProfiledFunctionLearner(ProfiledLearner):
         if name is not None:
             self.name = name
 
-    def length_code(self, m: int) -> int:
+    def _code(self, m: int) -> int:
         return self._fn(m)
 
     def finite_codes(self) -> frozenset[int] | None:
@@ -51,9 +51,8 @@ class FunctionLearner(Learner):
     def decide(self, seq: Sequence) -> int:
         return self._fn(seq)
 
-    def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
+    def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide(items[:n]) for n = 0..horizon, each prefix afresh."""
-        _check_horizon(horizon, len(items))
         return tuple(self.decide(items[:n]) for n in range(horizon + 1))
 
 

@@ -140,15 +140,15 @@ def test_adversarial_text_matches_the_oracle_on_random_profiles():
 
 
 class _LengthOnlyLearner(ProfiledFunctionLearner):
-    """Counts its length_code calls; deciding on a whole sequence is an error."""
+    """Counts its _code calls; deciding on a whole sequence is an error."""
 
     def __init__(self, length_fn):
         super().__init__(length_fn)
         self.calls = 0
 
-    def length_code(self, m):
+    def _code(self, m):
         self.calls += 1
-        return super().length_code(m)
+        return super()._code(m)
 
     def decide(self, seq):
         raise AssertionError("adversarial_text must read the learner by length")

@@ -131,6 +131,32 @@ def test_forged_witnesses_do_not_verify():
         assert verify_witness(forgery, tr, reg, 0, 0 if window else 2, **window) is False, witness
 
 
+def test_a_malformed_trace_is_refused_before_any_verdict():
+    # too few outputs for its horizon, and a horizon past its text: neither
+    # may reach a checker and come back with a plausible verdict
+    for outputs, text, message in (
+        ((0,), Text((0,) * 4), "horizon 4 needs 5 outputs"),
+        ((0,) * 6, Text((0,) * 4), "horizon 4 needs 5 outputs"),
+        ((0,) * 5, Text((0,)), "horizon 4 exceeds text length 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Trace(outputs=outputs, text=text, horizon=4)
+    for bad in (-1, 2.5, True, "4", None):
+        message = re.escape(f"horizon must be a natural number, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            Trace(outputs=(0, 0), text=Text((0,) * 4), horizon=bad)
+
+    # an int subclass other than bool is a natural number, as _check_natural has it
+    class Nat(int):
+        pass
+
+    assert Trace(outputs=(0, 0), text=Text((0,)), horizon=Nat(1)).horizon == 1
+    reg = Registry()
+    tr = Trace(outputs=(0,) * 5, text=Text((0,) * 4), horizon=4)
+    for check in (check_txtfex, check_txtfext):
+        assert check(tr, reg, "*", 2).status is Status.PASS_AT_HORIZON
+
+
 def test_degenerate_window_is_inconclusive():
     reg, a, b, c = _registry()
     tr = Trace((a,), Text((5,)), 0)

@@ -1,5 +1,7 @@
 """Family members: diagonal sets padded with canonical finite deltas."""
 
+from math import inf
+
 import pytest
 
 from limitlearn import (
@@ -102,7 +104,16 @@ def test_bounded_reads_build_no_snapshot(monkeypatch):
     def refuse(*args):
         raise AssertionError("a bounded read built a diagonal snapshot")
 
+    below = DiagonalView._below
+
+    def refuse_snapshots(self, bound, s):
+        # a registry snapshot read is _below with no bound
+        if bound == inf:
+            refuse()
+        return below(self, bound, s)
+
     monkeypatch.setattr(DiagonalView, "at_stage", refuse)
+    monkeypatch.setattr(DiagonalView, "_below", refuse_snapshots)
     assert verdicts() == want
 
 

@@ -5,11 +5,14 @@ import re
 
 import pytest
 
+import limitlearn
 from limitlearn import (
     ConstantLearner,
+    Enumerator,
     FiniteSetEnumerator,
     FreshLengthLearner,
     GapParityLearner,
+    Learner,
     LengthParityLearner,
     ProfiledLearner,
     Registry,
@@ -82,9 +85,11 @@ def test_length_reads_refuse_a_non_natural_length(bad):
     for m in learners:
         with pytest.raises(ValueError, match=message):
             m.length_code(bad)
-        if bad in (-1, -4):
+        # either end of a range, whichever learner answers it
+        for lo, hi in ((bad, 5), (0, bad), (bad, bad)):
             with pytest.raises(ValueError, match=message):
-                m.length_codes(bad, 5)
+                m.length_codes(lo, hi)
+        assert m.length_codes(5, 2) == frozenset()
 
 
 def test_fresh_learner_codes_exceed_length():
@@ -299,3 +304,69 @@ def test_profiled_outputs_equal_per_prefix_decide(kind):
             per_prefix.get(c).at_stage(1) for c in range(len(per_prefix))
         ]
         assert streaming.query_count == per_prefix.query_count
+
+
+class _CodeOnly(ProfiledLearner):
+    """A profiled learner that supplies nothing but the _code hook."""
+
+    name = "code_only"
+
+    def _code(self, m):
+        return m % 3
+
+
+_SINGLE_FACE = {
+    "constant_zero": lambda: ConstantLearner(),
+    "length_parity": lambda: LengthParityLearner(Registry()),
+    "fresh_each_step": lambda: FreshLengthLearner(Registry()),
+    "gap_parity": lambda: GapParityLearner(lambda e, variant: 1),
+    "code_only": _CodeOnly,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SINGLE_FACE))
+def test_every_learner_checks_its_reads_in_the_base_class(kind):
+    learner = _SINGLE_FACE[kind]()
+    items = (5, 6, 7)
+    assert len(learner.outputs(items, 3)) == 4
+    for bad in (-1, 2.5, True, "3", None):
+        message = re.escape(f"horizon must be a natural number, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            learner.outputs(items, bad)
+    with pytest.raises(ValueError, match="horizon 4 exceeds text length 3"):
+        learner.outputs(items, 4)
+    if not isinstance(learner, ProfiledLearner):
+        return
+    assert learner.outputs(items, 3) == tuple(map(learner.length_code, range(4)))
+    assert learner.length_codes(1, 3) == frozenset(map(learner.length_code, (1, 2, 3)))
+    for bad in (-1, 2.5, True, "3", None):
+        message = re.escape(f"length must be a natural number, got {bad!r}")
+        for read in (
+            lambda: learner.length_code(bad),
+            lambda: learner.length_codes(bad, 3),
+            lambda: learner.length_codes(0, bad),
+        ):
+            with pytest.raises(ValueError, match=message):
+                read()
+
+
+def test_public_reads_are_written_once_in_the_base_classes():
+    # subclasses supply hooks (_code, _codes, _outputs, _below, _arrivals);
+    # the checked public reads live in the base classes only
+    faces = {
+        Learner: {"outputs"},
+        ProfiledLearner: {"length_code", "length_codes"},
+        Enumerator: {"at_stage", "arrivals"},
+    }
+    classes = {
+        cls
+        for module in vars(limitlearn).values()
+        if getattr(module, "__name__", "").startswith("limitlearn.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, (Learner, Enumerator))
+    }
+    assert len(classes) >= 10
+    for cls in classes:
+        for base, names in faces.items():
+            if cls is not base:
+                assert not names & set(vars(cls)), (cls.__name__, names & set(vars(cls)))

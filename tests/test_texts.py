@@ -2,7 +2,9 @@
 
 import random
 import re
+import sys
 from collections import Counter
+from math import inf
 
 import pytest
 
@@ -24,7 +26,7 @@ from limitlearn import (
 class _Late(Enumerator):
     """Elements appear at staggered stages: 7 at 3, 2 at 5, 11 at 9."""
 
-    def at_stage(self, s):
+    def _below(self, bound, s):
         out = set()
         if s >= 3:
             out.add(7)
@@ -32,7 +34,7 @@ class _Late(Enumerator):
             out.add(2)
         if s >= 9:
             out.add(11)
-        return out
+        return frozenset(x for x in out if x < bound)
 
 
 def test_text_basics():
@@ -101,6 +103,29 @@ def test_run_learner_refuses_horizon_past_text():
     t = Text((0, 0), label="short")
     with pytest.raises(ValueError, match="exceeds text length"):
         run_learner(ConstantLearner(), t, 3)
+
+
+def test_run_learner_checks_its_horizon_once_per_trace(monkeypatch):
+    # Learner.outputs checks the horizon; neither run_learner nor the Trace
+    # it builds checks a well-formed one again
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "limitlearn" and hasattr(module, "_check_horizon"):
+
+            def counting(horizon, length, check=module._check_horizon):
+                calls.append(horizon)
+                return check(horizon, length)
+
+            monkeypatch.setattr(module, "_check_horizon", counting)
+    text = Text(tuple(range(30)))
+    ws = Workspace()
+    learners = [ws.sample_learner(kind) for kind in ("constant_zero", "length_parity")]
+    learners.append(ws.gap_parity_learner("constant_zero"))
+    for learner in learners:
+        for horizon in (0, 7, 30):
+            calls.clear()
+            assert len(run_learner(learner, text, horizon).outputs) == horizon + 1
+            assert calls == [horizon], (learner.name, horizon)
 
 
 # ---------------- canonical_text against the per-stage snapshot loop ----------------
@@ -282,22 +307,22 @@ def test_canonical_text_matches_snapshots_on_random_unions():
 
 class _Counting(Enumerator):
     """Passes queries through, logs them, and adds up the sizes of the sets
-    it hands out."""
+    it hands out. A read with no bound is a snapshot, logged as at_stage."""
 
     def __init__(self, inner):
         self.inner = inner
         self.handed = 0
         self.reads = []
 
-    def at_stage(self, s):
-        self.reads.append(("at_stage", s))
-        out = self.inner.at_stage(s)
+    def _below(self, bound, s):
+        self.reads.append(("at_stage", s) if bound == inf else ("below", bound, s))
+        out = self.inner._below(bound, s)
         self.handed += len(out)
         return out
 
     def _arrivals(self, s0, s1):
         self.reads.append(("arrivals", s0, s1))
-        out = self.inner.arrivals(s0, s1)
+        out = self.inner._arrivals(s0, s1)
         self.handed += len(out)
         return out
 

@@ -228,9 +228,9 @@ def test_default_arrivals_walks_the_snapshots():
         def __init__(self):
             self.asked = []
 
-        def at_stage(self, s):
+        def _below(self, bound, s):
             self.asked.append(s)
-            return frozenset(range(s))
+            return frozenset(range(min(s, bound)))
 
     enum = Counting()
     assert enum.arrivals(3, 6) == {3: 4, 4: 5, 5: 6}
@@ -363,3 +363,43 @@ def test_registry_arrivals_counts_one_query_and_checks_its_input():
         reg.arrivals(c, -1, 1)
     with pytest.raises(ValueError, match="stage 1 comes before stage 4"):
         reg.arrivals(c, 4, 1)
+    # enumerate_to alike: one query for a read, a refused read counts none
+    assert reg.enumerate_to(c, 2) == frozenset({4})
+    assert reg.enumerate_to(0, 2) == frozenset()
+    assert reg.query_count == before + 4
+    for bad in (9, -1, True, "0"):
+        message = re.escape(f"unregistered hypothesis code {bad!r}")
+        with pytest.raises(KeyError, match=message):
+            reg.enumerate_to(bad, 1)
+        with pytest.raises(KeyError, match=message):
+            reg.sym_diff_below(c, bad, 5, 1)
+    for bad in (-1, 2.5, True):
+        message = re.escape(f"stage must be a natural number, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            reg.enumerate_to(c, bad)
+        with pytest.raises(ValueError, match=message):
+            reg.arrivals(c, 0, bad)
+    assert reg.query_count == before + 4
+
+
+def test_an_enumerator_without_below_fails_alike_on_every_read():
+    class NoBelow(Enumerator):
+        """Overrides at_stage, the contract before _below was the one hook."""
+
+        def at_stage(self, s):
+            return frozenset({1})
+
+    reg = Registry()
+    code = reg.register(NoBelow())
+    union = UnionEnumerator((FiniteSetEnumerator({2}), NoBelow()))
+    reads = [
+        lambda: reg.enumerate_to(code, 3),
+        lambda: reg.arrivals(code, 0, 3),
+        lambda: reg.below(code, 5, 3),
+        lambda: reg.sym_diff_below(code, 0, 5, 3),
+        lambda: union.at_stage(3),
+        lambda: union.arrivals(0, 3),
+    ]
+    for read in reads:
+        with pytest.raises(NotImplementedError):
+            read()
