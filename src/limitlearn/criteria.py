@@ -285,10 +285,13 @@ def verify_witness(
     The codes a witness names must be the trace's own, output after the
     settle point, and a pairwise witness must use the checker's early stage.
     A malformed witness (not a dict, or a field missing or of the wrong
-    shape) does not verify.
+    shape) does not verify, and neither does a verdict that is not a Verdict,
+    such as the as_dict() form a saved report holds.
     """
     horizon = trace.horizon
     settle = _settle_point(i, j, settle, bound, horizon)
+    if not isinstance(verdict, Verdict):
+        return False
     w = verdict.witness
     if verdict.status is not Status.FAIL_WITNESSED or not isinstance(w, dict):
         return False

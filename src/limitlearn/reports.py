@@ -8,7 +8,10 @@ anywhere in a report (work counters are deterministic; clocks are not).
 ``canonical_json`` is the only converter: in one pass it writes exactly
 ``json.dumps(..., sort_keys=True, indent=2)`` of the value with enums, sets
 and ``as_dict`` objects converted, plus a newline. ``tests/test_reports.py``
-keeps that copy-then-dump form as the oracle.
+keeps that copy-then-dump form as the oracle. Within one report, a list or
+tuple of exact ints is written once per distinct content and indent, and
+its repeats append that text; lists holding bools, int subclasses or
+IntEnums, and empty lists, are written item by item.
 """
 
 from __future__ import annotations
@@ -18,31 +21,41 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = "1"
+_int_text = int.__repr__  # the one formatter of exact ints; a test counts its calls
 
 
 def canonical_json(obj) -> str:
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     return "".join(out) + "\n"
 
 
-def _write(obj, nl: str, out: list[str]) -> None:
-    """Append obj to out at indent nl, testing types in the oracle's order."""
+def _write(obj, nl: str, out: list[str], memo: dict) -> None:
+    """Append obj to out at indent nl, testing types in the oracle's order.
+
+    memo maps (inner indent, *ints) to the text of an all-int list already
+    written in this report, so repeated int lists are formatted once.
+    """
     if type(obj) is int or obj is None:
-        return out.append("null" if obj is None else int.__repr__(obj))
+        return out.append("null" if obj is None else _int_text(obj))
     if isinstance(obj, Enum):
-        return _write(obj.value, nl, out)
+        return _write(obj.value, nl, out, memo)
     if isinstance(obj, (frozenset, set)):
         obj = sorted(obj, key=_order)
     if isinstance(obj, (list, tuple)):
         inner = nl + "  "
-        if obj and all(type(x) is int for x in obj):
-            out += "[", inner, ("," + inner).join(map(int.__repr__, obj)), nl, "]"
+        if set(map(type, obj)) == {int}:
+            key = (inner, *obj)
+            text = memo.get(key)
+            if text is None:
+                ints = ("," + inner).join(map(_int_text, obj))
+                text = memo[key] = "".join(("[", inner, ints, nl, "]"))
+            out.append(text)
         else:
             sep = "[" + inner
             for x in obj:
                 out.append(sep)
-                _write(x, inner, out)
+                _write(x, inner, out, memo)
                 sep = "," + inner
             out.append(nl + "]" if obj else "[]")
     elif isinstance(obj, dict):
@@ -51,11 +64,11 @@ def _write(obj, nl: str, out: list[str]) -> None:
         sep = "{" + inner
         for k in sorted(named):
             out += sep, encode_basestring_ascii(k), ": "
-            _write(named[k], inner, out)
+            _write(named[k], inner, out, memo)
             sep = "," + inner
         out.append(nl + "}" if named else "{}")
     elif hasattr(obj, "as_dict"):
-        _write(obj.as_dict(), nl, out)
+        _write(obj.as_dict(), nl, out, memo)
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (bool, int, float)):

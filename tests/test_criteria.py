@@ -247,6 +247,16 @@ def test_bound_and_settle_must_be_well_formed():
     assert verify_witness(v, tr, reg, "*", 1, settle=-1) is False
 
 
+def test_a_verdict_that_is_not_a_verdict_does_not_verify():
+    reg, a, b, c = _registry()
+    tr = _trace((0,) * 5 + (a, b) * 7 + (a,))
+    v = _fail_verdict(reg, tr)
+    # a saved report holds the as_dict() form, whose fields are not attributes
+    partial = {"status": "FAIL_WITNESSED", "witness": v.witness}
+    for other in (None, partial, v.as_dict()):
+        assert verify_witness(other, tr, reg, "*", 1) is False, other
+
+
 def test_malformed_witnesses_do_not_verify():
     reg, a, b, c = _registry()
     tr = _trace((a, c) * 10)  # a and c differ for good: pairwise and content FAIL

@@ -100,7 +100,10 @@ def test_reports_carry_no_timestamps():
         assert needle not in blob
 
 
-def _random_value(rng: random.Random, depth: int):
+def _random_value(rng: random.Random, depth: int, drawn: list):
+    """A random report value; drawn holds its int lists, to reuse at other depths."""
+    if drawn and rng.random() < 0.2:
+        return rng.choice(drawn)
     kind = rng.randrange(11 if depth else 4)
     if kind == 0:
         return rng.choice([0, 1, -7, 255, 10**20, rng.randrange(10**6)])
@@ -115,14 +118,17 @@ def _random_value(rng: random.Random, depth: int):
         ints = [rng.randrange(-3, 50) for _ in range(rng.randrange(6))]
         if ints and rng.random() < 0.3:
             ints[rng.randrange(len(ints))] = rng.choice([True, False])
+        drawn.append(ints)
         return ints
     if kind == 5:
-        return [_random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+        return [_random_value(rng, depth - 1, drawn) for _ in range(rng.randrange(4))]
     if kind == 6:
-        return tuple(_random_value(rng, depth - 1) for _ in range(rng.randrange(4)))
+        items = range(rng.randrange(4))
+        return tuple(_random_value(rng, depth - 1, drawn) for _ in items)
     if kind in (7, 8):
         keys = [rng.choice([rng.randrange(5), str(rng.randrange(5))]) for _ in range(4)]
-        return {k: _random_value(rng, depth - 1) for k in keys[: rng.randrange(5)]}
+        keys = keys[: rng.randrange(5)]
+        return {k: _random_value(rng, depth - 1, drawn) for k in keys}
     if kind == 9:
         pool = [rng.randrange(20) for _ in range(5)]
         if rng.random() < 0.5:
@@ -138,7 +144,7 @@ def _random_value(rng: random.Random, depth: int):
 def test_canonical_json_matches_the_oracle_on_random_values():
     rng = random.Random(13)
     for _ in range(3000):
-        _assert_same_bytes(_random_value(rng, 4))
+        _assert_same_bytes(_random_value(rng, 4, []))
 
 
 class _Colour(IntEnum):
@@ -173,6 +179,19 @@ class _Record(dict):
     def as_dict(self):
         return {"record": len(self)}
 
+
+# One int list object at several depths, and a Verdict pair sharing its
+# tail codes the way check_txtfext builds the strict verdict from the loose one.
+_SHARED = [3, 1, 4, 1, 5]
+_TAIL = [4, 9, 12]
+_LOOSE = Verdict(
+    Status.FAIL_WITNESSED,
+    {"kind": "cardinality", "codes": _TAIL, "allowed": 2},
+    {"settle": 5, "horizon": 10, "tail_codes": _TAIL},
+)
+_STRICT = Verdict(
+    _LOOSE.status, _LOOSE.witness, dict(_LOOSE.details, via="vacillation")
+)
 
 _EDGE_CORPUS = [
     [True, 1, False, 2],
@@ -219,6 +238,14 @@ _EDGE_CORPUS = [
     None,
     True,
     "",
+    [_SHARED, {"k": _SHARED, "deeper": [_SHARED]}],
+    {"deeper": [[_SHARED]], "k": _SHARED, "list": [7, 8, 9], "tuple": (7, 8, 9)},
+    [[7, 8, 9], (7, 8, 9), [[7, 8, 9]], ((7, 8, 9),)],
+    # equal to the plain list written first, but not all exact ints
+    [[1, 2], [True, 2], [1, 2]],
+    [[1, 2], [_Colour.RED, 2]],
+    [[1, 2], [_Count(1), 2]],
+    {"distinct_outputs": _TAIL, "vacillation": _LOOSE, "strict": _STRICT},
 ]
 
 
@@ -306,6 +333,24 @@ def test_canonical_json_matches_the_oracle_on_cli_reports(argv):
 def test_canonical_json_matches_the_oracle_on_a_raw_battery():
     # run_battery's criteria hold Verdicts, Status members, tuples and sets
     _assert_same_bytes(run_battery(0))
+
+
+def test_each_int_list_is_formatted_once_per_indent(monkeypatch):
+    # the memo is load-bearing: without it this report formats 100,000 ints
+    calls = []
+    original = reports._int_text
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(reports, "_int_text", counting)
+    ints = list(range(1000))
+    value = {"one": [ints] * 50, "two": [[ints]] * 50}
+    blob = reports.canonical_json(value)
+    monkeypatch.undo()
+    assert len(calls) == 2000
+    assert blob == _canonical_json_oracle(value)
 
 
 def test_canonical_json_neither_recurses_nor_dumps_containers(monkeypatch):
