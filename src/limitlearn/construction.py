@@ -483,7 +483,7 @@ class Construction:
         if m0 > stage_bound:
             return 0  # no length to read a code at
         lengths = stage_bound - m0 + 1
-        if self.learner.finite_codes() is None and lengths > MAX_CODE_LENGTHS:
+        if self.learner.finite_codes is None and lengths > MAX_CODE_LENGTHS:
             raise ValueError(
                 f"stage bound {stage_bound} reads the codes of {lengths} lengths,"
                 f" over the budget of {MAX_CODE_LENGTHS}"

@@ -4,17 +4,17 @@ Every learner answers decide(seq) for one input and outputs(items, horizon),
 the answers on every prefix of one text. A trace reads outputs, so each
 learner answers all prefixes in one pass. Public reads check their arguments
 once, in the base class: outputs checks the horizon, length_code the length.
-A subclass supplies only unchecked hooks (_outputs, _code, _codes), and the
+A subclass supplies only unchecked hooks (_outputs, _code), and the
 package's own callers, which hold checked values, read the hooks.
 
 Two families live here. The sample learners (constant, length-parity, fresh-
 length) exist to drive the diagonal construction; each of their outputs
 depends only on the input's length, so each is a ProfiledLearner, which
-derives decide and outputs from one hook: _code for one length. Two more
-give cheaper answers: _codes for the distinct codes over a range of lengths,
-whose max is condition 2's top code, and finite_codes for every code the
-learner can emit. With them the stabilization check reasons about all
-extensions of a string at once instead of enumerating them. The gap-parity
+derives decide and outputs from one hook: _code for one length. A learner
+may declare finite_codes, every code it can emit, as data; then _codes, the
+distinct codes over a range of lengths (whose max is condition 2's top code),
+ends its scan once all have shown, and the stabilization check reasons about
+all extensions of a string at once in a few _code reads. The gap-parity
 learner is the other kind, with no length profile: it reads the content of
 its input and answers with a diagonal hypothesis, and is the one expected to
 actually succeed on the constructed families. Its trace is one pass that
@@ -58,7 +58,10 @@ class Learner:
 
 class ProfiledLearner(Learner):
     """Output depends on the input's length only: subclasses supply _code,
-    and decide and outputs read it, never the content."""
+    and decide and outputs read it, never the content. finite_codes holds
+    every code the learner can ever emit, if finite and known, else None."""
+
+    finite_codes: frozenset[int] | None = None
 
     def decide(self, seq: Sequence) -> int:
         return self._code(len(seq))
@@ -76,29 +79,26 @@ class ProfiledLearner(Learner):
         """length_code for a checked length."""
         raise NotImplementedError
 
-    def _codes(self, lo: int, hi: int) -> frozenset[int]:
+    def _codes(self, lo: int, hi: int) -> set[int]:
         """Distinct codes emitted across checked lengths lo..hi inclusive;
-        empty when lo > hi."""
-        return frozenset(map(self._code, range(lo, hi + 1)))
-
-    def finite_codes(self) -> frozenset[int] | None:
-        """Every code this learner can ever emit, if finite and known."""
-        return None
+        empty when lo > hi. The scan stops once every code of finite_codes
+        has shown: no later length can add one."""
+        finite, seen = self.finite_codes, set()
+        for m in range(lo, hi + 1):
+            seen.add(self._code(m))
+            if seen == finite:
+                break
+        return seen
 
 
 class ConstantLearner(ProfiledLearner):
     """Always answers the reserved empty-set code 0."""
 
     name = "constant_zero"
+    finite_codes = frozenset({0})
 
     def _code(self, m: int) -> int:
         return 0
-
-    def _codes(self, lo: int, hi: int) -> frozenset[int]:
-        return frozenset({0}) if lo <= hi else frozenset()
-
-    def finite_codes(self) -> frozenset[int] | None:
-        return frozenset({0})
 
 
 class LengthParityLearner(ProfiledLearner):
@@ -114,21 +114,13 @@ class LengthParityLearner(ProfiledLearner):
     def __init__(self, registry: Registry):
         self.code_even = registry.register(FiniteSetEnumerator({0}))
         self.code_odd = registry.register(FiniteSetEnumerator({1}))
+        self.finite_codes = frozenset({self.code_even, self.code_odd})
 
     def _code(self, m: int) -> int:
         return self.code_even if m % 2 == 0 else self.code_odd
 
     def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         return ((self.code_even, self.code_odd) * (horizon // 2 + 1))[: horizon + 1]
-
-    def _codes(self, lo: int, hi: int) -> frozenset[int]:
-        """Two lengths in a row show both parities."""
-        if lo < hi:
-            return frozenset({self.code_even, self.code_odd})
-        return frozenset({self._code(lo)}) if lo == hi else frozenset()
-
-    def finite_codes(self) -> frozenset[int] | None:
-        return frozenset({self.code_even, self.code_odd})
 
 
 class FreshLengthLearner(ProfiledLearner):

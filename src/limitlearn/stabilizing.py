@@ -115,10 +115,9 @@ class Survival:
         conditions hold, else the first failure as (condition, code, t); for
         condition 2 the code is the largest one emitted over lo..s.
         """
-        codes = learner._codes(lo, s)
+        codes = {learner._code(s)} if lo == s else learner._codes(lo, s)
         # condition 2 first: it needs no per-code state
-        top = max(codes)
-        if top > self.sigma_len:
+        if (top := max(codes)) > self.sigma_len:
             return 2, top, 0
         if self.c0 is None:
             self.c0 = learner._code(self.sigma_len)
@@ -142,7 +141,7 @@ class Survival:
                     break
             else:
                 self.pending[c] = s + 1
-        finite = learner.finite_codes()
+        finite = learner.finite_codes
         self.settled = bool(finite) and not self.pending and finite <= self.checked
         return None
 

@@ -2,16 +2,17 @@
 
 Codes are assigned in registration order, so any two workspaces that replay
 the same calls in the same order agree on every code. All factory methods
-memoize; asking twice never registers twice. Each checks its arguments before
-its memo lookup, so an argument equal to a memoized one (1.0 or True beside
-1) is refused whatever was asked before.
+memoize; asking twice never registers twice. Each checks all its arguments
+before its memo lookup, so an argument equal to a memoized one (1.0 or True
+beside 1) is refused whatever was asked before, and a refused call registers
+and memoizes nothing.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .construction import Construction, DiagonalView
+from .construction import Construction, DiagonalView, _check_variant
 from .encodings import _check_natural, finite_set_decode
 from .learners import (
     ConstantLearner,
@@ -25,6 +26,14 @@ from .universe import FiniteSetEnumerator, Registry, UnionEnumerator
 SAMPLE_LEARNERS = ("constant_zero", "length_parity", "fresh_each_step")
 
 
+def _check_call(kind: str, e: int = 0, variant: str = "plain", n: int = 0) -> None:
+    if kind not in SAMPLE_LEARNERS:
+        raise ValueError(f"unknown sample learner {kind!r}")
+    _check_natural(e, "base value e")
+    _check_variant(variant)
+    _check_natural(n, "index")
+
+
 class Workspace:
     def __init__(self) -> None:
         self.registry = Registry()
@@ -35,8 +44,7 @@ class Workspace:
         self._member_codes: dict[tuple[str, int, int, str], int] = {}
 
     def sample_learner(self, kind: str) -> ProfiledLearner:
-        if kind not in SAMPLE_LEARNERS:
-            raise ValueError(f"unknown sample learner {kind!r}")
+        _check_call(kind)
         if kind not in self._samples:
             if kind == "constant_zero":
                 self._samples[kind] = ConstantLearner()
@@ -55,28 +63,27 @@ class Workspace:
         return self._gap_learners[adversary]
 
     def construction(self, kind: str, e: int) -> Construction:
-        learner = self.sample_learner(kind)
-        _check_natural(e, "base value e")
+        _check_call(kind, e)
         key = (kind, e)
         if key not in self._constructions:
+            learner = self.sample_learner(kind)
             self._constructions[key] = Construction(learner, e, self.registry)
         return self._constructions[key]
 
     def diagonal_code(self, kind: str, e: int, variant: str) -> int:
-        table = self.construction(kind, e)
+        _check_call(kind, e, variant)
         key = (kind, e, variant)
         if key not in self._diagonal_codes:
-            view = DiagonalView(table, variant)
+            view = DiagonalView(self.construction(kind, e), variant)
             self._diagonal_codes[key] = self.registry.register(view)
         return self._diagonal_codes[key]
 
     def family_member_code(self, kind: str, e: int, n: int, variant: str) -> int:
         """Diagonal set joined with the n-th canonical finite set above e."""
-        diag_code = self.diagonal_code(kind, e, variant)
-        _check_natural(n, "index")
+        _check_call(kind, e, variant, n)
         key = (kind, e, n, variant)
         if key not in self._member_codes:
-            diag = self.registry.get(diag_code)
+            diag = self.registry.get(self.diagonal_code(kind, e, variant))
             extra = frozenset(x for x in finite_set_decode(n) if x >= e)
             member = UnionEnumerator([diag, FiniteSetEnumerator(extra)])
             self._member_codes[key] = self.registry.register(member)

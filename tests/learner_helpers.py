@@ -27,15 +27,12 @@ class ProfiledFunctionLearner(ProfiledLearner):
         name: str | None = None,
     ):
         self._fn = length_fn
-        self._finite = finite
+        self.finite_codes = finite
         if name is not None:
             self.name = name
 
     def _code(self, m: int) -> int:
         return self._fn(m)
-
-    def finite_codes(self) -> frozenset[int] | None:
-        return self._finite
 
 
 class FunctionLearner(Learner):

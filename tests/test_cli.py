@@ -99,7 +99,7 @@ def test_construct_separation_level(tmp_path):
     [("length_parity", 2), ("constant_zero", 0), ("fresh_each_step", None)],
 )
 def test_construct_huge_stage_bound_finishes_fast(tmp_path, learner, level):
-    # codes come from one _codes read, not one _code per length
+    # the code-range scan stops once the learner's declared codes have shown
     out = tmp_path / "r.json"
     started = time.monotonic()
     argv = ["construct", "--learner", learner, "--horizon", "50"]

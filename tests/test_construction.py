@@ -780,8 +780,8 @@ def test_reverify_final_reads_each_value_once(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity"])
 @pytest.mark.parametrize("horizon", [500, 1000])
 def test_reverify_final_asks_few_codes_of_a_finite_code_learner(kind, horizon):
-    # the learners' _codes overrides answer a range without a _code per
-    # length; the base scan would ask about H^2/2 of them for constant_zero
+    # the code-range scan stops once every declared code has shown; a scan
+    # to the horizon would ask about H^2/2 of them for constant_zero
     c = Workspace().construction(kind, 0)
     c.run_to(horizon)
     learner = c.learner
@@ -791,6 +791,20 @@ def test_reverify_final_asks_few_codes_of_a_finite_code_learner(kind, horizon):
     rows = len(c.reverify_final())
     assert rows > 0
     assert len(calls) <= 2 * rows + 1, (rows, len(calls))
+
+
+@pytest.mark.parametrize("horizon", [1000, 2000])
+def test_reverify_final_reads_few_codes_of_a_code_only_learner(horizon):
+    # no learner-specific shortcut: a declared finite code set alone ends
+    # each row's scan, so the reads stay linear in the horizon
+    learner = ProfiledFunctionLearner(lambda m: 0, finite=frozenset({0}))
+    c = Construction(learner, 0, Registry())
+    c.run_to(horizon)
+    calls = []
+    learner._code = lambda m: calls.append(m) or 0
+    rows = len(c.reverify_final())
+    assert rows > 0
+    assert len(calls) <= horizon + rows + 2, (rows, len(calls))
 
 
 # The confirmation scan the closed form replaced: per depth, the earliest

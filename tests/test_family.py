@@ -170,15 +170,36 @@ _EQUAL_BUT_REFUSED = [
         "base value e must be a natural number, got False",
         lambda ws: ws.family_member_code("constant_zero", 0, 3, "hat"),
     ),
+    # refused at a later argument: a write made for an earlier one (the
+    # learner's codes, the diagonal view, the table) would show
+    (
+        lambda ws: ws.construction("length_parity", -1),
+        "base value e must be a natural number, got -1",
+        lambda ws: ws.construction("length_parity", 0),
+    ),
+    (
+        lambda ws: ws.family_member_code("constant_zero", 0, -1, "plain"),
+        "index must be a natural number, got -1",
+        lambda ws: ws.family_member_code("constant_zero", 0, 0, "plain"),
+    ),
+    (
+        lambda ws: ws.diagonal_code("constant_zero", 3, "bogus"),
+        "unknown variant 'bogus'",
+        lambda ws: ws.diagonal_code("constant_zero", 0, "plain"),
+    ),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(_EQUAL_BUT_REFUSED)))
 def test_workspace_refuses_a_value_equal_to_a_memoized_one(case):
-    # 1.0 == 1 and True == 1 as memo keys, so the check comes before the lookup
+    # 1.0 == 1 and True == 1 as memo keys, so the check comes before the
+    # lookup; every argument is checked before anything is written, so a
+    # refusal leaves no trace
     call, message, equal = _EQUAL_BUT_REFUSED[case]
     fresh, warm = Workspace(), Workspace()
     equal(warm)
     for ws in (fresh, warm):
+        before = len(ws.registry), ws.counters()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(ws)
+        assert (len(ws.registry), ws.counters()) == before

@@ -33,7 +33,7 @@ def test_constant_learner():
     assert m.decide((4, 4, 4)) == 0
     assert m.length_code(17) == 0
     assert m._codes(0, 30) == frozenset({0})
-    assert m.finite_codes() == frozenset({0})
+    assert m.finite_codes == frozenset({0})
 
 
 def test_length_parity_learner():
@@ -45,27 +45,37 @@ def test_length_parity_learner():
     assert m.decide((9,)) == odd
     assert m.decide((9, 9)) == even
     assert m.length_code(6) == even
-    assert m.finite_codes() == frozenset({even, odd})
+    assert m.finite_codes == frozenset({even, odd})
     # the two hypotheses name different finite sets
     assert reg.enumerate_to(even, 1) != reg.enumerate_to(odd, 1)
 
 
-def test_length_parity_o1_overrides_match_scan_defaults():
+def _scan_learners():
+    """The sample learners, then seeded _code-only learners whose declared
+    codes show late, only in part, or stop recurring."""
     reg = Registry()
-    m = LengthParityLearner(reg)
-    for lo in range(5):
-        for hi in range(lo, 8):
-            scan_all = frozenset(m.length_code(n) for n in range(lo, hi + 1))
-            assert m._codes(lo, hi) == scan_all
+    yield from (ConstantLearner(), LengthParityLearner(reg), FreshLengthLearner(reg))
+    rng = random.Random(33)
+    for _ in range(60):
+        codes = rng.sample(range(8), rng.randint(1, 4))
+        # the first code may show at any length, each other one only on a
+        # seeded window of lengths, which may start late, end early or lie
+        # past length 12 altogether
+        windows = [(0, 12)] + [sorted(rng.choices(range(16), k=2)) for _ in codes[1:]]
+        table = [
+            rng.choice([c for c, (a, b) in zip(codes, windows) if a <= m <= b])
+            for m in range(13)
+        ]
+        yield ProfiledFunctionLearner(table.__getitem__, finite=frozenset(codes))
 
 
-def test_length_codes_overrides_equal_the_base_definition():
-    # empty ranges included: lo > hi lists no length, so no code
-    reg = Registry()
-    for m in (ConstantLearner(), LengthParityLearner(reg), FreshLengthLearner(reg)):
+def test_codes_scan_equals_a_code_per_length():
+    # the scan stops early only once every declared code has shown; empty
+    # ranges included: lo > hi lists no length, so no code
+    for m in _scan_learners():
         for lo in range(13):
             for hi in range(13):
-                want = ProfiledLearner._codes(m, lo, hi)
+                want = set(map(m._code, range(lo, hi + 1)))
                 assert m._codes(lo, hi) == want, (m.name, lo, hi)
 
 
@@ -95,7 +105,7 @@ def test_fresh_learner_codes_exceed_length():
     assert len(set(codes)) == 12
     for n, c in enumerate(codes):
         assert c > n
-    assert m.finite_codes() is None
+    assert m.finite_codes is None
 
 
 def test_fresh_learner_codes_are_increasing():
@@ -123,7 +133,7 @@ def test_profiled_function_learner():
     assert m.decide((8, 8)) == 5
     assert m.length_code(1) == 3
     assert m._codes(0, 3) == frozenset({0, 3, 5})
-    assert m.finite_codes() == frozenset({0, 3, 5})
+    assert m.finite_codes == frozenset({0, 3, 5})
 
 
 def test_function_learner_is_not_profiled():
@@ -342,7 +352,7 @@ def test_every_learner_checks_its_reads_in_the_base_class(kind):
 
 
 def test_public_reads_are_written_once_in_the_base_classes():
-    # subclasses supply hooks (_code, _codes, _outputs, _below, _arrivals);
+    # subclasses supply hooks (_code, _outputs, _below, _arrivals);
     # the checked public reads live in the base classes only
     faces = {
         Learner: {"outputs"},

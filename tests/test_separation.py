@@ -5,8 +5,10 @@ from itertools import permutations
 
 import pytest
 
-from limitlearn import Workspace, construction
+from limitlearn import Construction, Registry, Workspace, construction
 from limitlearn.construction import MAX_CODE_LENGTHS, _first_difference_top
+
+from learner_helpers import ProfiledFunctionLearner
 
 
 def test_constant_learner_has_no_vacillation():
@@ -83,6 +85,17 @@ def test_separation_budget_counts_lengths(monkeypatch):
     # a learner with a finite code set reads one code set, whatever the bound
     lp = Workspace().construction("length_parity", 0)
     assert lp.separation_level(100) == 2
+
+
+def test_separation_level_stops_reading_once_the_declared_codes_show():
+    # a _code-only learner: its declared code set, not a shortcut, ends the scan
+    learner = ProfiledFunctionLearner(lambda m: 0, finite=frozenset({0}))
+    c = Construction(learner, 0, Registry())
+    c.run_to(50)
+    calls = []
+    learner._code = lambda m: calls.append(m) or 0
+    assert c.separation_level(1_000_000) == 0
+    assert len(calls) <= 2, len(calls)
 
 
 def test_pruned_scan_matches_all_pairs_on_random_families():
