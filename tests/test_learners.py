@@ -50,11 +50,41 @@ def test_length_parity_learner():
     assert reg.enumerate_to(even, 1) != reg.enumerate_to(odd, 1)
 
 
-def _scan_learners():
-    """The sample learners, then seeded _code-only learners whose declared
-    codes show late, only in part, or stop recurring."""
+def _assert_scan_is_a_code_per_length(m):
+    # the scan stops early only once every declared code has shown; empty
+    # ranges included: lo > hi lists no length, so no code
+    for lo in range(13):
+        for hi in range(13):
+            want = set(map(m._code, range(lo, hi + 1)))
+            assert m._codes(lo, hi) == want, (m.name, lo, hi)
+
+
+def test_length_parity_o1_overrides_match_scan_defaults():
+    # length_parity keeps no _codes override: the base scan answers any
+    # range in at most two _code reads, once both declared codes have shown
     reg = Registry()
-    yield from (ConstantLearner(), LengthParityLearner(reg), FreshLengthLearner(reg))
+    m = LengthParityLearner(reg)
+    for lo in range(5):
+        for hi in range(lo, 8):
+            scan_all = frozenset(m.length_code(n) for n in range(lo, hi + 1))
+            assert m._codes(lo, hi) == scan_all
+    reads = []
+    code = m._code
+    m._code = lambda n: reads.append(n) or code(n)
+    assert m._codes(3, 10**6) == {m.code_even, m.code_odd}
+    assert reads == [3, 4]
+
+
+def test_length_codes_overrides_equal_the_base_definition():
+    # the sample learners share the one base scan; it equals a _code per length
+    reg = Registry()
+    for m in (ConstantLearner(), LengthParityLearner(reg), FreshLengthLearner(reg)):
+        _assert_scan_is_a_code_per_length(m)
+
+
+def test_codes_scan_equals_a_code_per_length():
+    # seeded _code-only learners whose declared codes show late, only in
+    # part, or stop recurring
     rng = random.Random(33)
     for _ in range(60):
         codes = rng.sample(range(8), rng.randint(1, 4))
@@ -66,17 +96,8 @@ def _scan_learners():
             rng.choice([c for c, (a, b) in zip(codes, windows) if a <= m <= b])
             for m in range(13)
         ]
-        yield ProfiledFunctionLearner(table.__getitem__, finite=frozenset(codes))
-
-
-def test_codes_scan_equals_a_code_per_length():
-    # the scan stops early only once every declared code has shown; empty
-    # ranges included: lo > hi lists no length, so no code
-    for m in _scan_learners():
-        for lo in range(13):
-            for hi in range(13):
-                want = set(map(m._code, range(lo, hi + 1)))
-                assert m._codes(lo, hi) == want, (m.name, lo, hi)
+        m = ProfiledFunctionLearner(table.__getitem__, finite=frozenset(codes))
+        _assert_scan_is_a_code_per_length(m)
 
 
 @pytest.mark.parametrize("bad", [-1, -4, 2.5, True, "3"])
