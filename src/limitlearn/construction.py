@@ -491,7 +491,7 @@ class Construction:
         codes = sorted(self.learner._codes(m0, stage_bound))
         if len(codes) <= 1:
             return 0
-        sets = [self.registry.below(c, stage_bound, stage_bound) for c in codes]
+        sets = self.registry.below_each(codes, stage_bound, stage_bound)
         return _first_difference_top(sets) + 1
 
 

@@ -231,9 +231,13 @@ def check_txtfext(
     one-sided difference: a FAIL for every i, because exact agreement of the
     enumerated sets is required. A difference only visible at the full stage
     might still close, so it downgrades to INCONCLUSIVE instead. Each tail
-    code is read once at both stages. Monotone codes with equal readings never
-    differ, so only the least code of each distinct reading is compared; the
-    first failing pair in sorted order is always two such codes.
+    code is read once at both stages, in one ``Registry.below_each`` batch
+    per stage: two queries per code, none for a one-code tail, and the
+    bound and stage are checked once per batch, not once per code. A tail
+    holding an unregistered code raises KeyError before either batch
+    counts. Monotone codes with equal readings never differ, so only the
+    least code of each distinct reading is compared; the first failing pair
+    in sorted order is always two such codes.
     """
     fex = check_txtfex(trace, registry, i, j, settle=settle, bound=bound)
     if fex.status is Status.FAIL_WITNESSED:
@@ -242,9 +246,11 @@ def check_txtfext(
     stage = trace.horizon
     early = max(1, stage // 2)
     least: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-    for code in tail if len(tail) > 1 else []:
-        key = (registry.below(code, bound, early), registry.below(code, bound, stage))
-        least.setdefault(key, code)
+    if len(tail) > 1:
+        early_reads = registry.below_each(tail, bound, early)
+        full_reads = registry.below_each(tail, bound, stage)
+        for code, early_read, full_read in zip(tail, early_reads, full_reads):
+            least.setdefault((early_read, full_read), code)
     late_only = None
     for ((a_early, a_full), a), ((b_early, b_full), b) in combinations(least.items(), 2):
         persistent = (a_early - b_full) | (b_early - a_full)
@@ -314,7 +320,7 @@ def verify_witness(
     except (KeyError, TypeError, ValueError):
         return False
     # a code is an int: True or 1.0 equals a code of the tail but names none
-    if not named <= tail or any(type(c) is not int for c in named):
+    if not named <= tail or not set(map(type, named)) <= {int}:
         return False
     if kind == "cardinality":
         return len(tail) > j

@@ -17,19 +17,23 @@ enumerators so learners can output hypotheses as plain ints; code 0 is
 reserved for the empty set, a ``FiniteSetEnumerator`` with no elements.
 
 Public reads check their arguments once, in the base class, and no read
-calls another public read. ``Enumerator.at_stage`` checks the stage; every
-``Registry`` read (``enumerate_to``, ``arrivals``, ``below``,
-``sym_diff_below``, ``stable_below``) checks the code, then the bound, depth
-or stages and their order, in one place, and goes straight to the unchecked
-``_below``, ``_arrivals`` or ``stable_below``. A subclass supplies only
-those hooks; they take checked values and are called only by the registry
-and by enumerators.
+calls another public read. ``Enumerator.at_stage`` checks the stage; the
+``Registry`` reads ``enumerate_to``, ``arrivals``, ``below``,
+``sym_diff_below`` and ``stable_below`` check the code, then the bound,
+depth or stages and their order, in ``Registry._checked``, and go straight
+to the unchecked ``_below``, ``_arrivals`` or ``stable_below``.
+``below_each`` reads a list of codes at one bound and stage: it makes the
+same tests inline, every code first, then the bound and the stage once for
+the whole list. A subclass supplies only those hooks; they take checked
+values and are called only by the registry and by enumerators.
 
 Determinism: all methods return frozensets (_arrivals a fresh dict) and take
 no hidden state; callers that need ordered output must sort. The registry
-counts every ``enumerate_to``, ``arrivals`` and ``below`` read, one each,
-in that one place, which gives reproducible work measurements independent
-of wall clock.
+counts a read only after every check has passed, which gives reproducible
+work measurements independent of wall clock: ``enumerate_to``,
+``arrivals`` and ``below`` count one query each, ``below_each`` one per
+code it is given, ``sym_diff_below`` two, and ``stable_below``, ``get``
+and a refused read none.
 """
 
 from __future__ import annotations
@@ -174,7 +178,8 @@ class Registry:
         """The coded enumerator, after checking code, then n, then stage s;
         counts `count` queries. A stage n (arrivals' s0) must not come after
         s. A plain int passes the inline tests; anything else goes to
-        _check_natural, for its message and its rule on int subclasses."""
+        _check_natural, for its message and its rule on int subclasses.
+        below_each makes the same tests inline, for a list of codes."""
         if code not in self:
             raise KeyError(f"unregistered hypothesis code {code!r}")
         if not (type(n) is int and n >= 0):
@@ -199,8 +204,35 @@ class Registry:
         return self._checked(code, s, k, "depth", 0).stable_below(k, s)
 
     def below(self, code: int, bound: int, s: int) -> frozenset[int]:
-        """below(bound, s) of the coded enumerator; counts as one query."""
+        """below(bound, s) of the coded enumerator; counts as one query.
+        A caller with many codes at one bound and stage uses below_each."""
         return self._checked(code, s, bound, "bound")._below(bound, s)
+
+    def below_each(self, codes: list[int], bound: int, s: int) -> list[frozenset[int]]:
+        """[below(c, bound, s) for c in codes], with the same query count.
+
+        Checks every code in order, with below's KeyError for the first bad
+        one, then the bound and the stage once, with below's messages, even
+        for an empty list. Counts len(codes) queries only once all pass, so
+        a refused batch counts none, and then reads each enumerator's
+        _below directly.
+        """
+        # _checked's tests, inline: on a short list (a strict check's tail is
+        # often two codes) each call, and a comprehension, costs more than a test
+        table = self._table
+        size = len(table)
+        for code in codes:
+            if not (type(code) is int and 0 <= code < size):
+                raise KeyError(f"unregistered hypothesis code {code!r}")
+        if not (type(bound) is int and bound >= 0):
+            _check_natural(bound, "bound")
+        if not (type(s) is int and s >= 0):
+            _check_natural(s, "stage")
+        self.query_count += len(codes)
+        out = []
+        for code in codes:
+            out.append(table[code]._below(bound, s))
+        return out
 
     def sym_diff_below(self, h1: int, h2: int, bound: int, s: int) -> frozenset[int]:
         """Symmetric difference of two coded sets, restricted below bound;

@@ -10,8 +10,11 @@ from itertools import combinations
 
 import pytest
 
+from learner_helpers import FunctionLearner
+
 from limitlearn import (
     FiniteSetEnumerator,
+    FreshLengthLearner,
     Registry,
     Status,
     StepFunctionEnumerator,
@@ -20,6 +23,7 @@ from limitlearn import (
     Verdict,
     check_txtfex,
     check_txtfext,
+    run_learner,
     verify_witness,
 )
 
@@ -276,6 +280,8 @@ def test_malformed_witnesses_do_not_verify():
         {"kind": ["pairwise"], "codes": [a, c]},
         # True and 1.0 equal codes of the tail but are no codes
         {"kind": "cardinality", "codes": [True]},
+        {"kind": "cardinality", "codes": [float(a)]},
+        {"kind": "cardinality", "codes": [c, 1.0]},
         {"kind": "content", "code": True, "difference": [1]},
         {"kind": "pairwise", "codes": [True, float(c)], "elements": [1, 2]},
     ]
@@ -455,3 +461,37 @@ def test_strict_checker_reads_each_tail_code_once():
             single += 1
             assert strict == loose
     assert single > 0
+
+
+def test_strict_checker_checks_registry_reads_once_however_long_its_tail(monkeypatch):
+    # the tail is read in one batch per stage, so the code, bound and stage
+    # checks of Registry._checked do not repeat per tail code
+    calls = [0]
+    checked = Registry._checked
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(Registry, "_checked", counting)
+    made = {}
+    for horizon in (100, 400):
+        reg = Registry()
+        trace = run_learner(FreshLengthLearner(reg), Text(tuple(range(horizon))), horizon)
+        calls[0] = 0
+        verdict = check_txtfext(trace, reg, "*", "*")
+        made[horizon] = calls[0]
+        assert len(verdict.details["tail_codes"]) == horizon - horizon // 2 + 1
+    assert made[100] == made[400], made
+
+
+def test_a_refused_strict_read_counts_nothing():
+    # codes 1..3 are registered, 9 is not; the tail holds all four
+    reg, a, b, c = _registry()
+    learner = FunctionLearner(lambda seq: (a, b, c, 9)[len(seq) % 4])
+    tr = run_learner(learner, Text(tuple(range(20))), 19)
+    assert check_txtfex(tr, reg, "*", "*").details["tail_codes"] == [a, b, c, 9]
+    before = reg.query_count
+    with pytest.raises(KeyError, match="unregistered hypothesis code 9"):
+        check_txtfext(tr, reg, "*", "*")
+    assert reg.query_count == before

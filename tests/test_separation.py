@@ -123,8 +123,12 @@ class _CountedSet(frozenset):
 
 def test_separation_compares_at_most_one_pair_per_code(monkeypatch):
     c = Workspace().construction("fresh_each_step", 0)
-    below = c.registry.below
+    below, below_each = c.registry.below, c.registry.below_each
+    # separation_level reads through below_each, the oracle through below
     monkeypatch.setattr(c.registry, "below", lambda *a: _CountedSet(below(*a)))
+    monkeypatch.setattr(
+        c.registry, "below_each", lambda *a: list(map(_CountedSet, below_each(*a)))
+    )
     monkeypatch.setattr(_CountedSet, "differences", 0)
     # length m's set is {m}, read below the bound, so {bound} reads empty
     assert c.separation_level(40) == 40 == _per_length_level(c, 40)

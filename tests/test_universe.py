@@ -321,8 +321,8 @@ def _counting_check_natural(monkeypatch) -> list[int]:
 
 
 def test_strict_checker_checks_arguments_once_however_long_its_tail(monkeypatch):
-    # the checker checks its bound once; its registry reads check only
-    # inline, so the count does not grow with the tail it reads
+    # the checker checks its bound once, and its registry reads check bound
+    # and stage once per batch, so the count does not grow with the tail
     calls = _counting_check_natural(monkeypatch)
     made = {}
     for horizon in (100, 400):
@@ -351,6 +351,86 @@ def test_table_checks_arguments_in_constant_work_per_stage(kind, monkeypatch):
         made[horizon] = calls[0]
         assert made[horizon] <= horizon + 2, (horizon, made)
     assert made[2000] <= 2.2 * made[1000], made
+
+
+def _batch_registry(seed):
+    """A workspace registry of both diagonal views of two tables, plus seeded
+    finite sets, unions and step functions; returns it and its codes."""
+    rng = random.Random(seed)
+    ws = Workspace()
+    reg = ws.registry
+    for kind in ("length_parity", "fresh_each_step"):
+        for variant in ("plain", "hat"):
+            ws.diagonal_code(kind, rng.randint(0, 2), variant)
+    parts = []
+    for _ in range(6):
+        finite = FiniteSetEnumerator(rng.sample(range(40), rng.randint(0, 5)))
+        start, step = rng.randint(0, 8), rng.randint(1, 4)
+        grows = StepFunctionEnumerator(
+            lambda s, a=start, d=step: range(a, a + d * s, d) if s >= a else ()
+        )
+        parts += [finite, grows]
+        reg.register(finite)
+        reg.register(grows)
+        reg.register(UnionEnumerator(rng.sample(parts, rng.randint(0, 2))))
+    return rng, reg, list(range(len(reg)))
+
+
+def _refusal(read):
+    """The type and message a read raises; None if it returns."""
+    try:
+        read()
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_below_each_equals_a_below_per_code(seed):
+    rng, reg, codes = _batch_registry(seed)
+    assert {type(reg.get(c)).__name__ for c in codes} >= {
+        "FiniteSetEnumerator",
+        "StepFunctionEnumerator",
+        "UnionEnumerator",
+        "DiagonalView",
+    }
+    # a diagonal read that advances its table makes queries of its own;
+    # reading stage 40 first leaves only the reads under test to count
+    reg.below_each(codes, 0, 40)
+    batches = [[], [0], [0, 0], codes, codes[::-1] + codes]
+    batches += [rng.choices(codes, k=rng.randint(1, 8)) for _ in range(60)]
+    for batch in batches:
+        bound, s = rng.choice([0, 1, 5, 30, 10**6]), rng.randint(0, 40)
+        before = reg.query_count
+        got = reg.below_each(batch, bound, s)
+        counted = reg.query_count - before
+        assert got == [reg.below(c, bound, s) for c in batch], (batch, bound, s)
+        assert counted == reg.query_count - before - counted == len(batch)
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_below_each_refuses_what_below_refuses_and_counts_nothing(seed):
+    rng, reg, codes = _batch_registry(seed)
+    good = rng.choices(codes, k=5)
+    cases = []
+    for bad in (len(reg), 10**9, -1, True, 1.0, "0", None):
+        for place in (0, 2, 5):  # first, middle, last
+            batch = good[:place] + [bad] + good[place:]
+            cases.append((batch, 5, 3, lambda b=bad: reg.below(b, 5, 3)))
+        # two bad codes: the first one is named, before a bad bound or stage
+        batch = good[:2] + [bad] + good[2:] + [-7]
+        cases.append((batch, -1, -1, lambda b=bad: reg.below(b, -1, -1)))
+    for bad in (-1, 2.5, True, "5"):
+        for batch in (good, [0], []):
+            c = batch[0] if batch else 0
+            cases.append((batch, bad, 3, lambda b=bad, c=c: reg.below(c, b, 3)))
+            cases.append((batch, 5, bad, lambda b=bad, c=c: reg.below(c, 5, b)))
+    for batch, bound, s, single in cases:
+        before = reg.query_count
+        want = _refusal(single)
+        assert want is not None, (batch, bound, s)
+        assert _refusal(lambda: reg.below_each(batch, bound, s)) == want, (batch, bound, s)
+        assert reg.query_count == before
 
 
 def test_registry_arrivals_counts_one_query_and_checks_its_input():
