@@ -302,7 +302,7 @@ def _cmd_family(p: dict) -> tuple[dict, int]:
         "member_code": code,
         "diagonal_code": ws.diagonal_code(adversary, e, variant),
         "elements_below_bound": sorted(
-            ws.registry.below(code, p["bound"], p["horizon"])
+            ws.registry.below_each((code,), p["bound"], p["horizon"])[0]
         ),
     }
     work = {"registry_queries": ws.registry.query_count}

@@ -457,7 +457,10 @@ class Construction:
             bound = m0 + ADVERSARY_WINDOW
             for m in range(m0 + 1, bound + 1):
                 c = code(m)
-                if c != prev and self.registry.sym_diff_below(prev, c, bound, bound):
+                if c == prev:
+                    continue
+                a, b = self.registry.below_each((prev, c), bound, bound)
+                if a != b:
                     t.extend(repeat(e, m - m0))
                     fresh = max(fresh, e + 1)
                     break

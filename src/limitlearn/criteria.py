@@ -171,7 +171,9 @@ def check_txtfex(
 
     j bounds the distinct codes after the settle point (default horizon/2);
     finite i additionally bounds, per tail code, the symmetric difference
-    below `bound` between the coded set and the text's prefix content.
+    below `bound` between the coded set and the text's prefix content. Each
+    tail code is read in its own one-code ``Registry.below_each`` read, one
+    query each, up to the first code that fails.
     """
     horizon = trace.horizon
     settle = _settle_point(i, j, settle, bound, horizon)
@@ -192,7 +194,7 @@ def check_txtfex(
     if i != "*":
         target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
         for code in tail:
-            diff = registry.below(code, bound, horizon) ^ target
+            diff = registry.below_each((code,), bound, horizon)[0] ^ target
             if len(diff) > i:
                 return Verdict(
                     Status.FAIL_WITNESSED,
@@ -290,6 +292,8 @@ def verify_witness(
 
     The codes a witness names must be the trace's own, output after the
     settle point, and a pairwise witness must use the checker's early stage.
+    A pairwise witness's two codes are read in one ``Registry.below_each``
+    batch at that stage and one at the horizon, four queries in all.
     A malformed witness (not a dict, or a field missing or of the wrong
     shape) does not verify, and neither does a verdict that is not a Verdict,
     such as the as_dict() form a saved report holds.
@@ -326,9 +330,9 @@ def verify_witness(
         return len(tail) > j
     if kind == "content":
         target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
-        diff = registry.below(code, bound, horizon) ^ target
+        diff = registry.below_each((code,), bound, horizon)[0] ^ target
         return len(diff) > i and sorted(diff) == difference
-    persistent = (registry.below(a, bound, early) - registry.below(b, bound, horizon)) | (
-        registry.below(b, bound, early) - registry.below(a, bound, horizon)
-    )
+    a_early, b_early = registry.below_each((a, b), bound, early)
+    a_full, b_full = registry.below_each((a, b), bound, horizon)
+    persistent = (a_early - b_full) | (b_early - a_full)
     return a != b and bool(persistent) and elements == persistent

@@ -18,13 +18,17 @@ covers it iff it holds k+1 values. The public face reads sigma once into
 those three, checking each distinct value is a natural number; the stage
 table's re-check keeps them as running values up its chain of rows instead
 (Construction.reverify_final), and both hand them to one check. The check
-takes learners whose output depends only on input length: admissible
-extensions of a length-m string realize exactly the lengths m..s, so both
-quantifiers collapse to a scan over lengths. That scan is the resumable
-Survival kernel, which the stage table also keeps per row and advances one
-stage at a time. The tests keep a brute-force check that enumerates every
-admissible extension as the oracle; the two agree on the verdict everywhere,
-and witnesses are always checkable via stab_witness_valid.
+takes learners whose output depends only on input length, and the public
+face refuses any other learner before it reads sigma (the stage table
+refuses one when it is built): admissible extensions of a length-m string
+realize exactly the lengths m..s, so both quantifiers collapse to a scan
+over lengths. That scan is the resumable Survival kernel, which the stage
+table also keeps per row and advances one stage at a time. Condition 3
+reads two codes' sets below k at a stage in one two-code
+``Registry.below_each`` read and compares them. The tests keep a
+brute-force check that enumerates every admissible extension as the oracle;
+the two agree on the verdict everywhere, and witnesses are always checkable
+via stab_witness_valid.
 """
 
 from __future__ import annotations
@@ -131,7 +135,8 @@ class Survival:
         for c in sorted(self.pending):
             for t in range(self.pending[c], s + 1):
                 stage = self.sigma_len + t
-                if registry.sym_diff_below(c0, c, k, stage):
+                a, b = registry.below_each((c0, c), k, stage)
+                if a != b:
                     return 3, c, t
                 if registry.stable_below(c0, k, stage) and registry.stable_below(
                     c, k, stage
@@ -162,6 +167,8 @@ def check_stabilizing(
 ) -> StabWitness | None:
     """None if sigma stabilizes the learner at budget s, else a witness."""
     _check_instance(e, k, s)
+    if not isinstance(learner, ProfiledLearner):
+        raise ValueError("the stabilization check requires a length-profiled learner")
     return _check_read(e, k, sigma, _read(sigma), s, learner, registry)
 
 
@@ -174,14 +181,12 @@ def _check_read(
     learner: ProfiledLearner,
     registry: Registry,
 ) -> StabWitness | None:
-    """check_stabilizing on checked arguments and sigma's read (lo, hi, content).
+    """check_stabilizing past its checks, on sigma's read (lo, hi, content).
 
     Sigma itself is not read again: only a witness copies it, into a tuple.
     """
     if not _covers_required(e, k, *read):
         return StabWitness(tau=tuple(sigma), t=0, violated_condition=1)
-    if not isinstance(learner, ProfiledLearner):
-        raise ValueError("the stabilization check requires a length-profiled learner")
     m0 = len(sigma)
     # not admissible itself: condition 1 already put every value at or above e
     if m0 > s or read[1] > s:
@@ -220,7 +225,7 @@ def stab_witness_valid(
     if witness.violated_condition == 3:
         if not 0 <= witness.t <= s:
             return False
-        c0 = learner.decide(sigma)
-        c1 = learner.decide(tau)
-        return bool(registry.sym_diff_below(c0, c1, k, len(sigma) + witness.t))
+        codes = learner.decide(sigma), learner.decide(tau)
+        a, b = registry.below_each(codes, k, len(sigma) + witness.t)
+        return a != b
     return False

@@ -118,10 +118,10 @@ def criterion_4(ws: Workspace) -> dict:
     )
     x_plain = ws.diagonal_code("constant_zero", 0, "plain")
     x_hat = ws.diagonal_code("constant_zero", 0, "hat")
-    sizes = [
-        len(ws.registry.sym_diff_below(x_plain, x_hat, bound, 4000))
-        for bound in (50, 100, 200)
-    ]
+    sizes = []
+    for bound in (50, 100, 200):
+        plain, hat = ws.registry.below_each((x_plain, x_hat), bound, 4000)
+        sizes.append(len(plain ^ hat))
     growing = all(s > 0 for s in sizes) and sizes[0] < sizes[1] < sizes[2]
     return _result(
         4,
@@ -210,7 +210,7 @@ def criterion_7(ws: Workspace) -> dict:
             c.run_to(500)
             for variant in ("plain", "hat"):
                 code = ws.diagonal_code(kind, e, variant)
-                enum_side = ws.registry.below(code, 50, 500)
+                enum_side = ws.registry.below_each((code,), 50, 500)[0]
                 prefix_side = c.r_prefix(50, variant, s=500)
                 same = enum_side == prefix_side
                 ok = ok and same

@@ -18,27 +18,27 @@ reserved for the empty set, a ``FiniteSetEnumerator`` with no elements.
 
 Public reads check their arguments once, in the base class, and no read
 calls another public read. ``Enumerator.at_stage`` checks the stage; the
-``Registry`` reads ``enumerate_to``, ``arrivals``, ``below``,
-``sym_diff_below`` and ``stable_below`` check the code, then the bound,
-depth or stages and their order, in ``Registry._checked``, and go straight
-to the unchecked ``_below``, ``_arrivals`` or ``stable_below``.
-``below_each`` reads a list of codes at one bound and stage: it makes the
-same tests inline, every code first, then the bound and the stage once for
-the whole list. A subclass supplies only those hooks; they take checked
-values and are called only by the registry and by enumerators.
+``Registry`` reads ``enumerate_to``, ``arrivals``, ``below_each`` and
+``stable_below`` check their codes, then the bound, depth or stages and
+their order, in ``Registry._checked``, and go straight to the unchecked
+``_below``, ``_arrivals`` or ``stable_below``. ``below_each`` is the one
+read of coded sets below a bound at a stage: it reads a list of codes, so a
+single set is a one-code list and a comparison of two sets a two-code list.
+A subclass supplies only those hooks; they take checked values and are
+called only by the registry and by enumerators. The registry and a union
+take only enumerators.
 
 Determinism: all methods return frozensets (_arrivals a fresh dict) and take
 no hidden state; callers that need ordered output must sort. The registry
 counts a read only after every check has passed, which gives reproducible
-work measurements independent of wall clock: ``enumerate_to``,
-``arrivals`` and ``below`` count one query each, ``below_each`` one per
-code it is given, ``sym_diff_below`` two, and ``stable_below``, ``get``
-and a refused read none.
+work measurements independent of wall clock: ``enumerate_to`` and
+``arrivals`` count one query each, ``below_each`` one per code it is given,
+and ``stable_below``, ``get`` and a refused read none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from math import inf
 
 from .encodings import _check_natural
@@ -128,6 +128,9 @@ class UnionEnumerator(Enumerator):
 
     def __init__(self, parts: Iterable[Enumerator]):
         self._parts = tuple(parts)
+        for p in self._parts:
+            if not isinstance(p, Enumerator):
+                raise ValueError(f"a union joins enumerators, got {type(p).__name__}")
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
         """Each element's least stage over the parts; a key that one part
@@ -159,6 +162,8 @@ class Registry:
         self.query_count = 0
 
     def register(self, enum: Enumerator) -> int:
+        if not isinstance(enum, Enumerator):
+            raise ValueError(f"a registry codes enumerators, got {type(enum).__name__}")
         self._table.append(enum)
         return len(self._table) - 1
 
@@ -170,75 +175,55 @@ class Registry:
 
     def get(self, code: int) -> Enumerator:
         """The coded enumerator; a lookup, not a query, so not counted."""
-        return self._checked(code, 0, count=0)
+        return self._checked((code,), 0, count=0)[code]
 
     def _checked(
-        self, code: int, s: int, n: int = 0, name: str = "stage", count: int = 1
-    ) -> Enumerator:
-        """The coded enumerator, after checking code, then n, then stage s;
-        counts `count` queries. A stage n (arrivals' s0) must not come after
-        s. A plain int passes the inline tests; anything else goes to
-        _check_natural, for its message and its rule on int subclasses.
-        below_each makes the same tests inline, for a list of codes."""
-        if code not in self:
-            raise KeyError(f"unregistered hypothesis code {code!r}")
+        self, codes: Sequence[int], s: int, n: int = 0, name: str = "stage", count: int = 1
+    ) -> list[Enumerator]:
+        """The code table, after checking each code, then n, then stage s; counts
+        `count` queries per code once all pass. A stage n (arrivals' s0) must
+        not come after s. A plain int passes the inline tests; anything else
+        goes to _check_natural, for its message and its rule on int subclasses.
+        A plain loop: on two codes a call or a comprehension costs more."""
+        table = self._table
+        size = len(table)
+        for code in codes:
+            if not (type(code) is int and 0 <= code < size):
+                raise KeyError(f"unregistered hypothesis code {code!r}")
         if not (type(n) is int and n >= 0):
             _check_natural(n, name)
         if not (type(s) is int and s >= 0):
             _check_natural(s, "stage")
         if s < n and name == "stage":
             raise ValueError(f"stage {s} comes before stage {n}")
-        self.query_count += count
-        return self._table[code]
+        self.query_count += count * len(codes)
+        return table
 
     def enumerate_to(self, code: int, s: int) -> frozenset[int]:
         """at_stage(s) of the coded enumerator; counts as one query."""
-        return self._checked(code, s)._below(inf, s)
+        return self._checked((code,), s)[code]._below(inf, s)
 
     def arrivals(self, code: int, s0: int, s1: int) -> dict[int, int]:
         """_arrivals(s0, s1) of the coded enumerator; counts as one query."""
-        return self._checked(code, s1, s0)._arrivals(s0, s1)
+        return self._checked((code,), s1, s0)[code]._arrivals(s0, s1)
 
     def stable_below(self, code: int, k: int, s: int) -> bool:
         """stable_below(k, s) of the coded enumerator; not counted."""
-        return self._checked(code, s, k, "depth", 0).stable_below(k, s)
+        return self._checked((code,), s, k, "depth", 0)[code].stable_below(k, s)
 
-    def below(self, code: int, bound: int, s: int) -> frozenset[int]:
-        """below(bound, s) of the coded enumerator; counts as one query.
-        A caller with many codes at one bound and stage uses below_each."""
-        return self._checked(code, s, bound, "bound")._below(bound, s)
+    def below_each(self, codes: Sequence[int], bound: int, s: int) -> list[frozenset[int]]:
+        """Each coded set's elements under bound at stage s, in the order of
+        codes; one query per code, none for a refused list.
 
-    def below_each(self, codes: list[int], bound: int, s: int) -> list[frozenset[int]]:
-        """[below(c, bound, s) for c in codes], with the same query count.
-
-        Checks every code in order, with below's KeyError for the first bad
-        one, then the bound and the stage once, with below's messages, even
-        for an empty list. Counts len(codes) queries only once all pass, so
-        a refused batch counts none, and then reads each enumerator's
-        _below directly.
+        Checks every code in order, naming the first bad one, then the bound
+        and the stage, even for an empty list. Two codes have the same set
+        below the bound exactly when their reads are equal.
         """
-        # _checked's tests, inline: on a short list (a strict check's tail is
-        # often two codes) each call, and a comprehension, costs more than a test
-        table = self._table
-        size = len(table)
-        for code in codes:
-            if not (type(code) is int and 0 <= code < size):
-                raise KeyError(f"unregistered hypothesis code {code!r}")
-        if not (type(bound) is int and bound >= 0):
-            _check_natural(bound, "bound")
-        if not (type(s) is int and s >= 0):
-            _check_natural(s, "stage")
-        self.query_count += len(codes)
+        table = self._checked(codes, s, bound, "bound")
         out = []
         for code in codes:
             out.append(table[code]._below(bound, s))
         return out
-
-    def sym_diff_below(self, h1: int, h2: int, bound: int, s: int) -> frozenset[int]:
-        """Symmetric difference of two coded sets, restricted below bound;
-        counts as two queries."""
-        a = self._checked(h1, s, bound, "bound", 0)  # both counted once h2 passes too
-        return a._below(bound, s) ^ self._checked(h2, s, bound, "bound", 2)._below(bound, s)
 
 
 def check_monotone(

@@ -62,6 +62,7 @@ def check_brute(
         if c1 == c0:
             continue
         for t in range(s + 1):
-            if registry.sym_diff_below(c0, c1, k, len(sigma) + t):
+            a, b = registry.below_each((c0, c1), k, len(sigma) + t)
+            if a != b:
                 return StabWitness(tau=tau, t=t, violated_condition=3)
     return None

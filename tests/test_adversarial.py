@@ -87,7 +87,10 @@ def _adversarial_text_per_step(c, length):
         adopt = None
         for m in range(m0 + 1, bound + 1):
             code = c.learner.length_code(m)
-            if code != prev and c.registry.sym_diff_below(prev, code, bound, bound):
+            if code == prev:
+                continue
+            a, b = c.registry.below_each((prev, code), bound, bound)
+            if a != b:
                 adopt = m
                 break
         if adopt is not None:

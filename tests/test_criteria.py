@@ -357,7 +357,8 @@ def test_every_witness_verifies():
 
 
 def _fext_per_pair(trace, reg, i, j, settle=None, bound=64):
-    """All-pairs reference for check_txtfext (settle >= 0): four reads per pair."""
+    """All-pairs reference for check_txtfext (settle >= 0): four reads per pair,
+    in a two-code read per stage."""
     horizon = trace.horizon
     fex = check_txtfex(trace, reg, i, j, settle=settle, bound=bound)
     if fex.status is Status.FAIL_WITNESSED:
@@ -366,10 +367,8 @@ def _fext_per_pair(trace, reg, i, j, settle=None, bound=64):
     early = max(1, horizon // 2)
     late_only = None
     for a, b in combinations(sorted(tail), 2):
-        a_early = reg.below(a, bound, early)
-        b_early = reg.below(b, bound, early)
-        a_full = reg.below(a, bound, horizon)
-        b_full = reg.below(b, bound, horizon)
+        a_early, b_early = reg.below_each((a, b), bound, early)
+        a_full, b_full = reg.below_each((a, b), bound, horizon)
         persistent = (a_early - b_full) | (b_early - a_full)
         if persistent:
             return Verdict(

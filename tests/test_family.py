@@ -89,12 +89,12 @@ def test_bounded_reads_build_no_snapshot(monkeypatch):
 
     def verdicts():
         """Both checkers and verify_witness on gap_parity's trace of a hat
-        member (i = 3, j = 2), and Registry.below on that member."""
+        member (i = 3, j = 2), and Registry.below_each on that member."""
         out = []
         for check in (check_txtfex, check_txtfext):
             v = check(trace, ws.registry, 3, 2)
             out.append((v.as_dict(), verify_witness(v, trace, ws.registry, 3, 2)))
-        return out, ws.registry.below(member, 64, 200)
+        return out, ws.registry.below_each((member,), 64, 200)
 
     want = verdicts()
     # the strict checker fails on a pairwise witness that re-verifies
@@ -138,7 +138,7 @@ def test_bounded_read_reads_only_the_values_under_the_bound(e, variant):
     c = ws.construction("length_parity", e)
     c.run_to(2000)
     c._conf_at = counting = _CountingGets(c._conf_at)
-    got = ws.registry.below(code, 64, 2000)
+    (got,) = ws.registry.below_each((code,), 64, 2000)
     assert 0 < counting.gets <= 64 - e
     assert got == frozenset(x for x in DiagonalView(c, variant).at_stage(2000) if x < 64)
 

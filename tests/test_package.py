@@ -1,13 +1,15 @@
 """The package surface: what `limitlearn` exports, and what it imports."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import limitlearn
-from limitlearn import Enumerator, ProfiledLearner, encodings, suite
+from limitlearn import Enumerator, ProfiledLearner, Registry, encodings, suite
 
 SOURCES = sorted(Path(limitlearn.__file__).resolve().parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -26,9 +28,20 @@ def test_removed_faces_stay_removed():
         (suite, "SuiteContext"),
         (Enumerator, "arrivals"),
         (ProfiledLearner, "length_codes"),
+        (Registry, "below"),
+        (Registry, "sym_diff_below"),
     ):
         assert not hasattr(owner, name), (owner, name)
         assert name not in limitlearn.__all__, name
+
+
+def test_every_class_attribute_the_readme_names_resolves():
+    # `Class.attr` or `Class.attr(args)`: the class is exported and has attr
+    named = set(re.findall(r"`([A-Z]\w*)\.(\w+)[`(]", README.read_text(encoding="utf-8")))
+    assert len(named) >= 7, sorted(named)
+    for owner, name in sorted(named):
+        assert owner in limitlearn.__all__, owner
+        assert hasattr(getattr(limitlearn, owner), name), (owner, name)
 
 
 def test_the_package_imports_only_itself_and_the_standard_library():

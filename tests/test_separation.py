@@ -49,7 +49,7 @@ def _per_length_level(c, stage_bound):
     )
     if len(codes) <= 1:
         return 0
-    sets = [c.registry.below(x, stage_bound, stage_bound) for x in codes]
+    sets = [c.registry.below_each((x,), stage_bound, stage_bound)[0] for x in codes]
     return _all_pairs_top(sets) + 1
 
 
@@ -123,9 +123,8 @@ class _CountedSet(frozenset):
 
 def test_separation_compares_at_most_one_pair_per_code(monkeypatch):
     c = Workspace().construction("fresh_each_step", 0)
-    below, below_each = c.registry.below, c.registry.below_each
-    # separation_level reads through below_each, the oracle through below
-    monkeypatch.setattr(c.registry, "below", lambda *a: _CountedSet(below(*a)))
+    below_each = c.registry.below_each
+    # separation_level reads all codes in one batch, the oracle one per code
     monkeypatch.setattr(
         c.registry, "below_each", lambda *a: list(map(_CountedSet, below_each(*a)))
     )

@@ -15,6 +15,7 @@ from limitlearn import (
     ConstantLearner,
     FiniteSetEnumerator,
     FreshLengthLearner,
+    GapParityLearner,
     LengthParityLearner,
     Registry,
     StabWitness,
@@ -158,6 +159,16 @@ def test_profile_requires_profiled_learner():
     # one check, no method to choose
     with pytest.raises(TypeError, match="method"):
         check_stabilizing(0, 0, (0,), 2, m, reg, method="profile")
+
+
+def test_an_unprofiled_learner_is_refused_before_sigma_is_read():
+    # the empty sigma fails condition 1 and "x" is no natural number, but
+    # the learner is tested first, so every sigma meets the same refusal
+    reg = Registry()
+    learner = GapParityLearner(lambda e, variant: 0)
+    for sigma in ((), (0,), ("x",)):
+        with pytest.raises(ValueError, match="length-profiled"):
+            check_stabilizing(0, 0, sigma, 3, learner, reg)
 
 
 def test_fresh_learner_never_stabilizes_with_budget():

@@ -80,11 +80,24 @@ def test_registry_unknown_code():
             lambda c: reg.enumerate_to(c, 3),
             lambda c: reg.arrivals(c, 0, 3),
             lambda c: reg.stable_below(c, 5, 3),
-            lambda c: reg.below(c, 5, 3),
-            lambda c: reg.sym_diff_below(0, c, 5, 3),
+            lambda c: reg.below_each((c,), 5, 3),
+            lambda c: reg.below_each((0, c), 5, 3),
         ):
             with pytest.raises(KeyError, match=f"unregistered hypothesis code {code}"):
                 read(code)
+
+
+def test_registry_and_union_take_only_enumerators():
+    reg = Registry()
+    part = FiniteSetEnumerator({1})
+    for bad in (42, "x", None, frozenset({1}), FiniteSetEnumerator):
+        message = f"got {type(bad).__name__}$"
+        with pytest.raises(ValueError, match=f"a registry codes enumerators, {message}"):
+            reg.register(bad)
+        with pytest.raises(ValueError, match=f"a union joins enumerators, {message}"):
+            UnionEnumerator([part, bad])
+    assert len(reg) == 1
+    assert reg.register(UnionEnumerator([part, UnionEnumerator(())])) == 1
 
 
 def test_registry_counts_queries():
@@ -100,12 +113,12 @@ def test_registry_reads_refuse_what_is_no_natural_number():
     reg = Registry()
     c = reg.register(FiniteSetEnumerator({0, 3}))
     cases = [
-        (lambda: reg.below(c, -1, 5), "bound", -1),
-        (lambda: reg.below(c, 2.5, 5), "bound", 2.5),
-        (lambda: reg.below(c, "x", 5), "bound", "x"),
-        (lambda: reg.below(c, 5, -1), "stage", -1),
-        (lambda: reg.sym_diff_below(c, c, True, 5), "bound", True),
-        (lambda: reg.sym_diff_below(c, c, 5, 1.0), "stage", 1.0),
+        (lambda: reg.below_each((c,), -1, 5), "bound", -1),
+        (lambda: reg.below_each((c,), 2.5, 5), "bound", 2.5),
+        (lambda: reg.below_each((c,), "x", 5), "bound", "x"),
+        (lambda: reg.below_each((c,), 5, -1), "stage", -1),
+        (lambda: reg.below_each((c, c), True, 5), "bound", True),
+        (lambda: reg.below_each((c, c), 5, 1.0), "stage", 1.0),
         (lambda: reg.stable_below(0, -1, -1), "depth", -1),
         (lambda: reg.stable_below(c, 5, -1), "stage", -1),
     ]
@@ -119,7 +132,7 @@ def test_registry_reads_refuse_what_is_no_natural_number():
     class Nat(int):
         pass
 
-    assert reg.below(c, Nat(1), Nat(1)) == frozenset({0})
+    assert reg.below_each((c,), Nat(1), Nat(1)) == [frozenset({0})]
     assert reg.stable_below(c, Nat(1), Nat(1))
     assert reg.query_count == 1
 
@@ -128,9 +141,14 @@ def test_sym_diff_below():
     reg = Registry()
     a = reg.register(FiniteSetEnumerator({0, 2, 9}))
     b = reg.register(FiniteSetEnumerator({2, 3}))
-    assert reg.sym_diff_below(a, b, 5, 1) == frozenset({0, 3})
-    assert reg.sym_diff_below(a, b, 5, 0) == frozenset()
-    assert reg.sym_diff_below(a, a, 50, 4) == frozenset()
+
+    def sym_diff_below(h1, h2, bound, s):
+        x, y = reg.below_each((h1, h2), bound, s)
+        return x ^ y
+
+    assert sym_diff_below(a, b, 5, 1) == frozenset({0, 3})
+    assert sym_diff_below(a, b, 5, 0) == frozenset()
+    assert sym_diff_below(a, a, 50, 4) == frozenset()
 
 
 def test_check_monotone_clean():
@@ -281,7 +299,7 @@ def test_below_is_the_snapshot_under_the_bound(name):
             want = frozenset(x for x in snapshot if x < bound)
             assert enum._below(bound, s) == want, (s, bound)
             before = reg.query_count
-            assert reg.below(code, bound, s) == want, (s, bound)
+            assert reg.below_each((code,), bound, s) == [want], (s, bound)
             assert reg.query_count == before + 1
 
 
@@ -302,7 +320,8 @@ def test_finite_set_below_matches_the_snapshot_filter():
                 want = frozenset(x for x in snapshot if x < bound)
                 assert enum._below(bound, s) == want, (sorted(elements), s, bound)
                 before = reg.query_count
-                assert reg.below(code, bound, s) == want, (sorted(elements), s, bound)
+                got = reg.below_each((code,), bound, s)
+                assert got == [want], (sorted(elements), s, bound)
                 assert reg.query_count == before + 1
 
 
@@ -340,7 +359,7 @@ def test_strict_checker_checks_arguments_once_however_long_its_tail(monkeypatch)
 
 @pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
 def test_table_checks_arguments_in_constant_work_per_stage(kind, monkeypatch):
-    # the kernel's per-stage sym_diff_below and stable_below reads check
+    # the kernel's per-stage below_each and stable_below reads check
     # inline; fresh_each_step checks the one element of each new length's set
     calls = _counting_check_natural(monkeypatch)
     made = {}
@@ -401,11 +420,11 @@ def test_below_each_equals_a_below_per_code(seed):
     batches += [rng.choices(codes, k=rng.randint(1, 8)) for _ in range(60)]
     for batch in batches:
         bound, s = rng.choice([0, 1, 5, 30, 10**6]), rng.randint(0, 40)
+        want = [frozenset(x for x in reg.get(c).at_stage(s) if x < bound) for c in batch]
         before = reg.query_count
         got = reg.below_each(batch, bound, s)
-        counted = reg.query_count - before
-        assert got == [reg.below(c, bound, s) for c in batch], (batch, bound, s)
-        assert counted == reg.query_count - before - counted == len(batch)
+        assert got == want, (batch, bound, s)
+        assert reg.query_count - before == len(batch)
 
 
 @pytest.mark.parametrize("seed", [51, 52])
@@ -414,21 +433,20 @@ def test_below_each_refuses_what_below_refuses_and_counts_nothing(seed):
     good = rng.choices(codes, k=5)
     cases = []
     for bad in (len(reg), 10**9, -1, True, 1.0, "0", None):
+        # a KeyError's str is its message's repr
+        want = (KeyError, repr(f"unregistered hypothesis code {bad!r}"))
         for place in (0, 2, 5):  # first, middle, last
-            batch = good[:place] + [bad] + good[place:]
-            cases.append((batch, 5, 3, lambda b=bad: reg.below(b, 5, 3)))
+            cases.append((good[:place] + [bad] + good[place:], 5, 3, want))
         # two bad codes: the first one is named, before a bad bound or stage
-        batch = good[:2] + [bad] + good[2:] + [-7]
-        cases.append((batch, -1, -1, lambda b=bad: reg.below(b, -1, -1)))
+        cases.append((good[:2] + [bad] + good[2:] + [-7], -1, -1, want))
     for bad in (-1, 2.5, True, "5"):
-        for batch in (good, [0], []):
-            c = batch[0] if batch else 0
-            cases.append((batch, bad, 3, lambda b=bad, c=c: reg.below(c, b, 3)))
-            cases.append((batch, 5, bad, lambda b=bad, c=c: reg.below(c, 5, b)))
-    for batch, bound, s, single in cases:
+        for name in ("bound", "stage"):
+            want = (ValueError, f"{name} must be a natural number, got {bad!r}")
+            for batch in (good, [0], []):
+                bound, s = (bad, 3) if name == "bound" else (5, bad)
+                cases.append((batch, bound, s, want))
+    for batch, bound, s, want in cases:
         before = reg.query_count
-        want = _refusal(single)
-        assert want is not None, (batch, bound, s)
         assert _refusal(lambda: reg.below_each(batch, bound, s)) == want, (batch, bound, s)
         assert reg.query_count == before
 
@@ -455,7 +473,7 @@ def test_registry_arrivals_counts_one_query_and_checks_its_input():
         with pytest.raises(KeyError, match=message):
             reg.enumerate_to(bad, 1)
         with pytest.raises(KeyError, match=message):
-            reg.sym_diff_below(c, bad, 5, 1)
+            reg.below_each((c, bad), 5, 1)
     for bad in (-1, 2.5, True):
         message = re.escape(f"stage must be a natural number, got {bad!r}")
         with pytest.raises(ValueError, match=message):
@@ -479,8 +497,8 @@ def test_an_enumerator_without_below_fails_alike_on_every_read():
     reads = [
         lambda: reg.enumerate_to(code, 3),
         lambda: reg.arrivals(code, 0, 3),
-        lambda: reg.below(code, 5, 3),
-        lambda: reg.sym_diff_below(code, 0, 5, 3),
+        lambda: reg.below_each((code,), 5, 3),
+        lambda: reg.below_each((code, 0), 5, 3),
         lambda: union.at_stage(3),
         lambda: reg.arrivals(union_code, 0, 3),
     ]
