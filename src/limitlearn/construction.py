@@ -51,17 +51,19 @@ diagonal sets, "plain" and "hat"; they are read only through DiagonalView,
 a stage-indexed enumerator whose stage-s slice admits x only when a positive
 confirmation exists by stage s that x can never become a marker.
 Confirmations are monotone facts, so the enumerators never retract an
-element. Each x's confirmation stage is stored once, in one map; an x that
-must wait sits in a heap keyed by the one depth F it waits on, so each x
-costs O(log n) once (see confirmation_stage). Every diagonal read applies one
-entry rule to a range of values (_entries): ``_below(bound, s)`` reads only
-the values of e..s under the bound, so ``at_stage(s)`` reads e..s, and
-``_arrivals(s0, s1)`` reads e..s1 and keeps what entered after s0, so no read
-builds a snapshot.
+element. Each x's confirmation stage is stored once, in one array filled in
+stage order; an x that must wait sits in a heap keyed by the one depth F it
+waits on, so each x costs O(log n) once (see confirmation_stage). Beside it,
+each variant keeps an entry log: its values in the order they enter, their
+stages, and the log's length after each stage. ``_arrivals(s0, s1)`` is the
+slice of the log between stages s0 and s1, and ``_below(bound, s)`` reads
+the stages of only the values of e..s under the bound, so a read costs what
+it returns and none builds a snapshot.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import pairwise, repeat
@@ -131,10 +133,12 @@ class Construction:
         self._moved: list[float] = [0]
         # leading rows that are defined and settled: they never move again
         self._frontier = 0
-        # x -> plain confirmation stage up to _confirmed (-1: 0, see _entries)
-        self._conf_at: dict[int, int] = {-1: 0}
-        self._confirmed = -1
+        # x -> plain confirmation stage, -1 while x waits; per variant, the
+        # entry log: values y >= e in entry order, their stages, and the
+        # log's length after each stage
+        self._conf = array("q")
         self._waiting: list[tuple[float, int]] = []  # (-F, x)
+        self._logs = {v: (array("q"), array("q"), array("q")) for v in ("plain", "hat")}
         self.counters = {
             "stages": 0,
             "searches": 0,
@@ -384,29 +388,54 @@ class Construction:
     # F: x is confirmed at x if none is left, else at the first t > x with
     # _moved[t] <= F. A marked x (and only a marked x, in the limit) never
     # gets that t, so it stays out forever.
-    # Confirmations are final, so _conf_at keeps each x's stage once, filled
-    # lazily. Stage t confirms each waiting x with F >= _moved[t] (a heap
+    # Confirmations are final, so _conf keeps each x's stage once, filled in
+    # stage order. Stage t confirms each waiting x with F >= _moved[t] (a heap
     # keyed by F), then x = t (F = inf if trivial) or pushes it to wait. Each
-    # x is pushed and popped at most once, O(log n) once; views use _entries.
+    # x is pushed and popped at most once, O(log n) once. The entry logs
+    # follow: plain y enters at conf(y), hat y at max(conf(y - 1), y). So a
+    # waiting x confirmed at t puts plain x and hat x + 1 in at t, an x
+    # confirmed at once puts plain x in at x and hat x + 1 at x + 1, and
+    # conf(-1) = 0 puts hat 0 in at stage 0.
 
     def _confirm_to(self, s: int) -> None:
+        conf = self._conf
+        if s < len(conf):
+            return
         while self.stage < s:
             self.run_stage()
         e, defined, moved, waiting = self.e, self._defined, self._moved, self._waiting
-        for t in range(self._confirmed + 1, s + 1):
+        ys, ts, ends = self._logs["plain"]
+        hys, hts, hends = self._logs["hat"]
+        # whether x = t - 1 was confirmed at once; for t = 0, conf(-1) = 0 was
+        at_once = not conf or conf[-1] == len(conf) - 1
+        for t in range(len(conf), s + 1):
             while waiting and -waiting[0][0] >= moved[t]:
-                self._conf_at[heappop(waiting)[1]] = t
+                x = heappop(waiting)[1]
+                conf[x] = t
+                ys.append(x)
+                ts.append(t)
+                hys.append(x + 1)
+                hts.append(t)
                 self.counters["conf_cells"] += 1
+            if at_once and t >= e:
+                hys.append(t)
+                hts.append(t)
             if t % 2 == 1 or t <= e + 1:
                 frozen = inf
             else:
                 frozen = max(0, min(t - e - 3, defined[t - 2], moved[t - 1], moved[t]))
-            if frozen >= min(defined[t], t - e - 1):
-                self._conf_at[t] = t
+            at_once = frozen >= min(defined[t], t - e - 1)
+            if at_once:
+                conf.append(t)
+                if t >= e:
+                    ys.append(t)
+                    ts.append(t)
             else:
+                conf.append(-1)
                 heappush(waiting, (-frozen, t))
             self.counters["conf_cells"] += 1
-            self._confirmed = t
+            ends.append(len(ys))
+            hends.append(len(hys))
 
     def confirmation_stage(self, x: int, variant: str = "plain") -> int | None:
         _check_natural(x, "value")
@@ -415,23 +444,11 @@ class Construction:
                 f"confirmation for {x} needs the table run to stage {x} first"
             )
         _check_variant(variant)
-        return self._entries(x, x + 1, variant, self.stage).get(x)
-
-    def _entries(self, lo: int, hi: int, variant: str, s: int) -> dict[int, int]:
-        """y -> entry stage, for each y in lo..hi-1 that is in by stage s.
-
-        The one entry rule: plain y enters at conf(y), its confirmation
-        stage. Hat is plain shifted by one: hat y enters at max(conf(y - 1),
-        y), and conf(-1) = 0 puts hat 0 in at stage 0. conf(y) >= y, so no
-        y > s is in by stage s, and no value past s is read.
-        """
-        self._confirm_to(s)
-        get, shift = self._conf_at.get, 1 if variant == "hat" else 0
-        return {
-            y: u
-            for y in range(lo, min(hi, s + 1))
-            if (t := get(y - shift)) is not None and (u := t if t > y else y) <= s
-        }
+        self._confirm_to(self.stage)
+        # hat x enters at max(conf(x - 1), x), and hat 0 at stage 0
+        shift = variant == "hat"
+        t = self._conf[x - shift] if x >= shift else 0
+        return None if t < 0 else max(t, x)
 
     # ---------------- derived experiments ----------------
 
@@ -531,11 +548,22 @@ class DiagonalView(Enumerator):
         self.variant = variant
 
     def _below(self, bound: float, s: int) -> frozenset[int]:
+        """The y of e..min(bound, s + 1) - 1 in by stage s, in one pass over
+        _conf: y <= s, so hat y is in exactly when conf(y - 1) <= s."""
         c = self.construction
-        return frozenset(c._entries(c.e, bound, self.variant, s))
+        c._confirm_to(s)
+        shift = self.variant == "hat"
+        lo, hi = max(c.e, shift), min(bound, s + 1)
+        out = frozenset(
+            y for y, t in enumerate(c._conf[lo - shift : max(hi - shift, 0)], lo) if -1 < t <= s
+        )
+        return out | {0} if shift and c.e == 0 < hi else out  # hat 0: in from stage 0
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
-        """Exactly the elements entering at s0+1..s1, from one read of e..s1."""
+        """Exactly the elements entering at s0+1..s1: the slice of the entry
+        log between its lengths after stages s0 and s1."""
         c = self.construction
-        entries = c._entries(c.e, s1 + 1, self.variant, s1)
-        return {y: t for y, t in entries.items() if t > s0}
+        c._confirm_to(s1)
+        ys, ts, ends = c._logs[self.variant]
+        a, b = ends[s0], ends[s1]
+        return dict(zip(ys[a:b], ts[a:b]))

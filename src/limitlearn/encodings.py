@@ -76,5 +76,11 @@ def finite_set_encode(elements: frozenset[int] | set[int]) -> int:
 
 
 def is_prefix(a: Sequence, b: Sequence) -> bool:
-    """True iff a is an initial segment of b (every sequence extends itself)."""
-    return len(a) <= len(b) and b[: len(a)] == a
+    """True iff a is an initial segment of b (every sequence extends itself).
+
+    Each is a tuple or a list, compared item by item whichever it is.
+    """
+    for name, v in (("a", a), ("b", b)):
+        if not isinstance(v, (tuple, list)):
+            raise ValueError(f"{name} must be a tuple or a list, got {type(v).__name__}")
+    return len(a) <= len(b) and tuple(a) == tuple(b[: len(a)])

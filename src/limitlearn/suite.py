@@ -266,6 +266,7 @@ def criterion_8(seed: int) -> dict:
 
 
 def run_battery(seed: int) -> dict:
+    _check_natural(seed, "seed")
     ws = Workspace()
     criteria = [
         criterion_1(),
@@ -282,7 +283,6 @@ def run_battery(seed: int) -> dict:
 
 def run_suite(seed: int = 0) -> tuple[dict, bool]:
     """Run the battery twice and demand byte-identical canonical reports."""
-    _check_natural(seed, "seed")
     first = run_battery(seed)
     second = run_battery(seed)
     b1 = canonical_json(first)

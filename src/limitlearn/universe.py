@@ -134,12 +134,18 @@ class UnionEnumerator(Enumerator):
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
         """Each element's least stage over the parts; a key that one part
-        adds and another had already is in at_stage(s0), as allowed."""
-        out: dict[int, int] = {}
-        for p in self._parts:
-            for x, t in p._arrivals(s0, s1).items():
-                if out.setdefault(x, t) > t:
-                    out[x] = t
+        adds and another had already is in at_stage(s0), as allowed. Every
+        part's read is a fresh dict, so the largest becomes the result and
+        only the others are merged into it."""
+        reads = [p._arrivals(s0, s1) for p in self._parts]
+        if not reads:
+            return {}
+        out = max(reads, key=len)
+        for read in reads:
+            if read is not out:
+                for x, t in read.items():
+                    if out.setdefault(x, t) > t:
+                        out[x] = t
         return out
 
     def _below(self, bound: float, s: int) -> frozenset[int]:
@@ -169,9 +175,6 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __contains__(self, code: int) -> bool:
-        return type(code) is int and 0 <= code < len(self._table)
 
     def get(self, code: int) -> Enumerator:
         """The coded enumerator; a lookup, not a query, so not counted."""

@@ -23,6 +23,7 @@ from limitlearn.suite import (
     criterion_6,
     criterion_7,
     criterion_8,
+    run_battery,
 )
 
 _TIMINGS: dict[int, float] = {}
@@ -109,3 +110,11 @@ def test_run_suite_refuses_a_seed_that_is_no_natural_number(seed):
     message = f"seed must be a natural number, got {seed!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         run_suite(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_run_battery_refuses_a_seed_that_is_no_natural_number(seed):
+    # the battery checks its seed before any criterion runs
+    message = f"seed must be a natural number, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_battery(seed)

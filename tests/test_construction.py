@@ -922,15 +922,20 @@ def test_confirmation_matches_the_seed_scan_at_every_stage(case):
     assert outcomes == _CONFIRMATION_OUTCOMES[case.split("-e")[0]], outcomes
 
 
-@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
-def test_diagonal_views_match_the_seed_scan_at_every_stage(case):
-    horizon = 120 if case.startswith(("paired", "never_stable")) else 500
+def _scanned(case, horizon):
+    """Each variant's seed-scan entry stage of every x <= horizon."""
     ref = _ORACLE_PAIRS[case]()[0]
     ref.run_to(horizon)
-    scan = {
+    return {
         variant: [_scan_confirmation(ref, x, variant) for x in range(horizon + 1)]
         for variant in ("plain", "hat")
     }
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
+def test_diagonal_views_match_the_seed_scan_at_every_stage(case):
+    horizon = 120 if case.startswith(("paired", "never_stable")) else 500
+    scan = _scanned(case, horizon)
     stages = list(range(horizon + 1))
     shuffled = random.Random(case).sample(stages, len(stages))
     for order in (stages, stages[::-1], shuffled):
@@ -943,6 +948,29 @@ def test_diagonal_views_match_the_seed_scan_at_every_stage(case):
                     if (t := scan[variant][x]) is not None and t <= s
                 )
                 assert DiagonalView(c, variant).at_stage(s) == want, (s, variant)
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
+def test_bounded_reads_match_the_seed_scan_at_every_stage(case):
+    """_below(bound, s) of both views: exactly the x of e..min(bound, s + 1) - 1
+    whose scanned entry stage is at most s, at bounds on and around e and s."""
+    horizon = 120
+    scan = _scanned(case, horizon)
+    stages = list(range(horizon + 1))
+    # ascending extends the store a stage at a time, descending all at once
+    for order in (stages, stages[::-1]):
+        c = _ORACLE_PAIRS[case]()[0]
+        e = c.e
+        for s in order:
+            for variant in ("plain", "hat"):
+                view = DiagonalView(c, variant)
+                for bound in sorted({0, e, e + 1, s, s + 1, s + 2, 64}):
+                    want = frozenset(
+                        x
+                        for x in range(e, min(bound, s + 1))
+                        if (t := scan[variant][x]) is not None and t <= s
+                    )
+                    assert view._below(bound, s) == want, (s, variant, bound)
 
 
 # The closed form the confirmation log replaced: frozen depth F, then a scan
@@ -987,32 +1015,42 @@ def _entries_by_stage(c, variant, horizon):
     return out
 
 
-@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
-@pytest.mark.parametrize("e", [0, 1, 2])
-def test_view_deltas_match_the_seed_scan(kind, e):
-    """arrivals(s0, s1) of every view: exactly the x whose scanned
-    confirmation stage t lies in s0+1..s1, each tagged with that t."""
-    horizon = 501
-    ref = Workspace().construction(kind, e)
+def _check_view_deltas(make, horizon, seed):
+    """arrivals(s0, s1) of both views of the tables make() builds: exactly
+    the x whose scanned confirmation stage t lies in s0+1..s1, each tagged
+    with that t."""
+    ref = make()
     ref.run_to(horizon)
     entries = {v: _entries_by_stage(ref, v, horizon) for v in ("plain", "hat")}
 
     def want(variant, s0, s1):
         return {x: t for t in range(s0 + 1, s1 + 1) for x in entries[variant][t]}
 
-    rng = random.Random(f"{kind}-{e}")
+    rng = random.Random(seed)
     steps = [(s, s + 1) for s in range(horizon)]
     spans = [tuple(sorted(rng.sample(range(horizon + 1), 2))) for _ in range(200)]
     spans += [(s, s) for s in rng.sample(range(horizon + 1), 5)]
     for order in (steps, steps[::-1], rng.sample(steps, len(steps)), spans):
         # a fresh table per order: the log extends lazily, to the highest stage asked
-        views = {v: DiagonalView(Workspace().construction(kind, e), v) for v in ("plain", "hat")}
+        views = {v: DiagonalView(make(), v) for v in ("plain", "hat")}
         for s0, s1 in order:
             for variant, view in views.items():
                 got = view._arrivals(s0, s1)
                 assert got == want(variant, s0, s1), (variant, s0, s1)
                 if order is spans:
                     assert got.keys() == view.at_stage(s1) - view.at_stage(s0), (variant, s0, s1)
+
+
+@pytest.mark.parametrize("kind", ["constant_zero", "length_parity", "fresh_each_step"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_view_deltas_match_the_seed_scan(kind, e):
+    _check_view_deltas(lambda: Workspace().construction(kind, e), 501, f"{kind}-{e}")
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(_ORACLE_PAIRS) if "-e" not in c])
+def test_view_deltas_match_the_seed_scan_on_random_tables(case):
+    # the paired and never-stable tables; their seed scan is dearer, so 121 stages
+    _check_view_deltas(lambda: _ORACLE_PAIRS[case]()[0], 121, case)
 
 
 def test_view_deltas_refuse_bad_stages():

@@ -104,6 +104,21 @@ def test_is_prefix():
     assert not is_prefix((4, 5, 6), (4, 5))
 
 
+def test_is_prefix_compares_tuples_and_lists_item_by_item():
+    assert is_prefix([4], (4, 5))
+    assert is_prefix((4,), [4, 5])
+    assert is_prefix([], ())
+    assert not is_prefix([5], (4, 5))
+    for a, b, name, got in (
+        ("ab", "abc", "a", "str"),
+        ((1,), "abc", "b", "str"),
+        (1, 2, "a", "int"),
+        ((1,), range(3), "b", "range"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a tuple or a list, got {got}$"):
+            is_prefix(a, b)
+
+
 def test_next_free_skips_taken_values_and_compresses():
     from limitlearn.encodings import next_free
 

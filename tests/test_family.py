@@ -1,6 +1,8 @@
 """Family members: diagonal sets padded with canonical finite deltas."""
 
+import random
 import re
+from array import array
 from math import inf
 
 import pytest
@@ -118,16 +120,15 @@ def test_bounded_reads_build_no_snapshot(monkeypatch):
     assert verdicts() == want
 
 
-class _CountingGets(dict):
-    """A dict that counts its get calls."""
+class _CountingReads(array):
+    """An array that counts the items its reads return, a slice by its length."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.gets = 0
+    reads = 0
 
-    def get(self, *args):
-        self.gets += 1
-        return super().get(*args)
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
 
 
 @pytest.mark.parametrize("variant", ["plain", "hat"])
@@ -137,10 +138,27 @@ def test_bounded_read_reads_only_the_values_under_the_bound(e, variant):
     code = ws.diagonal_code("length_parity", e, variant)
     c = ws.construction("length_parity", e)
     c.run_to(2000)
-    c._conf_at = counting = _CountingGets(c._conf_at)
+    c._conf = counting = _CountingReads("q", c._conf)
     (got,) = ws.registry.below_each((code,), 64, 2000)
-    assert 0 < counting.gets <= 64 - e
+    assert 0 < counting.reads <= 64 - e
     assert got == frozenset(x for x in DiagonalView(c, variant).at_stage(2000) if x < 64)
+
+
+@pytest.mark.parametrize("variant", ["plain", "hat"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_range_read_reads_only_the_log_entries_it_returns(e, variant):
+    c = Workspace().construction("length_parity", e)
+    view = DiagonalView(c, variant)
+    view._arrivals(0, 600)
+    ys, ts, ends = c._logs[variant]
+    ys, ts, ends = c._logs[variant] = _CountingReads("q", ys), _CountingReads("q", ts), ends
+    rng = random.Random(e)
+    spans = [sorted(rng.sample(range(601), 2)) for _ in range(40)] + [(0, 600), (7, 7)]
+    for s0, s1 in spans:
+        before = ys.reads, ts.reads
+        got = view._arrivals(s0, s1)
+        assert got.keys() == view.at_stage(s1) - view.at_stage(s0), (s0, s1)
+        assert (ys.reads - before[0], ts.reads - before[1]) == (len(got), len(got)), (s0, s1)
 
 
 # (call, its message on a fresh workspace, the equal call to memoize first)

@@ -30,6 +30,7 @@ def test_removed_faces_stay_removed():
         (ProfiledLearner, "length_codes"),
         (Registry, "below"),
         (Registry, "sym_diff_below"),
+        (Registry, "__contains__"),
     ):
         assert not hasattr(owner, name), (owner, name)
         assert name not in limitlearn.__all__, name
