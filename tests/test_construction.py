@@ -1047,7 +1047,9 @@ def test_view_deltas_match_the_seed_scan(kind, e):
     _check_view_deltas(lambda: Workspace().construction(kind, e), 501, f"{kind}-{e}")
 
 
-@pytest.mark.parametrize("case", [c for c in sorted(_ORACLE_PAIRS) if "-e" not in c])
+@pytest.mark.parametrize(
+    "case", [c for c in sorted(_ORACLE_PAIRS) if c.startswith(("paired", "never_stable"))]
+)
 def test_view_deltas_match_the_seed_scan_on_random_tables(case):
     # the paired and never-stable tables; their seed scan is dearer, so 121 stages
     _check_view_deltas(lambda: _ORACLE_PAIRS[case]()[0], 121, case)

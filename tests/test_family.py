@@ -150,15 +150,16 @@ def test_range_read_reads_only_the_log_entries_it_returns(e, variant):
     c = Workspace().construction("length_parity", e)
     view = DiagonalView(c, variant)
     view._arrivals(0, 600)
-    ys, ts, ends = c._logs[variant]
-    ys, ts, ends = c._logs[variant] = _CountingReads("q", ys), _CountingReads("q", ts), ends
+    log = c._logs[variant]
+    ys, ts = _CountingReads("q", log[0]), _CountingReads("q", log[1])
+    c._logs[variant] = ys, ts, log[2]
     rng = random.Random(e)
     spans = [sorted(rng.sample(range(601), 2)) for _ in range(40)] + [(0, 600), (7, 7)]
     for s0, s1 in spans:
         before = ys.reads, ts.reads
         got = view._arrivals(s0, s1)
-        assert got.keys() == view.at_stage(s1) - view.at_stage(s0), (s0, s1)
         assert (ys.reads - before[0], ts.reads - before[1]) == (len(got), len(got)), (s0, s1)
+        assert got.keys() == view.at_stage(s1) - view.at_stage(s0), (s0, s1)
 
 
 # (call, its message on a fresh workspace, the equal call to memoize first)
