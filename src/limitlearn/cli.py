@@ -39,14 +39,14 @@ from .reports import canonical_json, make_report
 from .suite import run_suite
 from .workspace import SAMPLE_LEARNERS, Workspace
 
-PROFILED = tuple(SAMPLE_LEARNERS)
-ALL_LEARNERS = PROFILED + ("gap_parity",)
+ALL_LEARNERS = SAMPLE_LEARNERS + ("gap_parity",)
 # Work budget of --horizon. Every command is linear in the horizon but two:
 # a check reads each stage table its trace met up to the horizon, and
 # construct --stage-bound has its own budget (construction.MAX_CODE_LENGTHS).
 # At the budget the slowest, check --learner fresh_each_step --adversary
-# constant_zero --i '*' --j '*' --horizon 500000, takes about 10 s and 720 MB
-# peak RSS on a 2-core machine, inside a 2 GB ulimit -v.
+# constant_zero --i '*' --j '*' --horizon 500000, took 9.7 s by its elapsed
+# line (12.1 s to exit) and 807 MB peak RSS on a 2-core machine, inside a
+# 2 GB RLIMIT_AS: one run, Python 3.11, ru_maxrss of a child process.
 MAX_HORIZON = 500_000
 # Work budget of a check, in tables x horizon: a gap_parity trace on a text
 # whose least element keeps falling meets one diagonal table per value. At
@@ -97,7 +97,7 @@ _MEMBER = {
 }
 _LEARN = {
     "learner": Param(ALL_LEARNERS, required=True),
-    "adversary": Param(PROFILED),
+    "adversary": Param(SAMPLE_LEARNERS),
     **_MEMBER,
     "horizon": _HORIZON,
     "settle": Param(_check_natural),
@@ -109,7 +109,7 @@ _LEARN = {
 }
 PARAMS: dict[str, dict[str, Param]] = {
     "construct": {
-        "learner": Param(PROFILED, required=True),
+        "learner": Param(SAMPLE_LEARNERS, required=True),
         "base_e": _BASE_E,
         "horizon": _HORIZON,
         "bound": Param(_check_natural, 50),
@@ -119,7 +119,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     "learn": _LEARN,
     "check": _LEARN,
     "family": {
-        "adversary": Param(PROFILED, required=True),
+        "adversary": Param(SAMPLE_LEARNERS, required=True),
         **_MEMBER,
         "horizon": _HORIZON,
         "bound": Param(_check_natural, 50),

@@ -2,10 +2,12 @@
 
 Every learner answers decide(seq) for one input and outputs(items, horizon),
 the answers on every prefix of one text. A trace reads outputs, so each
-learner answers all prefixes in one pass. Public reads check their arguments
-once, in the base class: outputs checks the horizon, length_code the length.
-A subclass supplies only unchecked hooks (_outputs, _code), and the
-package's own callers, which hold checked values, read the hooks.
+learner answers all prefixes in one pass. A learner states its rule once, in
+one unchecked hook: _outputs, or _code for a ProfiledLearner. The base class
+derives the public reads from it and checks their arguments there, once:
+outputs checks the horizon, length_code the length, and decide is the last
+answer of _outputs on the whole input. The package's own callers, which hold
+checked values, read the hooks.
 
 Two families live here. The sample learners (constant, length-parity, fresh-
 length) exist to drive the diagonal construction; each of their outputs
@@ -17,9 +19,10 @@ ends its scan once all have shown, and the stabilization check reasons about
 all extensions of a string at once in a few _code reads. The gap-parity
 learner is the other kind, with no length profile: it reads the content of
 its input and answers with a diagonal hypothesis, and is the one expected to
-actually succeed on the constructed families. Its trace is one pass that
-calls the resolver once per distinct (least element, variant); decide calls
-it once, for its input's last."""
+actually succeed on the constructed families. Its _outputs is one pass that
+calls the resolver once per distinct (least element, variant); decide is that
+pass over its whole input, so it makes the same calls, not one for its
+input's last prefix alone."""
 
 from __future__ import annotations
 
@@ -38,13 +41,14 @@ def _check_horizon(horizon: int, length: int) -> None:
 class Learner:
     """Base interface: decide and outputs, both total and deterministic.
 
-    outputs checks its horizon here; a subclass supplies decide and _outputs.
+    A subclass supplies _outputs; outputs checks its horizon here, and
+    decide reads _outputs on the whole input. A subclass that overrides
+    decide may not build its _outputs from the inherited one: that recurses.
     """
 
-    name = "learner"
-
     def decide(self, seq: Sequence) -> int:
-        raise NotImplementedError
+        """The answer on seq: the last of its outputs."""
+        return self._outputs(seq, len(seq))[-1]
 
     def outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
         """decide(items[:n]) for n = 0..horizon; horizon + 1 outputs."""
@@ -94,7 +98,6 @@ class ProfiledLearner(Learner):
 class ConstantLearner(ProfiledLearner):
     """Always answers the reserved empty-set code 0."""
 
-    name = "constant_zero"
     finite_codes = frozenset({0})
 
     def _code(self, m: int) -> int:
@@ -108,8 +111,6 @@ class LengthParityLearner(ProfiledLearner):
     sets differ below 1, which is what makes rows past the first one keep
     churning in the construction.
     """
-
-    name = "length_parity"
 
     def __init__(self, registry: Registry):
         self.code_even = registry.register(FiniteSetEnumerator({0}))
@@ -131,8 +132,6 @@ class FreshLengthLearner(ProfiledLearner):
     candidate string can ever bound the learner's future guesses and the
     construction correctly leaves the whole table undefined.
     """
-
-    name = "fresh_each_step"
 
     def __init__(self, registry: Registry):
         self._registry = registry
@@ -158,25 +157,16 @@ class GapParityLearner(Learner):
     so no length profile.
     """
 
-    name = "gap_parity"
-
     def __init__(self, resolver: Callable[[int, str], int]):
         self._resolver = resolver
 
-    def decide(self, seq: Sequence) -> int:
-        """One resolver call, for min(seq) and the first gap above it."""
-        if not seq:
-            return 0
-        low = min(seq)
-        gap = next_free({x: x + 1 for x in seq}, low + 1)
-        return self._resolver(low, ("plain", "hat")[gap % 2])
-
     def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:
-        """decide on every prefix in one pass, O(1) amortized per item: only a
-        new item below the least element, or at the gap, moves a feature; the
-        gap restarts above it in a path-compressed skip map of seen values. The
-        least only falls, so codes holds the plain and hat answers under the
-        current one: each is resolved once, where per-prefix decide first asks."""
+        """The answer on every prefix in one pass, O(1) amortized per item:
+        only a new item below the least element, or at the gap, moves a
+        feature; the gap restarts above it in a path-compressed skip map of
+        seen values. The least only falls, so codes holds the plain and hat
+        answers under the current one: each is resolved once, at the first
+        prefix whose features select it."""
         out = [0]
         seen: dict[int, int] = {}
         low, gap, code = float("inf"), None, 0

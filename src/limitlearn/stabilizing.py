@@ -59,6 +59,8 @@ class StabWitness:
 
 def base_qualifies(base: Sequence, s: int, e: int) -> bool:
     """True iff base itself is an admissible string for budget s over [e, s]."""
+    _check_natural(s, "stage budget s")
+    _check_natural(e, "base value e")
     return len(base) <= s and (not base or e <= min(base) and max(base) <= s)
 
 

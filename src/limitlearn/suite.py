@@ -24,7 +24,7 @@ from .criteria import (
 from .encodings import _check_natural, finite_set_decode, finite_set_encode, pair, unpair
 from .reports import canonical_json, make_report
 from .universe import Registry, StepFunctionEnumerator, check_monotone
-from .workspace import Workspace
+from .workspace import SAMPLE_LEARNERS, Workspace
 
 FAMILY_INDICES = (0, 1, 2, 3, 5, 8, 12, 21, 33, 64)
 
@@ -68,7 +68,7 @@ def criterion_1() -> dict:
 
 def criterion_2(ws: Workspace) -> dict:
     """Every registered enumerator is stage-monotone through stage 499."""
-    for kind in ("constant_zero", "length_parity", "fresh_each_step"):
+    for kind in SAMPLE_LEARNERS:
         ws.sample_learner(kind)
     ws.sample_learner("fresh_each_step").length_code(24)
     codes = list(range(len(ws.registry)))
@@ -204,7 +204,7 @@ def criterion_7(ws: Workspace) -> dict:
     """Confirmed enumeration equals marker-subtraction below the bound."""
     ok = True
     per = {}
-    for kind in ("constant_zero", "length_parity", "fresh_each_step"):
+    for kind in SAMPLE_LEARNERS:
         for e in (0, 1):
             c = ws.construction(kind, e)
             c.run_to(500)

@@ -109,18 +109,22 @@ class FiniteSetEnumerator(Enumerator):
 
 
 class StepFunctionEnumerator(Enumerator):
-    """Wraps a raw stage -> set function without any safety net.
+    """Wraps a raw stage -> set function with no safety net for monotonicity.
 
     The callback may violate monotonicity, so the tests inject faults with it
     and the checkers are expected to catch them; suite criterion 8 builds its
-    random growing sets from it too.
+    random growing sets from it too. Each element it yields is checked to be
+    a natural number when read.
     """
 
     def __init__(self, fn: Callable[[int], Iterable[int]]):
         self._fn = fn
 
     def _below(self, bound: float, s: int) -> frozenset[int]:
-        return frozenset(x for x in self._fn(s) if x < bound)
+        elements = frozenset(self._fn(s))
+        for x in elements:
+            _check_natural(x, f"element at stage {s}")
+        return frozenset(x for x in elements if x < bound)
 
 
 class UnionEnumerator(Enumerator):

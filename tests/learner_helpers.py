@@ -18,18 +18,11 @@ from limitlearn.learners import Learner, ProfiledLearner
 class ProfiledFunctionLearner(ProfiledLearner):
     """Length-profiled learner driven by a plain function."""
 
-    name = "profiled_function"
-
     def __init__(
-        self,
-        length_fn: Callable[[int], int],
-        finite: frozenset[int] | None = None,
-        name: str | None = None,
+        self, length_fn: Callable[[int], int], finite: frozenset[int] | None = None
     ):
         self._fn = length_fn
         self.finite_codes = finite
-        if name is not None:
-            self.name = name
 
     def _code(self, m: int) -> int:
         return self._fn(m)
@@ -38,12 +31,8 @@ class ProfiledFunctionLearner(ProfiledLearner):
 class FunctionLearner(Learner):
     """Arbitrary decide function, no profile."""
 
-    name = "function"
-
-    def __init__(self, fn: Callable[[Sequence], int], name: str | None = None):
+    def __init__(self, fn: Callable[[Sequence], int]):
         self._fn = fn
-        if name is not None:
-            self.name = name
 
     def decide(self, seq: Sequence) -> int:
         return self._fn(seq)

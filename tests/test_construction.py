@@ -290,7 +290,7 @@ def test_resumed_rows_match_from_scratch_checks():
         for s in range(1, 81):
             c.run_stage()
             for n, v in _rows_at(c):
-                where = (c.learner.name, c.e, s, n)
+                where = (type(c.learner).__name__, c.e, s, n)
                 assert check_stabilizing(
                     c.e, n, v, s, c.learner, c.registry
                 ) is None, where
@@ -718,16 +718,16 @@ def test_reverify_final_matches_the_per_row_check():
     # learners, so those stop at stage 80, as the resumed-row test does
     conditions = set()
     for c in _profiled_tables():
-        horizon = 80 if c.learner.name == "profiled_function" else 300
+        horizon = 80 if isinstance(c.learner, ProfiledFunctionLearner) else 300
         for s in range(horizon + 1):
             if s:
                 c.run_stage()
             got = c.reverify_final()
-            assert got == _reverify_per_row(c), (c.learner.name, c.e, s)
+            assert got == _reverify_per_row(c), (type(c.learner).__name__, c.e, s)
             conditions.update(w and w.violated_condition for _, w in got)
     for c in _cut_tables():
         got = c.reverify_final()
-        assert got == _reverify_per_row(c), (c.learner.name, c.e)
+        assert got == _reverify_per_row(c), (type(c.learner).__name__, c.e)
         conditions.update(w and w.violated_condition for _, w in got)
     assert conditions == {None, 1, 2, 3}
 

@@ -56,7 +56,7 @@ def _assert_scan_is_a_code_per_length(m):
     for lo in range(13):
         for hi in range(13):
             want = set(map(m._code, range(lo, hi + 1)))
-            assert m._codes(lo, hi) == want, (m.name, lo, hi)
+            assert m._codes(lo, hi) == want, (type(m).__name__, lo, hi)
 
 
 def test_length_parity_o1_overrides_match_scan_defaults():
@@ -164,7 +164,7 @@ def test_function_learner_is_not_profiled():
     # only a ProfiledLearner has length profile hooks, not even stubs elsewhere
     for learner in (m, GapParityLearner(lambda e, variant: 0)):
         for hook in ("length_code", "_code", "_codes", "finite_codes"):
-            assert not hasattr(learner, hook), (learner.name, hook)
+            assert not hasattr(learner, hook), (type(learner).__name__, hook)
 
 
 def test_guess_features():
@@ -188,7 +188,13 @@ def test_guess_features_gap_parity_drives_code_choice():
     assert m.decide((4,)) == 200
     # min 4, gap 6 (even) -> plain side
     assert m.decide((4, 5)) == 100
-    assert calls == [(4, "hat"), (4, "plain")]
+    # decide is the one-pass trace's last answer: the same resolver calls
+    decided = calls[:]
+    calls.clear()
+    assert m.outputs((), 0) == (0,)
+    assert m.outputs((4,), 1)[-1] == 200
+    assert m.outputs((4, 5), 2)[-1] == 100
+    assert calls == decided
 
 
 def test_gap_parity_randomized_agreement_with_features():
@@ -242,27 +248,35 @@ def _random_text(rng):
     return tuple(items)
 
 
+def _resolver_asks(items, horizon):
+    """(least element, variant) of each nonempty prefix up to the horizon,
+    from guess_features: what the gap-parity rule selects, stated afresh."""
+    asks = []
+    for n in range(1, horizon + 1):
+        feats = guess_features(items[:n])
+        asks.append((feats.min_value, ("plain", "hat")[feats.gap % 2]))
+    return asks
+
+
 def test_gap_parity_outputs_equal_per_prefix_decide():
+    # the oracle is guess_features on each nonempty prefix, stated from scratch
     rng = random.Random(7)
     drops = 0
     for _ in range(2500):
         items = _random_text(rng)
         horizon = rng.randint(0, len(items))
-        calls = {"decide": [], "outputs": []}
+        calls = []
 
-        def resolver_for(log):
-            def resolve(e, variant):
-                log.append((e, variant))
-                return 2 * e + (variant == "hat") + 1
+        def resolve(e, variant):
+            calls.append((e, variant))
+            return 2 * e + (variant == "hat") + 1
 
-            return resolve
-
-        per_prefix = GapParityLearner(resolver_for(calls["decide"]))
-        want = tuple(per_prefix.decide(items[:n]) for n in range(horizon + 1))
-        streaming = GapParityLearner(resolver_for(calls["outputs"]))
+        asked = _resolver_asks(items, horizon)
+        want = (0,) + tuple(2 * e + (variant == "hat") + 1 for e, variant in asked)
+        streaming = GapParityLearner(resolve)
         assert streaming.outputs(items, horizon) == want, (items, horizon)
         # the resolver registers codes lazily: same first calls, same order
-        assert calls["outputs"] == list(dict.fromkeys(calls["decide"]))
+        assert calls == list(dict.fromkeys(asked))
         mins = [min(items[:n]) for n in range(1, horizon + 1)]
         drops += sum(b < a - 1 for a, b in zip(mins, mins[1:]))
     assert drops > 500  # the least element fell by 2 or more that often
@@ -282,14 +296,14 @@ def test_gap_parity_trace_resolves_each_least_and_variant_once():
     rng = random.Random(22)
     for _ in range(300):
         items = _random_text(rng)
+        first = list(dict.fromkeys(_resolver_asks(items, len(items))))
         calls.clear()
-        for n in range(len(items) + 1):
-            learner.decide(items[:n])
-            assert len(calls) == n  # one call per nonempty prefix
-        first = list(dict.fromkeys(calls))
+        decided = learner.decide(items)
+        by_decide = calls[:]
         calls.clear()
-        learner.outputs(items, len(items))
+        assert learner.outputs(items, len(items))[-1] == decided
         assert calls == first, items
+        assert calls == by_decide, items  # decide makes the same calls
 
 
 @pytest.mark.parametrize(
@@ -335,8 +349,6 @@ def test_profiled_outputs_equal_per_prefix_decide(kind):
 
 class _CodeOnly(ProfiledLearner):
     """A profiled learner that supplies nothing but the _code hook."""
-
-    name = "code_only"
 
     def _code(self, m):
         return m % 3

@@ -6,7 +6,18 @@ import sys
 from pathlib import Path
 
 import limitlearn
-from limitlearn import Enumerator, ProfiledLearner, Registry, encodings, suite
+from limitlearn import (
+    ConstantLearner,
+    Enumerator,
+    FreshLengthLearner,
+    GapParityLearner,
+    Learner,
+    LengthParityLearner,
+    ProfiledLearner,
+    Registry,
+    encodings,
+    suite,
+)
 
 SOURCES = sorted(Path(limitlearn.__file__).resolve().parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,9 +42,16 @@ def test_removed_faces_stay_removed():
         (Registry, "below"),
         (Registry, "sym_diff_below"),
         (Registry, "__contains__"),
+        (Learner, "name"),
+        (ConstantLearner, "name"),
+        (LengthParityLearner, "name"),
+        (FreshLengthLearner, "name"),
+        (GapParityLearner, "name"),
     ):
         assert not hasattr(owner, name), (owner, name)
         assert name not in limitlearn.__all__, name
+    # the gap-parity rule is stated once, in _outputs; decide is derived
+    assert "decide" not in vars(GapParityLearner)
 
 
 def test_every_class_attribute_the_readme_names_resolves():

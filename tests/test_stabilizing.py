@@ -38,6 +38,20 @@ def test_base_qualifies():
     assert not base_qualifies((0,), 2, 1)           # 0 below the base value
 
 
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "0", None])
+def test_base_qualifies_refuses_a_stage_budget_or_base_value_that_is_not_natural(bad):
+    # s is checked before e, in argument order, whatever the base
+    for base in ((), (0, 1)):
+        message = re.escape(f"stage budget s must be a natural number, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            base_qualifies(base, bad, 0)
+        with pytest.raises(ValueError, match=message):
+            base_qualifies(base, bad, bad)
+        message = re.escape(f"base value e must be a natural number, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            base_qualifies(base, 2, bad)
+
+
 def _scan_covers(e, k, sigma):
     """Condition 1 by a scan of every value: nothing below e, e..e+k all met."""
     return all(x >= e for x in sigma) and set(range(e, e + k + 1)) <= set(sigma)
@@ -212,7 +226,7 @@ def test_profile_agrees_with_brute_on_sample_learners():
             sigma = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3)))
             brute = check_brute(e, k, sigma, s, learner, reg)
             prof = check_stabilizing(e, k, sigma, s, learner, reg)
-            assert (brute is None) == (prof is None), (learner.name, e, k, sigma, s)
+            assert (brute is None) == (prof is None), (type(learner).__name__, e, k, sigma, s)
             for w in (brute, prof):
                 if w is not None:
                     assert stab_witness_valid(w, e, k, sigma, s, learner, reg)

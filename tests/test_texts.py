@@ -125,7 +125,7 @@ def test_run_learner_checks_its_horizon_once_per_trace(monkeypatch):
         for horizon in (0, 7, 30):
             calls.clear()
             assert len(run_learner(learner, text, horizon).outputs) == horizon + 1
-            assert calls == [horizon], (learner.name, horizon)
+            assert calls == [horizon], (type(learner).__name__, horizon)
 
 
 # ---------------- canonical_text against the per-stage snapshot loop ----------------

@@ -54,6 +54,24 @@ def test_step_function_enumerator_is_a_bare_wrapper():
     assert e.at_stage(4) == frozenset({0})
 
 
+@pytest.mark.parametrize("bad", [-3, True, 1.5, "2"])
+def test_step_function_enumerator_refuses_an_element_that_is_not_natural(bad):
+    # monotonicity is left unchecked, the elements are not: every read names
+    # the element and the stage, under any bound
+    reg = Registry()
+    code = reg.register(StepFunctionEnumerator(lambda s: {0, bad} if s >= 2 else {0}))
+    assert reg.enumerate_to(code, 1) == frozenset({0})
+    message = re.escape(f"element at stage 2 must be a natural number, got {bad!r}")
+    for read in (
+        lambda: reg.enumerate_to(code, 2),
+        lambda: reg.below_each((code,), 1, 2),
+        lambda: reg.arrivals(code, 0, 3),
+        lambda: reg.get(code).at_stage(2),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
 def test_registry_code_zero_is_empty():
     reg = Registry()
     assert reg.enumerate_to(0, 100) == frozenset()
