@@ -8,10 +8,19 @@ anywhere in a report (work counters are deterministic; clocks are not).
 ``canonical_json`` is the only converter: in one pass it writes exactly
 ``json.dumps(..., sort_keys=True, indent=2)`` of the value with enums, sets
 and ``as_dict`` objects converted, plus a newline. ``tests/test_reports.py``
-keeps that copy-then-dump form as the oracle. Within one report, a list or
-tuple of exact ints is written once per distinct content and indent, and
-its repeats append that text; lists holding bools, int subclasses or
-IntEnums, and empty lists, are written item by item.
+keeps that copy-then-dump form as the oracle. The writer tests the exact
+type first: an ``int``, ``str``, ``bool`` or ``None`` is written at once,
+also as an item or a value, and an exact ``dict``, ``list`` or ``tuple``
+goes to the one dict or list body. A dict whose keys are all exact strs is
+sorted as it is; other keys go through ``str`` first. Everything else (enums,
+sets, subclasses, ``as_dict`` objects, floats) falls through to the oracle's
+isinstance chain, in the oracle's order, which unwraps it into one of those
+types or writes it; a set of only exact ints, or only exact strs, sorts by
+its members. Within one report, a list or tuple of exact ints is written
+once per distinct content and indent, and its repeats append that text: it
+is looked up by (indent, length, first, last) and then compared whole.
+Lists holding bools, int subclasses or IntEnums, and empty lists, are
+written item by item.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = "1"
 _int_text = int.__repr__  # the one formatter of exact ints; a test counts its calls
+_literal = {None: "null", True: "true", False: "false"}.__getitem__
+_SCALARS = {int: _int_text, str: encode_basestring_ascii, bool: _literal, type(None): _literal}
 
 
 def canonical_json(obj) -> str:
@@ -31,50 +42,64 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, nl: str, out: list[str], memo: dict) -> None:
-    """Append obj to out at indent nl, testing types in the oracle's order.
+    """Append obj to out at indent nl.
 
-    memo maps (inner indent, *ints) to the text of an all-int list already
-    written in this report, so repeated int lists are formatted once.
+    memo maps (inner indent, length, first, last) of an exact-int list to
+    the (list, text) pairs written so far in this report under that key.
     """
-    if type(obj) is int or obj is None:
-        return out.append("null" if obj is None else _int_text(obj))
-    if isinstance(obj, Enum):
-        return _write(obj.value, nl, out, memo)
-    if isinstance(obj, (frozenset, set)):
-        obj = sorted(obj, key=_order)
-    if isinstance(obj, (list, tuple)):
-        inner = nl + "  "
-        if set(map(type, obj)) == {int}:
-            key = (inner, *obj)
-            text = memo.get(key)
-            if text is None:
-                ints = ("," + inner).join(map(_int_text, obj))
-                text = memo[key] = "".join(("[", inner, ints, nl, "]"))
-            out.append(text)
+    while (t := type(obj)) is not dict and t is not list and t is not tuple:
+        if (scalar := _SCALARS.get(t)) is not None:
+            return out.append(scalar(obj))
+        if isinstance(obj, Enum):
+            obj = obj.value
+        elif isinstance(obj, (frozenset, set)):
+            exact = set(map(type, obj)) in ({int}, {str})
+            obj = sorted(obj) if exact else sorted(obj, key=_order)
+        elif isinstance(obj, (list, tuple)):
+            obj = list(obj)
+        elif isinstance(obj, dict):
+            obj = dict(obj.items())
+        elif hasattr(obj, "as_dict"):
+            obj = obj.as_dict()
+        elif isinstance(obj, str):
+            return out.append(encode_basestring_ascii(obj))
+        elif isinstance(obj, (int, float)):
+            return out.append(json.dumps(obj))
         else:
-            sep = "[" + inner
-            for x in obj:
-                out.append(sep)
-                _write(x, inner, out, memo)
-                sep = "," + inner
-            out.append(nl + "]" if obj else "[]")
-    elif isinstance(obj, dict):
-        inner = nl + "  "
-        named = {str(k): v for k, v in obj.items()}
+            raise TypeError(f"cannot serialize {t.__name__} into a report")
+    inner = nl + "  "
+    if t is dict:
+        if set(map(type, obj)) != {str}:
+            obj = {str(k): v for k, v in obj.items()}
         sep = "{" + inner
-        for k in sorted(named):
+        for k in sorted(obj):
+            v = obj[k]
             out += sep, encode_basestring_ascii(k), ": "
-            _write(named[k], inner, out, memo)
+            if (scalar := _SCALARS.get(type(v))) is None:
+                _write(v, inner, out, memo)
+            else:
+                out.append(scalar(v))
             sep = "," + inner
-        out.append(nl + "}" if named else "{}")
-    elif hasattr(obj, "as_dict"):
-        _write(obj.as_dict(), nl, out, memo)
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, (bool, int, float)):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+        return out.append(nl + "}" if obj else "{}")
+    if obj and type(obj[0]) is int and set(map(type, obj)) == {int}:
+        seen = memo.setdefault((inner, len(obj), obj[0], obj[-1]), [])
+        for other, text in seen:
+            if other is obj or (
+                other == obj if type(other) is t else tuple(other) == tuple(obj)
+            ):
+                return out.append(text)
+        text = "".join(("[", inner, ("," + inner).join(map(_int_text, obj)), nl, "]"))
+        seen.append((obj, text))
+        return out.append(text)
+    sep = "[" + inner
+    for x in obj:
+        if (scalar := _SCALARS.get(type(x))) is None:
+            out.append(sep)
+            _write(x, inner, out, memo)
+        else:
+            out += sep, scalar(x)
+        sep = "," + inner
+    out.append(nl + "]" if obj else "[]")
 
 
 def _order(x):

@@ -301,6 +301,23 @@ def test_text_report_names_its_file(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("item", ["-1", "true", "1.0", '"0"'])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_bad_text_item_is_one_error_line_wherever_it_sits(tmp_path, capsys, item, at):
+    items = ["0", "1", "2", "3", "4", "5"]
+    items.insert(at, item)
+    text = tmp_path / "t.json"
+    text.write_text(f"[{', '.join(items)}]")
+    argv = ["learn", "--learner", "constant_zero", "--text", str(text), "--horizon", "3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = {"-1": "-1", "true": "True", "1.0": "1.0", '"0"': "'0'"}[item]
+    assert captured.err.splitlines() == [
+        f"error: --text item must be a natural number, got {shown}"
+    ]
+
+
 def test_text_file_too_short(tmp_path, capsys):
     text = tmp_path / "t.json"
     text.write_text("[0, 0]")

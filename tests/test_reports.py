@@ -375,3 +375,114 @@ def test_canonical_json_neither_recurses_nor_dumps_containers(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     assert blob == _canonical_json_oracle(value)
+
+
+def _outcome(encode, obj) -> str:
+    try:
+        return encode(obj)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def _some_bool(rng):
+    return rng.choice([True, False])
+
+
+# Each case holds a value the exact-type dispatch does not write itself
+# (an enum, a subclass, a set), so the isinstance chain must run.
+_SLOW_CASES = [
+    lambda rng: rng.choice(list(Status)),
+    lambda rng: [rng.choice(list(_Colour)), rng.randrange(3)],
+    lambda rng: _Count(rng.randrange(-5, 300)),
+    lambda rng: {_Count(rng.randrange(3)): _Count(9), "2": _some_bool(rng)},
+    lambda rng: [_Name(rng.choice("abé")), "b"],
+    lambda rng: {"b": None, _Name(rng.choice("ab")): _Count(1)},
+    lambda rng: {"on": _some_bool(rng), "off": False, "why": rng.choice(list(Status))},
+    lambda rng: [_some_bool(rng), rng.randrange(5), _Colour.RED, None],
+    lambda rng: {"1": rng.randrange(9), 1: rng.choice(list(Status)), 0: [True]},
+    lambda rng: {rng.randrange(3): {rng.randrange(3)}, (): _some_bool(rng)},
+    lambda rng: [[1, n := rng.randrange(9)], [True, n], [1, n], frozenset({n})],
+    lambda rng: [[True, n := rng.randrange(9)], [1, n], [n, 1], [n, True], _Count(n)],
+    lambda rng: [(n := rng.randrange(5), n + 1), [n, n + 1], {n}, [n, n + 1]],
+    lambda rng: [[n := rng.randrange(9), m := rng.randrange(3), n], [n, m + 1, n], {m}],
+    lambda rng: {rng.randrange(-9, 300) for _ in range(rng.randrange(6))},
+    lambda rng: frozenset(rng.choice("abcé") * rng.randrange(1, 3) for _ in range(4)),
+    lambda rng: {rng.choice([True, 2, 0, _Count(4), _Colour.BLUE, 7]) for _ in range(3)},
+    lambda rng: {rng.choice([_Name("b"), "a", Status.INCONCLUSIVE, "z"]) for _ in range(3)},
+    lambda rng: {rng.randrange(4), rng.choice("ab")},
+    lambda rng: {"v": Verdict(Status.FAIL_WITNESSED, {"codes": {3, 1}}, {"ok": True})},
+]
+
+
+def test_slow_path_cases_match_the_oracle(monkeypatch):
+    # a seeded catalogue, each case alone or nested, must reach the isinstance
+    # chain and give the oracle's bytes or its TypeError
+    rng = random.Random(38)
+    chain = []
+
+    def counting(obj, types):
+        chain.append(types)
+        return isinstance(obj, types)
+
+    monkeypatch.setattr(reports, "isinstance", counting, raising=False)
+    for _ in range(40):
+        for build in _SLOW_CASES:
+            value = build(rng)
+            if rng.random() < 0.5:
+                value = {"at": [rng.randrange(9), value], "n": _some_bool(rng)}
+            chain.clear()
+            outcome = _outcome(canonical_json, value)
+            assert chain, value
+            assert outcome == _outcome(_canonical_json_oracle, value), value
+
+
+def test_fast_path_dumps_only_floats_and_unwraps_each_verdict_once(monkeypatch):
+    # exact bools, None, ints and str-keyed dicts are written by the writer
+    # itself; json.dumps is left to floats, and a Verdict is unwrapped once
+    dumped, unwrapped = [], []
+    real_dumps, real_as_dict = json.dumps, Verdict.as_dict
+
+    def dumps(obj, **kwargs):
+        dumped.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    def as_dict(self):
+        unwrapped.append(self)
+        return real_as_dict(self)
+
+    verdicts = [
+        Verdict(Status.FAIL_WITNESSED, None, {"settle": n, "even": n % 2 == 0, "x": None})
+        for n in range(5)
+    ]
+    value = {
+        "flags": [True, False, None, 3, True],
+        "nested": {"on": True, "off": False, "none": None, "n": 7, "deep": {"b": False}},
+        "ratios": [0.5, 1.5],
+        "verdicts": verdicts,
+    }
+    monkeypatch.setattr(reports.json, "dumps", dumps)
+    monkeypatch.setattr(Verdict, "as_dict", as_dict)
+    blob = canonical_json(value)
+    monkeypatch.undo()
+    assert dumped == [0.5, 1.5] and all(type(x) is float for x in dumped)
+    assert unwrapped == verdicts and len(unwrapped) == 5
+    assert blob == _canonical_json_oracle(value)
+
+
+def test_int_lists_sharing_length_and_ends_are_each_formatted_once(monkeypatch):
+    # two contents under one (indent, length, first, last), and a tuple equal
+    # to one of them: 8 ints to format, however often each repeats
+    calls = []
+    original = reports._int_text
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(reports, "_int_text", counting)
+    a, b = [0, 1, 2, 900], [0, 5, 6, 900]
+    value = [a, b, list(a), tuple(b), b, tuple(a)]
+    blob = reports.canonical_json(value)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(a + b)
+    assert blob == _canonical_json_oracle(value)
