@@ -54,7 +54,7 @@ MAX_HORIZON = 500_000
 # 1000 tables read to horizon 1000 about 5 s and 0.4 GB.
 MAX_TABLE_STAGES = 2 * MAX_HORIZON
 # Byte budget of a --text file, checked before it is read: the densest file,
-# "[0,0,...]", peaks at 728 MiB RSS at the budget, inside a 2 GB ulimit -v.
+# "[0,0,...]", peaks at 716 MiB RSS at the budget, inside a 2 GB ulimit -v.
 MAX_TEXT_BYTES = 16 * 2**20
 
 
@@ -241,8 +241,7 @@ def _build_text(p: dict, ws: Workspace) -> tuple[Text, dict]:
         if not isinstance(items, list):
             raise ValueError("--text file must hold a JSON list of naturals")
         for x in items:
-            if not (type(x) is int and x >= 0):
-                _check_natural(x, "--text item")
+            _check_natural(x, "--text item")
         digest = hashlib.sha256(canonical_json(items).encode()).hexdigest()
         source = {"text_items": len(items), "text_sha256": digest}
         return Text(items=tuple(items), label=f"file:{path}"), source

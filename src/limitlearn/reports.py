@@ -15,10 +15,10 @@ goes to the one dict or list body. A dict whose keys are all exact strs is
 sorted as it is; other keys go through ``str`` first. Everything else (enums,
 sets, subclasses, ``as_dict`` objects, floats) falls through to the oracle's
 isinstance chain, in the oracle's order, which unwraps it into one of those
-types or writes it; a set of only exact ints, or only exact strs, sorts by
-its members. Within one report, a list or tuple of exact ints is written
-once per distinct content and indent, and its repeats append that text: it
-is looked up by (indent, length, first, last) and then compared whole.
+types or writes it; a set is sorted by ``_order``. Within one report, a
+list or tuple of exact ints is written once per distinct content and
+indent, and its repeats append that text: it is looked up by (indent,
+length, first, last) and then compared whole.
 Lists holding bools, int subclasses or IntEnums, and empty lists, are
 written item by item.
 """
@@ -30,7 +30,9 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = "1"
-_int_text = int.__repr__  # the one formatter of exact ints; a test counts its calls
+# formats exact ints; the int-list body reads it by this name, so a test can
+# count its calls there, while a plain int uses the copy held in _SCALARS
+_int_text = int.__repr__
 _literal = {None: "null", True: "true", False: "false"}.__getitem__
 _SCALARS = {int: _int_text, str: encode_basestring_ascii, bool: _literal, type(None): _literal}
 
@@ -53,8 +55,7 @@ def _write(obj, nl: str, out: list[str], memo: dict) -> None:
         if isinstance(obj, Enum):
             obj = obj.value
         elif isinstance(obj, (frozenset, set)):
-            exact = set(map(type, obj)) in ({int}, {str})
-            obj = sorted(obj) if exact else sorted(obj, key=_order)
+            obj = sorted(obj, key=_order)
         elif isinstance(obj, (list, tuple)):
             obj = list(obj)
         elif isinstance(obj, dict):
