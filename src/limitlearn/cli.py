@@ -44,18 +44,20 @@ ALL_LEARNERS = SAMPLE_LEARNERS + ("gap_parity",)
 # a check reads each stage table its trace met up to the horizon, and
 # construct --stage-bound has its own budget (construction.MAX_CODE_LENGTHS).
 # At the budget the slowest, check --learner fresh_each_step --adversary
-# constant_zero --i '*' --j '*' --horizon 500000, took 9.7 s by its elapsed
-# line (12.1 s to exit) and 807 MB peak RSS on a 2-core machine, inside a
+# constant_zero --i '*' --j '*' --horizon 500000, took 8.0 s by its elapsed
+# line (9.1 s to exit) and 514 MiB peak RSS on a 2-core machine, inside a
 # 2 GB RLIMIT_AS: one run, Python 3.11, ru_maxrss of a child process.
 MAX_HORIZON = 500_000
 # Work budget of a check, in tables x horizon: a gap_parity trace on a text
 # whose least element keeps falling meets one diagonal table per value. At
-# the budget, two tables read to MAX_HORIZON take about 17 s and 1.0 GB, and
-# 1000 tables read to horizon 1000 about 5 s and 0.4 GB.
+# the budget, two tables read to MAX_HORIZON take about 13 s and 0.6 GiB, and
+# 1000 tables read to horizon 1000 about 3 s and 0.2 GiB.
 MAX_TABLE_STAGES = 2 * MAX_HORIZON
 # Byte budget of a --text file, checked before it is read: the densest file,
-# "[0,0,...]", peaks at 716 MiB RSS at the budget, inside a 2 GB ulimit -v.
+# "[0,0,...]", peaks at 288 MiB RSS at the budget, inside a 2 GB ulimit -v.
 MAX_TEXT_BYTES = 16 * 2**20
+# Items per piece of a --text file's digest (_text_sha256).
+_DIGEST_ITEMS = 2**16
 
 
 def _check_horizon_budget(value, name: str) -> None:
@@ -230,6 +232,24 @@ def _cmd_construct(p: dict) -> tuple[dict, int]:
     return make_report("construct", p, results, work), 0
 
 
+def _text_sha256(items: list) -> str:
+    """sha256 of canonical_json(items), hashed _DIGEST_ITEMS items at a time.
+
+    A list's canonical JSON is "[", its items one per indented line joined
+    by ",", then the closing line, and a chunk's is written alike, so the
+    text between a chunk's brackets is its share of the whole: no string of
+    the whole text is ever built.
+    """
+    h = hashlib.sha256()
+    sep = b"["
+    for i in range(0, len(items), _DIGEST_ITEMS):
+        chunk = canonical_json(items[i : i + _DIGEST_ITEMS])
+        h.update(sep + chunk[1:-3].encode())
+        sep = b","
+    h.update(b"\n]\n" if items else b"[]\n")
+    return h.hexdigest()
+
+
 def _build_text(p: dict, ws: Workspace) -> tuple[Text, dict]:
     """The input text, and what a report records of a --text file beyond its
     path: the item count and the sha256 of the items' canonical JSON."""
@@ -242,8 +262,7 @@ def _build_text(p: dict, ws: Workspace) -> tuple[Text, dict]:
             raise ValueError("--text file must hold a JSON list of naturals")
         for x in items:
             _check_natural(x, "--text item")
-        digest = hashlib.sha256(canonical_json(items).encode()).hexdigest()
-        source = {"text_items": len(items), "text_sha256": digest}
+        source = {"text_items": len(items), "text_sha256": _text_sha256(items)}
         return Text(items=tuple(items), label=f"file:{path}"), source
     if p["adversary"] is None:
         raise ValueError("provide --text or --adversary to define the input text")

@@ -26,7 +26,9 @@ string, the same kernel the standalone check runs, and resumes it one stage
 at a time. Once that state is settled the row can only move if a lower row
 does, so the leading run of defined, settled rows (the frontier) is never
 visited again: a stage starts at the frontier, and above the first undefined
-row it stops at the first row that was undefined already. A search needs no
+row it stops at the first row that was undefined already. A row the frontier
+passes trades its kernel state for one shared settled marker, so rows behind
+it hold no checked codes or pending offsets. A search needs no
 scan of its base either, because of the row rule: row 0 is all e, and row k
 is row k-1's string, then e repeated, then e+k. Row k-1's string holds
 exactly the values e..e+k-1, so e+k is the one value row k must add, and its
@@ -92,10 +94,16 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}")
 
 
+# The kernel state of every row behind the frontier: settled, so never folded.
+_SETTLED = Survival(0, 0)
+_SETTLED.settled = True
+
+
 class _Row:
     """A row's history: (stage, length) events, oldest first; None is undefined.
 
-    Beside it, its kernel state and its untried length (see the module docstring).
+    Beside it, its kernel state (the shared _SETTLED once the frontier has
+    passed it) and its untried length (see the module docstring).
     """
 
     __slots__ = ("events", "qstate", "untried")
@@ -157,18 +165,19 @@ class Construction:
 
     def run_stage(self) -> None:
         s = self.stage + 1
-        self.counters["stages"] += 1
+        counters, rows = self.counters, self.rows
+        counters["stages"] += 1
         self._moved.append(inf)
         lower_defined = True
         lower_changed = False
         below_changed = False
-        n = self._frontier
-        while n < len(self.rows):
-            self.counters["rows_visited"] += 1
-            row = self.rows[n]
+        start = n = self._frontier
+        while n < len(rows):
+            row = rows[n]
             old = row.events[-1][1]
             if not lower_defined:
                 if old is None:
+                    n += 1  # the row that ends the stage was visited too
                     break  # every row above an undefined row is undefined
                 self._log(n, s, None)
                 row.qstate = None
@@ -177,7 +186,7 @@ class Construction:
             if old is not None and not lower_changed and self._survives(row, s):
                 new, changed = old, False
             else:
-                base = 0 if n == 0 else self.rows[n - 1].events[-1][1]
+                base = 0 if n == 0 else rows[n - 1].events[-1][1]
                 found = self._search_least(n, base, s)
                 new, row.qstate = (None, None) if found is None else found
                 # the string changed iff the length did or, from row 2 on,
@@ -192,12 +201,17 @@ class Construction:
             elif changed:
                 lower_changed = True
             below_changed = changed and n > 0
-            if new is not None and n == len(self.rows) - 1:
-                self.rows.append(_Row(None))
+            if new is not None and n == len(rows) - 1:
+                rows.append(_Row(None))
             n += 1
+        counters["rows_visited"] += n - start
         self.stage = s
-        while (qs := self.rows[self._frontier].qstate) is not None and qs.settled:
-            self._frontier += 1
+        # a row the frontier passes sheds its kernel state
+        n = self._frontier
+        while (qs := rows[n].qstate) is not None and qs.settled:
+            rows[n].qstate = _SETTLED
+            n += 1
+        self._frontier = n
 
     def _log(self, n: int, stage: int, length: int | None) -> None:
         self.rows[n].events.append((stage, length))
@@ -226,14 +240,15 @@ class Construction:
         survives, which a later search must try again, or at s + 1 when no
         length up to s does.
         """
-        self.counters["searches"] += 1
+        counters = self.counters
+        counters["searches"] += 1
         if self.e + k > s:
             return None
-        row = self.rows[k]
+        row, learner, registry = self.rows[k], self.learner, self.registry
         for m in range(max(row.untried, base + 1), s + 1):
-            self.counters["length_checks"] += 1
+            counters["length_checks"] += 1
             qs = Survival(m, k)
-            if qs.fold(self.learner, self.registry, m, s) is None:
+            if qs.fold(learner, registry, m, s) is None:
                 row.untried = m
                 return m, qs
         row.untried = s + 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .encodings import Sequence, _check_natural, next_free
-from .universe import FiniteSetEnumerator, Registry
+from .universe import FiniteSetEnumerator, Registry, _Singleton
 
 
 def _check_horizon(horizon: int, length: int) -> None:
@@ -130,7 +130,8 @@ class FreshLengthLearner(ProfiledLearner):
     Length m maps to a singleton set {m}, registered lazily in ascending
     length order. Ascending order matters: it guarantees code(m) > m, so no
     candidate string can ever bound the learner's future guesses and the
-    construction correctly leaves the whole table undefined.
+    construction correctly leaves the whole table undefined. Each set is a
+    one-slot enumerator that reads exactly as FiniteSetEnumerator({m}).
     """
 
     def __init__(self, registry: Registry):
@@ -140,7 +141,7 @@ class FreshLengthLearner(ProfiledLearner):
     def _code(self, m: int) -> int:
         codes = self._by_length
         while len(codes) <= m:
-            codes.append(self._registry.register(FiniteSetEnumerator({len(codes)})))
+            codes.append(self._registry.register(_Singleton(len(codes))))
         return codes[m]
 
     def _outputs(self, items: Sequence, horizon: int) -> tuple[int, ...]:

@@ -119,37 +119,46 @@ class Survival:
         The first fold starts at lo = sigma_len; a settled state is not
         folded again (its caller stops there). Returns None while both
         conditions hold, else the first failure as (condition, code, t); for
-        condition 2 the code is the largest one emitted over lo..s.
+        condition 2 the code is the largest one emitted over lo..s. One
+        length (lo == s) is read as one code, and no set is built for it.
         """
-        codes = {learner._code(s)} if lo == s else learner._codes(lo, s)
+        if lo == s:
+            top = learner._code(s)
+            codes = (top,)
+        else:
+            codes = learner._codes(lo, s)
+            top = max(codes)
         # condition 2 first: it needs no per-code state
-        if (top := max(codes)) > self.sigma_len:
+        if top > self.sigma_len:
             return 2, top, 0
+        checked, pending = self.checked, self.pending
         if self.c0 is None:
             self.c0 = learner._code(self.sigma_len)
-            self.checked.add(self.c0)
+            checked.add(self.c0)
         if self.k == 0:
             # condition 3 is vacuous below depth 0
-            self.checked |= codes
-        for c in codes - self.checked:
-            self.pending.setdefault(c, 0)
-        c0, k = self.c0, self.k
-        for c in sorted(self.pending):
-            for t in range(self.pending[c], s + 1):
-                stage = self.sigma_len + t
-                a, b = registry.below_each((c0, c), k, stage)
-                if a != b:
-                    return 3, c, t
-                if registry.stable_below(c0, k, stage) and registry.stable_below(
-                    c, k, stage
-                ):
-                    self.checked.add(c)
-                    del self.pending[c]
-                    break
-            else:
-                self.pending[c] = s + 1
+            checked.update(codes)
+        for c in codes:
+            if c not in checked:
+                pending.setdefault(c, 0)
+        if pending:
+            c0, k = self.c0, self.k
+            for c in sorted(pending):
+                for t in range(pending[c], s + 1):
+                    stage = self.sigma_len + t
+                    a, b = registry.below_each((c0, c), k, stage)
+                    if a != b:
+                        return 3, c, t
+                    if registry.stable_below(c0, k, stage) and registry.stable_below(
+                        c, k, stage
+                    ):
+                        checked.add(c)
+                        del pending[c]
+                        break
+                else:
+                    pending[c] = s + 1
         finite = learner.finite_codes
-        self.settled = bool(finite) and not self.pending and finite <= self.checked
+        self.settled = bool(finite) and not pending and finite <= checked
         return None
 
 

@@ -108,6 +108,28 @@ class FiniteSetEnumerator(Enumerator):
         return s >= 1 or not self._elements
 
 
+class _Singleton(Enumerator):
+    """FiniteSetEnumerator({x}) for a checked natural x, in one slot.
+
+    It answers every read as that enumerator does, but holds x alone and
+    builds its one-element set only when a read returns it.
+    """
+
+    __slots__ = ("_x",)
+
+    def __init__(self, x: int):
+        self._x = x
+
+    def _below(self, bound: float, s: int) -> frozenset[int]:
+        return frozenset((self._x,)) if s >= 1 and self._x < bound else frozenset()
+
+    def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
+        return {self._x: 1} if s0 < 1 <= s1 else {}
+
+    def stable_below(self, k: int, s: int) -> bool:
+        return s >= 1
+
+
 class StepFunctionEnumerator(Enumerator):
     """Wraps a raw stage -> set function with no safety net for monotonicity.
 

@@ -22,6 +22,8 @@ from limitlearn.cli import (
     MAX_TABLE_STAGES,
     MAX_TEXT_BYTES,
     PARAMS,
+    _DIGEST_ITEMS,
+    _text_sha256,
     build_parser,
     main,
     resolve,
@@ -299,6 +301,16 @@ def test_text_report_names_its_file(tmp_path):
     first, second = reports
     assert first["results"].pop("text_sha256") != second["results"].pop("text_sha256")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _DIGEST_ITEMS - 1, _DIGEST_ITEMS, _DIGEST_ITEMS + 1]
+)
+def test_text_digest_hashes_the_canonical_json_in_chunks(n):
+    # the chunk seams fall at every multiple of _DIGEST_ITEMS
+    items = [(i * 7919) % 100003 for i in range(n)]
+    want = hashlib.sha256(canonical_json(items).encode()).hexdigest()
+    assert _text_sha256(items) == want
 
 
 @pytest.mark.parametrize("item", ["-1", "true", "1.0", '"0"'])

@@ -26,6 +26,7 @@ from limitlearn import (
     check_stabilizing,
     is_prefix,
 )
+from limitlearn.construction import _SETTLED
 from limitlearn.stabilizing import Survival
 
 from brute_oracle import candidate_strings, check_brute
@@ -297,11 +298,28 @@ def test_resumed_rows_match_from_scratch_checks():
                 fresh = Survival(len(v), n)
                 assert fresh.fold(c.learner, c.registry, len(v), s) is None, where
                 qs = c.rows[n].qstate
+                if n < c._frontier:
+                    # behind the frontier a row keeps only the settled marker
+                    assert qs is _SETTLED and fresh.settled, where
+                    continue
                 assert (qs.checked, qs.pending, qs.settled) == (
                     fresh.checked,
                     fresh.pending,
                     fresh.settled,
                 ), where
+
+
+def test_rows_behind_the_frontier_hold_the_shared_settled_marker():
+    # the frontier never visits these rows again, so none keeps the kernel
+    # state (checked codes, pending offsets) that settled it
+    for kind in ("constant_zero", "length_parity"):
+        for e in (0, 1, 2):
+            c = Workspace().construction(kind, e)
+            c.run_to(200)
+            behind = c.rows[: c._frontier]
+            assert behind, (kind, e)  # constant_zero: 199 or 200 rows
+            assert {id(row.qstate) for row in behind} == {id(_SETTLED)}, (kind, e)
+            assert _SETTLED.settled and not (_SETTLED.checked or _SETTLED.pending)
 
 
 class _StringRow:
@@ -501,9 +519,13 @@ _ORACLE_PAIRS = {
 }
 
 
-def _qstate_fields(qs):
+def _qstate_fields(qs, behind_frontier=False):
+    """The kernel state compared with the oracle's; a row behind the fast
+    table's frontier holds the shared settled marker, so only settled."""
     if qs is None:
         return None
+    if behind_frontier:
+        return qs.settled
     return (qs.sigma_len, qs.k, qs.c0, qs.checked, qs.pending, qs.settled)
 
 
@@ -520,8 +542,10 @@ def test_fast_table_matches_the_full_sweep_at_every_stage(case):
         assert [r["value"] for r in fast.rows_snapshot()] == [
             None if r.value is None else list(r.value) for r in slow.rows
         ], s
-        assert [_qstate_fields(r.qstate) for r in fast.rows] == [
-            _qstate_fields(r.qstate) for r in slow.rows
+        assert [
+            _qstate_fields(r.qstate, n < fast._frontier) for n, r in enumerate(fast.rows)
+        ] == [
+            _qstate_fields(r.qstate, n < fast._frontier) for n, r in enumerate(slow.rows)
         ], s
         assert fast._defined == slow._defined, s
         assert fast._moved == slow._moved, s

@@ -8,6 +8,7 @@ import pytest
 import limitlearn
 from limitlearn import (
     ConstantLearner,
+    Construction,
     Enumerator,
     FiniteSetEnumerator,
     FreshLengthLearner,
@@ -145,6 +146,58 @@ def test_fresh_learner_hypothesis_content():
     m = FreshLengthLearner(reg)
     c = m.length_code(4)
     assert reg.enumerate_to(c, 1) == frozenset({4})
+
+
+class _FiniteSetFreshLearner(FreshLengthLearner):
+    """The fresh learner as first written: FiniteSetEnumerator({m}) per length."""
+
+    def _code(self, m):
+        codes = self._by_length
+        while len(codes) <= m:
+            codes.append(self._registry.register(FiniteSetEnumerator({len(codes)})))
+        return codes[m]
+
+
+def test_fresh_codes_read_exactly_as_finite_singletons():
+    regs = Registry(), Registry()
+    learners = FreshLengthLearner(regs[0]), _FiniteSetFreshLearner(regs[1])
+    for m in (0, 1, 2, 5, 300):
+        code = learners[0].length_code(m)
+        assert learners[1].length_code(m) == code
+
+        def reads(reg):
+            enum = reg.get(code)
+            out = []
+            for s in (0, 1, 2):
+                out += [reg.enumerate_to(code, s), enum.at_stage(s)]
+                out += [reg.below_each((code,), bound, s) for bound in (0, m, m + 1)]
+                out += [reg.stable_below(code, k, s) for k in (0, m, m + 1)]
+            out += [reg.arrivals(code, s0, s1) for s0, s1 in ((0, 0), (0, 1), (1, 5))]
+            return out
+
+        assert reads(regs[0]) == reads(regs[1]), m
+    assert type(regs[0].get(learners[0].length_code(3))) is not FiniteSetEnumerator
+    assert regs[0].query_count == regs[1].query_count
+    assert len(regs[0]) == len(regs[1])
+
+
+def test_a_fresh_table_registers_the_same_codes_in_the_same_order():
+    tables = []
+    for make in (FreshLengthLearner, _FiniteSetFreshLearner):
+        reg = Registry()
+        c = Construction(make(reg), 1, reg)
+        # at horizon 0 row 0 is defined, so separation_level reads the codes
+        results = [c.separation_level(60), c.adversarial_text(40)]
+        c.run_to(300)
+        results += [c.rows_snapshot(), c.a_values(), c.r_prefix(40, "hat")]
+        tables.append((c, results))
+    (a, got), (b, want) = tables
+    assert got == want
+    assert a.learner._by_length == b.learner._by_length
+    assert a.learner._by_length == list(range(1, len(a.registry)))
+    assert len(a.registry) == len(b.registry)
+    assert a.counters == b.counters
+    assert a.registry.query_count == b.registry.query_count
 
 
 def test_profiled_function_learner():
