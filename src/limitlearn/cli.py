@@ -50,8 +50,9 @@ ALL_LEARNERS = SAMPLE_LEARNERS + ("gap_parity",)
 MAX_HORIZON = 500_000
 # Work budget of a check, in tables x horizon: a gap_parity trace on a text
 # whose least element keeps falling meets one diagonal table per value. At
-# the budget, two tables read to MAX_HORIZON take about 13 s and 0.6 GiB, and
-# 1000 tables read to horizon 1000 about 3 s and 0.2 GiB.
+# the budget, two tables read to MAX_HORIZON took 7.3 s by the elapsed line
+# and 0.6 GiB with the slower adversary, constant_zero (length_parity: 7.0 s),
+# and 1000 tables read to horizon 1000 about 3 s and 0.2 GiB.
 MAX_TABLE_STAGES = 2 * MAX_HORIZON
 # Byte budget of a --text file, checked before it is read: the densest file,
 # "[0,0,...]", peaks at 288 MiB RSS at the budget, inside a 2 GB ulimit -v.

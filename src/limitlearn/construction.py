@@ -12,17 +12,20 @@ when no admissible string qualifies yet.
 
 Because each stabilization failure is witnessed by facts about fixed stages
 that never mutate afterwards, failures are permanent: a length that failed
-at a depth never passes there again. The lengths a search has refuted above a
-row's base (the length of the row below) always form one unbroken run, so
-each depth keeps one number, its untried length: the least length past that
-run. A search starts there or just above the base, whichever is larger. Why,
-by induction on depth: row 0's base is always 0. A row's length is the least
-unrefuted length above its base, and refutations are permanent, so while its
-base never decreases, neither does its own length. So no base ever
-decreases, and the refuted run above a base goes from base + 1 to just below
-the untried one. A surviving row only needs an incremental check per stage:
-the row keeps the ``stabilizing.Survival`` kernel state that admitted its
-string, the same kernel the standalone check runs, and resumes it one stage
+at a depth never passes there again. The lengths refuted above a row's base
+(the length of the row below), by a search or by the row's own kernel,
+always form one unbroken run, so each depth keeps one number, its untried
+length: the least length past that run. A search leaves it at the length it
+finds; when the row's resumed kernel fails that length, on a base that has
+not moved, it goes one past it. A search starts there or just above the
+base, whichever is larger. Why, by induction on depth: row 0's base is
+always 0. A row's length is the least unrefuted length above its base, and
+refutations are permanent, so while its base never decreases, neither does
+its own length. So no base ever decreases, and the refuted run above a base
+goes from base + 1 to just below the untried one. A surviving row only
+needs an incremental check per stage: the row keeps the
+``stabilizing.Survival`` kernel state that admitted its string, the same
+kernel the standalone check runs, and resumes it one stage
 at a time. Once that state is settled the row can only move if a lower row
 does, so the leading run of defined, settled rows (the frontier) is never
 visited again: a stage starts at the frontier, and above the first undefined
@@ -183,9 +186,12 @@ class Construction:
                 row.qstate = None
                 n += 1
                 continue
-            if old is not None and not lower_changed and self._survives(row, s):
+            resumed = old is not None and not lower_changed
+            if resumed and self._survives(row, s):
                 new, changed = old, False
             else:
+                if resumed and row.qstate is not None:
+                    row.untried = old + 1  # its kernel just refuted old
                 base = 0 if n == 0 else rows[n - 1].events[-1][1]
                 found = self._search_least(n, base, s)
                 new, row.qstate = (None, None) if found is None else found
@@ -237,8 +243,9 @@ class Construction:
         built. Every length from base + 1 up to row k's untried length, that
         one excluded, has failed (see the module docstring), so the search
         starts at the larger of the two. It leaves untried at the length that
-        survives, which a later search must try again, or at s + 1 when no
-        length up to s does.
+        survives, or at s + 1 when no length up to s does. Once the row's
+        resumed kernel fails that length, run_stage moves untried one past
+        it, since a fresh check of it would fail the same way.
         """
         counters = self.counters
         counters["searches"] += 1
