@@ -63,7 +63,8 @@ each variant keeps an entry log: its values in the order they enter, their
 stages, and the log's length after each stage. ``_arrivals(s0, s1)`` is the
 slice of the log between stages s0 and s1, and ``_below(bound, s)`` reads
 the stages of only the values of e..s under the bound, so a read costs what
-it returns and none builds a snapshot.
+it returns and none builds a snapshot; a read bounded at or below e returns
+the empty set and runs no table.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from typing import Iterator
 from .encodings import Sequence, _check_natural
 from .learners import ProfiledLearner
 from .stabilizing import StabWitness, Survival, _check_read
-from .universe import Enumerator, Registry
+from .universe import _EMPTY, Enumerator, Registry
 
 # Report-size budget of r_prefix: the widest [e, bound) it may list.
 MAX_PREFIX = 1_000_000
@@ -119,11 +120,16 @@ class _Row:
     def at(self, s: int) -> tuple[int, int | None]:
         """The event in force at stage s: the last one logged at or before s.
 
-        The probe (s + 1,) sorts before every event of stage s + 1 and after
-        every earlier one, and a tie on the stage is settled by tuple length,
-        so no length is ever compared (a None length never meets an int).
+        A read at or past the last event's stage, the common one, returns
+        it. Otherwise the probe (s + 1,) sorts before every event of stage
+        s + 1 and after every earlier one, and a tie on the stage is settled
+        by tuple length, so no length is ever compared (a None length never
+        meets an int).
         """
-        return self.events[bisect_left(self.events, (s + 1,)) - 1]
+        events = self.events
+        if (last := events[-1])[0] <= s:
+            return last
+        return events[bisect_left(events, (s + 1,)) - 1]
 
 
 class Construction:
@@ -369,15 +375,23 @@ class Construction:
         return self._markers(self._checked_stage(s), 1)
 
     def _markers(self, s: int, shift: int) -> list[int]:
-        """a_values (shift 0) or b_values (shift 1) at a checked stage s."""
-        out, feasible = [], 0
-        for ell in range(self._defined[s]):
-            feasible = max(feasible, self.rows[ell].at(s)[0])
-            start = max(feasible, self.e + ell + 2)
+        """a_values (shift 0) or b_values (shift 1) at a checked stage s.
+
+        start is the running maximum of the settling points and of the floor
+        e + ell + 2, which rises by one per depth.
+        """
+        out, start, floor = [], 0, self.e + 2
+        for row in self.rows[: self._defined[s]]:
+            since = row.at(s)[0]
+            if start < since:
+                start = since
+            if start < floor:
+                start = floor
             a = start + start % 2 + shift
             if a > s:
                 break
             out.append(a)
+            floor += 1
         return out
 
     def r_prefix(
@@ -561,7 +575,8 @@ class DiagonalView(Enumerator):
 
     Querying a stage beyond the current horizon advances the underlying
     construction, which is deterministic, so results depend only on the
-    query itself.
+    query itself. A read bounded at or below e is empty whatever the table
+    holds, so it advances nothing.
     """
 
     def __init__(self, construction: Construction, variant: str):
@@ -571,8 +586,11 @@ class DiagonalView(Enumerator):
 
     def _below(self, bound: float, s: int) -> frozenset[int]:
         """The y of e..min(bound, s + 1) - 1 in by stage s, in one pass over
-        _conf: y <= s, so hat y is in exactly when conf(y - 1) <= s."""
+        _conf: y <= s, so hat y is in exactly when conf(y - 1) <= s. Every
+        value is at least e, so a bound at or below e runs no table."""
         c = self.construction
+        if bound <= c.e:
+            return _EMPTY
         c._confirm_to(s)
         shift = self.variant == "hat"
         lo, hi = max(c.e, shift), min(bound, s + 1)

@@ -15,6 +15,9 @@ point, or a set element observed early and still absent from the partner at
 the full stage), so rerunning with a larger horizon keeps them valid. The
 finite-i content clause is the one deliberate exception: it compares against
 prefix content, which can still grow, and is marked revocable in details.
+Both checkers and verify_witness read a trace's tail as one set; only the
+content clause reads it in first-seen order, since its witness names the
+first failing code met.
 
 Texts and traces are linear in what they read. canonical_text asks the
 registry once for every element its later stages add, tagged with its stage
@@ -154,11 +157,6 @@ def _settle_point(i, j, settle, bound, horizon: int) -> int:
     return settle
 
 
-def _window_codes(trace: Trace, settle: int) -> list[int]:
-    """Distinct codes in outputs[settle..horizon], in first-seen order."""
-    return list(dict.fromkeys(trace.outputs[settle:]))
-
-
 def check_txtfex(
     trace: Trace,
     registry: Registry,
@@ -171,9 +169,10 @@ def check_txtfex(
 
     j bounds the distinct codes after the settle point (default horizon/2);
     finite i additionally bounds, per tail code, the symmetric difference
-    below `bound` between the coded set and the text's prefix content. Each
-    tail code is read in its own one-code ``Registry.below_each`` read, one
-    query each, up to the first code that fails.
+    below `bound` between the coded set and the text's prefix content. The
+    tail is read as one set; only the content clause walks it in first-seen
+    order, reading each code in its own one-code ``Registry.below_each``
+    read, one query each, up to the first code that fails.
     """
     horizon = trace.horizon
     settle = _settle_point(i, j, settle, bound, horizon)
@@ -183,7 +182,7 @@ def check_txtfex(
             None,
             {"reason": "degenerate window", "settle": settle, "horizon": horizon},
         )
-    tail = _window_codes(trace, settle)
+    tail = set(trace.outputs[settle:])
     base_details = {"settle": settle, "horizon": horizon, "tail_codes": sorted(tail)}
     if j != "*" and len(tail) > j:
         return Verdict(
@@ -193,7 +192,7 @@ def check_txtfex(
         )
     if i != "*":
         target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
-        for code in tail:
+        for code in dict.fromkeys(trace.outputs[settle:]):  # first seen first
             diff = registry.below_each((code,), bound, horizon)[0] ^ target
             if len(diff) > i:
                 return Verdict(
@@ -208,7 +207,7 @@ def check_txtfex(
                     base_details,
                 )
     mid = (settle + horizon) // 2
-    if set(trace.outputs[mid:]) != set(tail):
+    if set(trace.outputs[mid:]) != tail:
         return Verdict(
             Status.INCONCLUSIVE,
             None,
@@ -291,7 +290,8 @@ def verify_witness(
     """Re-derive a FAIL witness from raw data, trusting nothing cached.
 
     The codes a witness names must be the trace's own, output after the
-    settle point, and a pairwise witness must use the checker's early stage.
+    settle point (the tail, read as one set, in no order), and a pairwise
+    witness must use the checker's early stage.
     A pairwise witness's two codes are read in one ``Registry.below_each``
     batch at that stage and one at the horizon, four queries in all.
     A malformed witness (not a dict, or a field missing or of the wrong
@@ -307,7 +307,7 @@ def verify_witness(
         return False
     if not 0 <= settle < horizon:
         return False  # check_txtfex finds nothing on a degenerate window
-    tail = set(_window_codes(trace, settle))
+    tail = set(trace.outputs[settle:])
     kind = w.get("kind")
     early = max(1, horizon // 2)
     try:  # the witness's own fields; a missing or misshapen one does not verify

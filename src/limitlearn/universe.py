@@ -29,7 +29,9 @@ called only by the registry and by enumerators. The registry and a union
 take only enumerators.
 
 Determinism: all methods return frozensets (_arrivals a fresh dict) and take
-no hidden state; callers that need ordered output must sort. The registry
+no hidden state; callers that need ordered output must sort. A finite set's
+empty read, and a diagonal view's read below its e, is one shared frozenset,
+so a caller that keys reads hashes it once, not once per read. The registry
 counts a read only after every check has passed, which gives reproducible
 work measurements independent of wall clock: ``enumerate_to`` and
 ``arrivals`` count one query each, ``below_each`` one per code it is given,
@@ -42,6 +44,10 @@ from collections.abc import Callable, Iterable, Sequence
 from math import inf
 
 from .encodings import _check_natural
+
+# The one empty read: CPython 3.11 builds a new empty frozenset per call, and
+# a shared one is hashed once wherever reads are keyed (check_txtfext).
+_EMPTY: frozenset[int] = frozenset()
 
 
 class Enumerator:
@@ -96,7 +102,7 @@ class FiniteSetEnumerator(Enumerator):
     def _below(self, bound: float, s: int) -> frozenset[int]:
         """The set's ends settle most reads: all of it, or nothing."""
         if s < 1 or self._least >= bound:
-            return frozenset()
+            return _EMPTY
         if self._greatest < bound:
             return self._elements
         return frozenset(x for x in self._elements if x < bound)
@@ -121,7 +127,7 @@ class _Singleton(Enumerator):
         self._x = x
 
     def _below(self, bound: float, s: int) -> frozenset[int]:
-        return frozenset((self._x,)) if s >= 1 and self._x < bound else frozenset()
+        return frozenset((self._x,)) if s >= 1 and self._x < bound else _EMPTY
 
     def _arrivals(self, s0: int, s1: int) -> dict[int, int]:
         return {self._x: 1} if s0 < 1 <= s1 else {}

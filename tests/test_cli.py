@@ -626,9 +626,10 @@ def test_family_report(tmp_path):
     assert elements == sorted(elements)
 
 
-# The reference runs, each exiting 0, with the sha256 of its report (work
-# block included). A change to these bytes is a change of behaviour: say so
-# and record the new digest. This is the one list of them: CI replays it from
+# The reference runs, each exiting 1 if a verdict is FAIL_WITNESSED and 0
+# otherwise, with the sha256 of its report (work block included). A change to
+# these bytes is a change of behaviour: say so and record the new digest.
+# This is the one list of them: CI replays it from
 # the installed package under two hash seeds, since string hashing is seeded
 # per process and set iteration order may differ between two, while
 # criterion 9 replays a run only inside one process.
@@ -706,6 +707,14 @@ _PINNED_REPORTS = [
         "4c64bf840505e6fe5663fe34a71c64fb09dac146a5f7d65a42b37ce3be767343",
     ),
     (
+        # a gap_parity trace meets 100 tables, one per least element 99..0:
+        # tables 64..99 are read below the bound and none of them runs, and
+        # both checkers read a tail of 100 codes
+        "check --learner gap_parity --adversary constant_zero --text falling.json"
+        " --horizon 200 --i '*' --j '*'",
+        "67a4d55b1c7e9475bff509143b5d9868c175c3b4a421a1e2520ea547507fec9a",
+    ),
+    (
         # finite i: the content clause reads each tail code below the bound,
         # beside the tables' per-stage symmetric differences
         "learn --learner gap_parity --adversary length_parity --variant plain"
@@ -726,9 +735,13 @@ def test_ci_reports_keep_their_bytes(command, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("text.json").write_text("[4, 0, 7, 2, 0, 9, 2, 4, 0, 7, 2, 4, 0, 9, 7]\n")
     Path("drops.json").write_text(json.dumps(_DROPS) + "\n")
-    assert main(shlex.split(command) + ["--out", "r.json"]) == 0
+    Path("falling.json").write_text(json.dumps(list(range(199, -1, -1))) + "\n")
+    rc = main(shlex.split(command) + ["--out", "r.json"])
     raw = Path("r.json").read_bytes()
     blob = raw.decode("utf-8")
+    results = json.loads(blob)["results"]
+    statuses = [results[k]["status"] for k in ("vacillation", "strict") if k in results]
+    assert rc == (1 if "FAIL_WITNESSED" in statuses else 0)
     # an encoder-independent check of canonical_json: json's own encoder,
     # given the parsed report, must give back the report's exact bytes. It
     # names the first differing line, as pytest's diff of two whole reports

@@ -14,6 +14,7 @@ from math import inf
 import pytest
 
 from limitlearn import (
+    SAMPLE_LEARNERS,
     ConstantLearner,
     Construction,
     DiagonalView,
@@ -22,8 +23,12 @@ from limitlearn import (
     LengthParityLearner,
     Registry,
     StepFunctionEnumerator,
+    Text,
+    Trace,
     Workspace,
     check_stabilizing,
+    check_txtfex,
+    check_txtfext,
     is_prefix,
 )
 from limitlearn.construction import _SETTLED
@@ -589,6 +594,50 @@ def test_a_churning_row_checks_one_length_per_stage(e):
     assert c.registry.query_count <= 2 * c.counters["stages"]
 
 
+def _law_learners():
+    """(learner, registry) of the sample learners and of one random table of
+    each kind, drawn from random.Random(31); a random learner's seven tables
+    take 0.1 to 0.3 s to stage 200."""
+    for kind in SAMPLE_LEARNERS:
+        ws = Workspace()
+        yield ws.sample_learner(kind), ws.registry
+    rng = random.Random(31)
+    for c in (_paired_constructions(rng)[0], _never_stable_table(rng)):
+        yield c.learner, c.registry
+
+
+def test_every_table_is_a_view_of_the_e0_table():
+    # e enters table evolution only through the cutoff e + k > s, so each
+    # table e follows from the e = 0 table of its learner and registry
+    for learner, registry in _law_learners():
+        base = Construction(learner, 0, registry)
+        tables = [Construction(learner, e, registry) for e in (1, 2, 3, 5, 9, 30)]
+        for s in range(1, 201):
+            base.run_stage()
+            defined0, moved0 = base._defined[s], base._moved[s]
+            for c in tables:
+                c.run_stage()
+                e, defined = c.e, c._defined
+                where = (type(learner).__name__, e, s)
+                assert defined[s] == max(0, min(defined0, s - e + 1)), where
+                # the least of: the row that becomes defined at s, the first
+                # row that goes undefined at s, and table 0's lowest moved row
+                # if table e holds it at s - 1 or at s
+                moved = [s - e] if 0 <= s - e < defined[s] else []
+                if defined[s] < defined[s - 1]:
+                    moved.append(defined[s])
+                if moved0 <= s - e and moved0 < max(defined[s - 1], defined[s]):
+                    moved.append(moved0)
+                assert c._moved[s] == min(moved, default=inf), where
+                # a row below both tables' lowest moved row logged nothing at
+                # s, so if table e defined it at s - 1 it was compared there
+                lo = min(moved0, c._moved[s], defined[s - 1])
+                for k in range(lo, defined[s]):
+                    since0, length = base.rows[k].events[-1]
+                    want = (max(since0, e + k), length)
+                    assert c.rows[k].events[-1] == want, where + (k,)
+
+
 @pytest.mark.parametrize("case", sorted(_ORACLE_PAIRS))
 def test_row_lengths_never_decrease(case):
     # A search keeps one untried length per depth because no row's length
@@ -1023,6 +1072,24 @@ def test_bounded_reads_match_the_seed_scan_at_every_stage(case):
                         if (t := scan[variant][x]) is not None and t <= s
                     )
                     assert view._below(bound, s) == want, (s, variant, bound)
+
+
+@pytest.mark.parametrize("e", [0, 5, 70])
+def test_a_read_below_e_runs_no_table(e):
+    # every value of view e is at least e, so a read bounded at or below e,
+    # such as a checker's at its default bound 64, is empty whatever the
+    # table holds and runs none of it; a bound above e still runs it
+    ws = Workspace()
+    codes = tuple(ws.diagonal_code("constant_zero", e, v) for v in ("plain", "hat"))
+    c = ws.construction("constant_zero", e)
+    trace = Trace(codes * 50 + codes[:1], Text(tuple(range(e, e + 100))), 100)
+    for bound in (min(e, 64), e):
+        check_txtfex(trace, ws.registry, 0, 2, bound=bound)
+        check_txtfext(trace, ws.registry, "*", 2, bound=bound)
+    assert ws.registry.query_count > 0
+    assert c.stage == c.counters["stages"] == c.counters["conf_cells"] == 0
+    check_txtfex(trace, ws.registry, 0, 2, bound=e + 1)
+    assert c.stage == c.counters["stages"] == 100
 
 
 # The closed form the confirmation log replaced: frozen depth F, then a scan

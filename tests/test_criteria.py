@@ -446,6 +446,69 @@ def test_strict_checker_matches_the_per_pair_oracle():
     }
 
 
+def _fex_per_code(trace, reg, i, j, settle=None, bound=64):
+    """Per-code reference for check_txtfex: the tail in first-seen order, one
+    one-code read per code, stopping at the first that fails the content
+    clause."""
+    horizon = trace.horizon
+    settle = horizon // 2 if settle is None else settle
+    if horizon < 1 or not 0 <= settle < horizon:
+        details = {"reason": "degenerate window", "settle": settle, "horizon": horizon}
+        return Verdict(Status.INCONCLUSIVE, None, details)
+    seen = []
+    for code in trace.outputs[settle:]:
+        if code not in seen:
+            seen.append(code)
+    details = {"settle": settle, "horizon": horizon, "tail_codes": sorted(seen)}
+    if j != "*" and len(seen) > j:
+        witness = {"kind": "cardinality", "codes": sorted(seen), "allowed": j}
+        return Verdict(Status.FAIL_WITNESSED, witness, details)
+    if i != "*":
+        content = {x for x in trace.text.items[:horizon] if x < bound}
+        for code in seen:
+            (got,) = reg.below_each([code], bound, horizon)
+            if len(got ^ content) > i:
+                witness = {
+                    "kind": "content",
+                    "code": code,
+                    "difference": sorted(got ^ content),
+                    "allowed": i,
+                    "revocable": True,
+                }
+                return Verdict(Status.FAIL_WITNESSED, witness, details)
+    if set(trace.outputs[(settle + horizon) // 2 :]) != set(seen):
+        details["reason"] = "tail still shifting"
+        return Verdict(Status.INCONCLUSIVE, None, details)
+    return Verdict(Status.PASS_AT_HORIZON, None, details)
+
+
+def test_loose_checker_matches_the_per_code_oracle():
+    seen = set()
+    for reg, tr, i, j, settle in _strict_scenarios(37, 400):
+        before = reg.query_count
+        v = check_txtfex(tr, reg, i, j, settle=settle)
+        made = reg.query_count - before
+        assert v == _fex_per_code(tr, reg, i, j, settle=settle)
+        assert reg.query_count - before == 2 * made  # the same one-code reads
+        kind = (v.witness or {}).get("kind")
+        seen.add(kind or v.details.get("reason") or v.status.value)
+    assert seen >= {
+        "cardinality",
+        "content",
+        "tail still shifting",
+        "degenerate window",
+        "PASS_AT_HORIZON",
+    }
+    # both tail codes fail the content clause: the witness names the code
+    # seen first, c, not the least one, a
+    reg, a, b, c = _registry()
+    tr = _trace((0,) * 10 + (c, a) * 5 + (c,))
+    v = check_txtfex(tr, reg, 0, 2)
+    assert v == _fex_per_code(tr, reg, 0, 2)
+    assert v.witness["code"] == c > a
+    assert verify_witness(v, tr, reg, 0, 2)
+
+
 def test_strict_checker_reads_each_tail_code_once():
     single = 0
     for reg, tr, i, j, settle in _strict_scenarios(41, 400):

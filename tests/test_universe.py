@@ -342,6 +342,18 @@ def test_finite_set_below_matches_the_snapshot_filter():
                 assert reg.query_count == before + 1
 
 
+def test_empty_finite_reads_are_one_frozenset():
+    # CPython 3.11 builds a new empty frozenset per call; the strict checker
+    # keys every tail code's reads, so one shared empty read is hashed once
+    reg = Registry()
+    fresh = run_learner(FreshLengthLearner(reg), Text(tuple(range(5))), 5).outputs
+    finite = [reg.register(FiniteSetEnumerator(x)) for x in ({4}, {4, 9})]
+    codes = [*fresh, *finite]
+    reads = reg.below_each(codes, 0, 5) + reg.below_each(codes, 50, 0)
+    reads += reg.below_each(finite, 4, 5)
+    assert len({id(read) for read in reads}) == 1 and not reads[0]
+
+
 def _counting_check_natural(monkeypatch) -> list[int]:
     """Count the _check_natural calls of every limitlearn module that imports it."""
     calls = [0]
