@@ -51,8 +51,11 @@ MAX_HORIZON = 500_000
 # Work budget of a check, in tables x horizon: a gap_parity trace on a text
 # whose least element keeps falling meets one diagonal table per value. At
 # the budget, two tables read to MAX_HORIZON took 7.3 s by the elapsed line
-# and 0.6 GiB with the slower adversary, constant_zero (length_parity: 7.0 s),
-# and 1000 tables read to horizon 1000 about 3 s and 0.2 GiB.
+# and 0.6 GiB with the slower adversary, constant_zero (length_parity: 7.0 s).
+# 1000 tables met to horizon 1000 (constant_zero, text [999, ..., 0]) took
+# 0.55-0.59 s and 55 MiB at the default bound, since a read bounded at or
+# below a table's e runs no table, and 3.9-5.5 s and 249 MiB with --bound
+# 1000, which runs every table (BENCH_bounded_read.json).
 MAX_TABLE_STAGES = 2 * MAX_HORIZON
 # Byte budget of a --text file, checked before it is read: the densest file,
 # "[0,0,...]", peaks at 288 MiB RSS at the budget, inside a 2 GB ulimit -v.

@@ -45,7 +45,7 @@ row 0's length). A stage thus costs the rows that can still change, so table
 time and memory are linear in the horizon, while staying exactly faithful to
 the brute-force semantics of stabilization (the tests keep a brute-force
 check, and a brute-force table and a full sweep that store whole strings, as
-oracles).
+oracles that share no code with this class).
 
 On top of the table live the observations. A row that has sat unchanged long
 enough yields its even marker value, and the odd successor is one more; both
@@ -192,14 +192,18 @@ class Construction:
                 row.qstate = None
                 n += 1
                 continue
-            resumed = old is not None and not lower_changed
-            if resumed and self._survives(row, s):
+            # on an unchanged base the row resumes its kernel (the seed has none)
+            kept = old is not None and not lower_changed and (qs := row.qstate) is not None
+            if kept and not qs.settled:
+                counters["q_advances"] += 1
+                if qs.fold(self.learner, self.registry, s, s) is not None:
+                    row.untried = old + 1  # its kernel just refuted old
+                    kept = False
+            if kept:
                 new, changed = old, False
             else:
-                if resumed and row.qstate is not None:
-                    row.untried = old + 1  # its kernel just refuted old
                 base = 0 if n == 0 else rows[n - 1].events[-1][1]
-                found = self._search_least(n, base, s)
+                found = self._search_least(row, n, base, s)
                 new, row.qstate = (None, None) if found is None else found
                 # the string changed iff the length did or, from row 2 on,
                 # the string below did: row 1 is e padding then e + 1
@@ -229,21 +233,13 @@ class Construction:
         self.rows[n].events.append((stage, length))
         self._moved[stage] = min(self._moved[stage], n)
 
-    def _survives(self, row: _Row, s: int) -> bool:
-        qs = row.qstate
-        if qs is None:
-            return False
-        if qs.settled:
-            return True
-        self.counters["q_advances"] += 1
-        return qs.fold(self.learner, self.registry, s, s) is None
-
     def _search_least(
-        self, k: int, base: int, s: int
+        self, row: _Row, k: int, base: int, s: int
     ) -> tuple[int, Survival] | None:
         """Least length of an extension of row k-1 that stabilizes at depth k.
 
-        Base is row k-1's length (0 for row 0). Row k-1 holds only values in
+        row is row k, whose untried length the search reads and moves. Base
+        is row k-1's length (0 for row 0). Row k-1 holds only values in
         [e, e+k), so the least extension of length m is row k-1, then e up
         to length m - 1, then e+k; only m is searched for, and no string is
         built. Every length from base + 1 up to row k's untried length, that
@@ -257,7 +253,7 @@ class Construction:
         counters["searches"] += 1
         if self.e + k > s:
             return None
-        row, learner, registry = self.rows[k], self.learner, self.registry
+        learner, registry = self.learner, self.registry
         for m in range(max(row.untried, base + 1), s + 1):
             counters["length_checks"] += 1
             qs = Survival(m, k)

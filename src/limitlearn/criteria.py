@@ -157,6 +157,13 @@ def _settle_point(i, j, settle, bound, horizon: int) -> int:
     return settle
 
 
+def _content_below(trace: Trace, bound: int) -> set[int]:
+    """The content clause's target: the text's content at the horizon, below
+    bound. One comprehension over that content, with no generator, so its
+    cost does not grow with bound."""
+    return {x for x in trace.text.content_at(trace.horizon) if x < bound}
+
+
 def check_txtfex(
     trace: Trace,
     registry: Registry,
@@ -191,7 +198,7 @@ def check_txtfex(
             base_details,
         )
     if i != "*":
-        target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
+        target = _content_below(trace, bound)
         for code in dict.fromkeys(trace.outputs[settle:]):  # first seen first
             diff = registry.below_each((code,), bound, horizon)[0] ^ target
             if len(diff) > i:
@@ -329,7 +336,7 @@ def verify_witness(
     if kind == "cardinality":
         return len(tail) > j
     if kind == "content":
-        target = frozenset(x for x in trace.text.content_at(horizon) if x < bound)
+        target = _content_below(trace, bound)
         diff = registry.below_each((code,), bound, horizon)[0] ^ target
         return len(diff) > i and sorted(diff) == difference
     a_early, b_early = registry.below_each((a, b), bound, early)
